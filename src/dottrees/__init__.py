@@ -44,7 +44,6 @@ from .counting import (
     max_pinned,
     pinned_set,
     pinned_weight_tuples,
-    product_set,
     proof_graph_edges,
     proof_multigraph,
     radial_histogram,
@@ -52,7 +51,6 @@ from .counting import (
 from .geometry import (
     AlphaHyperplane,
     Direction,
-    ExactScalar,
     ParseError,
     Point,
     PointSet,
@@ -68,13 +66,10 @@ from .geometry import (
     radial_direction,
     random_point_set,
     read_point_set,
-    write_point_set,
 )
-from .reports import CountReport, digest_inputs, point_set_digest, tree_digest
+from .reports import CountReport, digest_inputs, point_set_digest
 from .trees import (
     Bipartition,
-    RootedTree,
-    Subtree,
     Tree,
     WeightedTree,
     bipartition,
@@ -84,8 +79,6 @@ from .trees import (
     make_star,
     parse_tree,
     read_tree,
-    split_at_vertex,
-    write_tree,
 )
 
 __version__ = "0.1.0"

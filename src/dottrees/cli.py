@@ -2,7 +2,9 @@
 
 Subcommands: generate, count, distinct, pinned, incidence, radial,
 proofgraph, verify, report.  Exit status is 0 on success, 1 when a check
-fails, and 2 on usage errors.  All outputs are deterministic for a fixed
+fails, and 2 on any malformed input or out-of-range parameter: ``cli_main``
+turns every ``ValueError`` (``UsageError`` and ``ParseError`` included) into
+an ``error:`` line on stderr.  All outputs are deterministic for a fixed
 configuration; timings appear only with --timings.
 """
 
@@ -65,7 +67,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -134,17 +136,14 @@ def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
             size = int(raw_size)
         except ValueError:
             raise UsageError(f"bad tree size {raw_size!r}") from None
-        try:
-            if kind == "path":
-                tree = make_path(size)
-            elif kind == "star":
-                tree = make_star(size)
-            elif kind == "binary":
-                tree = make_perfect_binary(size)
-            else:
-                raise UsageError(f"unknown builtin tree kind {kind!r}")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if kind == "path":
+            tree = make_path(size)
+        elif kind == "star":
+            tree = make_star(size)
+        elif kind == "binary":
+            tree = make_perfect_binary(size)
+        else:
+            raise UsageError(f"unknown builtin tree kind {kind!r}")
         wt = WeightedTree(tree, None)
     else:
         path = _input_path(spec)
@@ -181,38 +180,29 @@ def _read_lines_file(value: str, dim: int) -> list[AlphaHyperplane]:
                 raise UsageError(
                     f"{path}: line {line_no}: expected {dim + 1} rationals"
                 )
-            values = [parse_scalar(f, line_no) for f in fields]
+            try:
+                values = [parse_scalar(f, line_no) for f in fields]
+            except ParseError as exc:
+                raise UsageError(f"{path}: {exc}") from None
             lines.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
     return lines
 
 
-def _write_json(config: RunConfig, payload) -> None:
-    if config.json_path is None:
+def _write_json(path: Path | None, payload) -> None:
+    """Write a CountReport, or plain JSON data, to ``path`` if one is given."""
+    if path is None:
         return
-    config.json_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    if isinstance(payload, CountReport):
+        path.write_text(payload.to_json())
+    else:
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_report(
-    config: RunConfig,
-    operation: str,
-    parameters: dict,
-    digest: str,
-    counts: dict,
-    histograms: dict | None = None,
-    elapsed_s: float | None = None,
-) -> None:
-    report = CountReport(
-        operation=operation,
-        parameters=parameters,
-        input_digest=digest,
-        counts=counts,
-        histograms=histograms or {},
-        elapsed_ms=round(elapsed_s * 1000.0, 3) if config.timings and elapsed_s is not None else None,
-    )
-    if config.json_path is not None:
-        config.json_path.write_text(report.to_json())
+def _elapsed_ms(config: RunConfig, start: float) -> float | None:
+    """Milliseconds since ``start``, or None unless --timings was given."""
+    if not config.timings:
+        return None
+    return round((time.perf_counter() - start) * 1000.0, 3)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -248,10 +238,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
             if args.construction == "columns"
             else build_perp_lines_3d
         )
-        try:
-            result = builder(wt.tree, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        result = builder(wt.tree, args.n)
         out.write_text(format_point_set(result.points))
         payload = {
             "construction": args.construction,
@@ -264,7 +251,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
                 for v, pts in sorted(result.vertex_assignment.items())
             },
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(sidecar, payload)
         print(f"wrote {len(result.points)} points to {out}")
         print(f"predicted count {result.predicted_count}, sidecar {sidecar}")
         return 0
@@ -280,7 +267,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
             "construction": "lattice",
             "parameters": dict(sorted(result.metadata.items())),
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(sidecar, payload)
         print(f"wrote {len(result.e_points)} lattice points to {out}")
         print(f"wrote {len(result.f_points)} dual points to {f_out}")
         print(f"sidecar {sidecar}")
@@ -305,7 +292,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
                 "generator": "random.Random (Mersenne Twister)",
             },
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(sidecar, payload)
         print(f"wrote {len(ps)} random points to {out}")
         return 0
     raise UsageError(f"unknown construction {args.construction!r}")
@@ -317,19 +304,15 @@ def _cmd_count(args, config: RunConfig) -> int:
     if wt.weights is None:
         raise UsageError("no weights: give them in the .tree file or via --weights")
     start = time.perf_counter()
-    try:
-        if args.homomorphisms:
-            counted = count_homomorphisms(wt, points, include_zero=config.include_zero)
-        else:
-            counted = count_embeddings(
-                wt, points, include_zero=config.include_zero, threads=config.threads
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    elapsed = time.perf_counter() - start
+    if args.homomorphisms:
+        counted = count_homomorphisms(wt, points, include_zero=config.include_zero)
+    else:
+        counted = count_embeddings(
+            wt, points, include_zero=config.include_zero, threads=config.threads
+        )
+    elapsed_ms = _elapsed_ms(config, start)
     print(counted)
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "count_homomorphisms" if args.homomorphisms else "count_embeddings",
         {
             "tree": args.tree,
@@ -338,8 +321,8 @@ def _cmd_count(args, config: RunConfig) -> int:
         },
         digest_inputs(format_point_set(points), format_tree(wt)),
         {"count": counted},
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0
 
 
@@ -348,11 +331,10 @@ def _cmd_distinct(args, config: RunConfig) -> int:
     start = time.perf_counter()
     if args.tree is None:
         summary = distinct_dot_products(points, include_zero=config.include_zero)
-        elapsed = time.perf_counter() - start
+        elapsed_ms = _elapsed_ms(config, start)
         print(f"distinct {summary.distinct}")
         print(f"max multiplicity {summary.max_multiplicity}")
-        _emit_report(
-            config,
+        _write_json(config.json_path, CountReport(
             "distinct_dot_products",
             {"include_zero": config.include_zero},
             point_set_digest(points),
@@ -360,21 +342,20 @@ def _cmd_distinct(args, config: RunConfig) -> int:
                 "distinct": summary.distinct,
                 "max_multiplicity": summary.max_multiplicity,
             },
-            elapsed_s=elapsed,
-        )
+            elapsed_ms=elapsed_ms,
+        ))
         return 0
     wt = _resolve_tree(args.tree, None)
     count = distinct_weight_tuples(wt.tree, points, include_zero=config.include_zero)
-    elapsed = time.perf_counter() - start
+    elapsed_ms = _elapsed_ms(config, start)
     print(count)
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "distinct_weight_tuples",
         {"tree": args.tree, "include_zero": config.include_zero},
         digest_inputs(format_point_set(points), format_tree(wt.tree)),
         {"distinct_tuples": count},
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0
 
 
@@ -382,11 +363,8 @@ def _cmd_pinned(args, config: RunConfig) -> int:
     points = _load_points(args.points)
     start = time.perf_counter()
     if args.descent:
-        try:
-            trace = hyperplane_descent(points, include_zero=config.include_zero)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        elapsed = time.perf_counter() - start
+        trace = hyperplane_descent(points, include_zero=config.include_zero)
+        elapsed_ms = _elapsed_ms(config, start)
         for i, level in enumerate(trace.levels, 1):
             pin = " ".join(format_scalar(c) for c in level.pin)
             print(
@@ -396,8 +374,7 @@ def _cmd_pinned(args, config: RunConfig) -> int:
         print(f"final points {trace.final_points}")
         print(f"final pinned count {trace.final_pinned_count}")
         print(f"reported count {trace.reported_count}")
-        _emit_report(
-            config,
+        _write_json(config.json_path, CountReport(
             "hyperplane_descent",
             {"include_zero": config.include_zero},
             point_set_digest(points),
@@ -406,8 +383,8 @@ def _cmd_pinned(args, config: RunConfig) -> int:
                 "final_pinned": trace.final_pinned_count,
                 "reported": trace.reported_count,
             },
-            elapsed_s=elapsed,
-        )
+            elapsed_ms=elapsed_ms,
+        ))
         return 0
     if args.tree is not None:
         if args.vertex is None or args.pin_index is None:
@@ -416,16 +393,12 @@ def _cmd_pinned(args, config: RunConfig) -> int:
         if not 1 <= args.pin_index <= len(points):
             raise UsageError(f"--pin-index out of range 1..{len(points)}")
         pin = points.points[args.pin_index - 1]
-        try:
-            count = pinned_weight_tuples(
-                wt.tree, args.vertex, pin, points, include_zero=config.include_zero
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        elapsed = time.perf_counter() - start
+        count = pinned_weight_tuples(
+            wt.tree, args.vertex, pin, points, include_zero=config.include_zero
+        )
+        elapsed_ms = _elapsed_ms(config, start)
         print(count)
-        _emit_report(
-            config,
+        _write_json(config.json_path, CountReport(
             "pinned_weight_tuples",
             {
                 "tree": args.tree,
@@ -435,21 +408,17 @@ def _cmd_pinned(args, config: RunConfig) -> int:
             },
             digest_inputs(format_point_set(points), format_tree(wt.tree)),
             {"distinct_tuples": count},
-            elapsed_s=elapsed,
-        )
+            elapsed_ms=elapsed_ms,
+        ))
         return 0
     if args.pin_index is not None:
         if not 1 <= args.pin_index <= len(points):
             raise UsageError(f"--pin-index out of range 1..{len(points)}")
         pin = points.points[args.pin_index - 1]
-        try:
-            values = pinned_set(pin, points, include_zero=config.include_zero)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        elapsed = time.perf_counter() - start
+        values = pinned_set(pin, points, include_zero=config.include_zero)
+        elapsed_ms = _elapsed_ms(config, start)
         print(len(values))
-        _emit_report(
-            config,
+        _write_json(config.json_path, CountReport(
             "pinned_set",
             {"pin_index": args.pin_index, "include_zero": config.include_zero},
             point_set_digest(points),
@@ -457,25 +426,21 @@ def _cmd_pinned(args, config: RunConfig) -> int:
             histograms={
                 "values": [format_scalar(v) for v in sorted(values)],
             },
-            elapsed_s=elapsed,
-        )
+            elapsed_ms=elapsed_ms,
+        ))
         return 0
-    try:
-        pin, count = max_pinned(points, include_zero=config.include_zero)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    elapsed = time.perf_counter() - start
+    pin, count = max_pinned(points, include_zero=config.include_zero)
+    elapsed_ms = _elapsed_ms(config, start)
     coords = " ".join(format_scalar(c) for c in pin)
     print(f"pin ({coords})")
     print(f"pinned count {count}")
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "max_pinned",
         {"include_zero": config.include_zero},
         point_set_digest(points),
         {"max_pinned": count},
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0
 
 
@@ -491,24 +456,17 @@ def _cmd_incidence(args, config: RunConfig) -> int:
             raise UsageError("--pins needs --alpha")
         pins = _load_points(args.pins)
         alpha = _parse_fraction(args.alpha, "--alpha")
-        try:
-            lines = [alpha_hyperplane(p, alpha) for p in pins.points]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    try:
-        count = incidences(points, lines)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    elapsed = time.perf_counter() - start
+        lines = [alpha_hyperplane(p, alpha) for p in pins.points]
+    count = incidences(points, lines)
+    elapsed_ms = _elapsed_ms(config, start)
     print(count)
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "incidences",
         {"lines": len(lines)},
         point_set_digest(points),
         {"incidences": count},
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0
 
 
@@ -516,25 +474,21 @@ def _cmd_radial(args, config: RunConfig) -> int:
     points = _load_points(args.points)
     cap = _parse_fraction(args.cap_c, "--cap-c")
     start = time.perf_counter()
-    try:
-        hist = radial_histogram(points, allow_origin=args.allow_origin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    elapsed = time.perf_counter() - start
+    hist = radial_histogram(points, allow_origin=args.allow_origin)
+    elapsed_ms = _elapsed_ms(config, start)
     for direction in sorted(hist.buckets, key=lambda d: d.primitive):
         print(f"{direction}: {hist.buckets[direction]}")
     print(f"max {hist.max_count} of {hist.total}")
     ok = hist.within_cap(cap)
     print(f"cap check (C={cap}): {'ok' if ok else 'FAIL'}")
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "radial_histogram",
         {"cap_c": str(cap)},
         point_set_digest(points),
         {"max": hist.max_count, "total": hist.total, "cap_ok": int(ok)},
         histograms={str(d): c for d, c in sorted(hist.buckets.items(), key=lambda kv: kv[0].primitive)},
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0 if ok else CHECK_FAILURE
 
 
@@ -542,19 +496,15 @@ def _cmd_proofgraph(args, config: RunConfig) -> int:
     points = _load_points(args.points)
     second = _load_points(args.second) if args.second else None
     start = time.perf_counter()
-    try:
-        stats = proof_multigraph(points, second, include_zero=config.include_zero)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    elapsed = time.perf_counter() - start
+    stats = proof_multigraph(points, second, include_zero=config.include_zero)
+    elapsed_ms = _elapsed_ms(config, start)
     print(f"vertices {stats.vertices}")
     print(f"edges {stats.edges}")
     print(f"max multiplicity {stats.max_multiplicity}")
     print(f"t = max pinned cardinality (per proof usage): {stats.max_pinned_size}")
     print(f"drawing crossings {stats.drawing_crossings}")
     print(f"crossing bound check: {'ok' if stats.crossing_bound_ok else 'FAIL'}")
-    _emit_report(
-        config,
+    _write_json(config.json_path, CountReport(
         "proof_multigraph",
         {"include_zero": config.include_zero},
         point_set_digest(points)
@@ -568,23 +518,20 @@ def _cmd_proofgraph(args, config: RunConfig) -> int:
             "drawing_crossings": stats.drawing_crossings,
             "crossing_bound_ok": int(stats.crossing_bound_ok),
         },
-        elapsed_s=elapsed,
-    )
+        elapsed_ms=elapsed_ms,
+    ))
     return 0 if stats.crossing_bound_ok else CHECK_FAILURE
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
-    try:
-        results = run_criteria(numbers, threads=config.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    results = run_criteria(numbers, threads=config.threads)
     for result in results:
         print(result.line())
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
     _write_json(
-        config,
+        config.json_path,
         [
             {
                 "number": r.number,
@@ -611,10 +558,7 @@ def _cmd_report(args, config: RunConfig) -> int:
         kwargs = {"tree_label": args.tree, "threads": config.threads}
         if threshold is not None:
             kwargs["threshold_c"] = threshold
-        try:
-            report = maker(wt.tree, ns, **kwargs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        report = maker(wt.tree, ns, **kwargs)
     elif args.experiment == "lattice":
         if args.q is None:
             raise UsageError("the lattice experiment needs --q")
@@ -624,14 +568,11 @@ def _cmd_report(args, config: RunConfig) -> int:
         kwargs = {}
         if threshold is not None:
             kwargs["threshold_c"] = threshold
-        try:
-            report = lattice_report(args.d, qs, **kwargs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        report = lattice_report(args.d, qs, **kwargs)
     else:
         raise UsageError(f"unknown experiment {args.experiment!r}")
     sys.stdout.write(format_report_table(report))
-    _write_json(config, report)
+    _write_json(config.json_path, report)
     return 0 if report["pass"] else CHECK_FAILURE
 
 
@@ -756,7 +697,7 @@ def cli_main(argv=None) -> int:
     try:
         config = RunConfig.from_args(args)
         return _HANDLERS[args.subcommand](args, config)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

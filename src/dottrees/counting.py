@@ -12,9 +12,6 @@ admitted with ``include_zero=True``.
 
 from __future__ import annotations
 
-import heapq
-import os
-import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +42,6 @@ __all__ = [
     "count_homomorphisms",
     "distinct_weight_tuples",
     "pinned_weight_tuples",
-    "product_set",
     "incidences",
     "radial_histogram",
     "proof_graph_edges",
@@ -255,18 +251,12 @@ def count_homomorphisms(
         return len(points)
     if index is None:
         index = DotProductIndex(points, include_zero=include_zero)
-    order = tree.bfs_order(1)
+    parent = tree.bfs_parents(1)
     adj = tree.adjacency()
-    parent: dict[int, int] = {order[0]: 0}
-    for v in order[1:]:
-        for u in adj[v]:
-            if u in parent:
-                parent[v] = u
-                break
     edge_idx = tree.edge_index()
     table: dict[int, dict[Point, int]] = {}
-    for v in reversed(order):
-        children = [u for u in adj[v] if parent.get(u) == v]
+    for v in reversed(parent):
+        children = [u for u in adj[v] if parent[u] == v]
         row: dict[Point, int] = {}
         for x in points.points:
             total = 1
@@ -277,7 +267,7 @@ def count_homomorphisms(
                     break
             row[x] = total
         table[v] = row
-    return sum(table[order[0]].values())
+    return sum(table[1].values())
 
 
 def _value_id_matrix(points: PointSet) -> tuple[list[list[int]], list[Fraction], int]:
@@ -308,26 +298,21 @@ def _enumerate_weight_tuples(
     include_zero: bool,
     pinned: tuple[int, int] | None,
     emit,
-) -> None:
+) -> list[Fraction]:
     """Drive ``emit(tuple_of_value_ids)`` over all injective vertex maps.
 
     ``pinned`` fixes (vertex, point index).  Tuples follow canonical edge
     order; branches producing a zero component are pruned unless zero dot
-    products were requested.
+    products were requested.  Returns the dot product each value id stands
+    for.
     """
     n = len(points)
     if tree.num_vertices > n:
-        return
-    matrix, _, zero_id = _value_id_matrix(points)
+        return []
+    matrix, values, zero_id = _value_id_matrix(points)
     root = pinned[0] if pinned is not None else 1
-    order = tree.bfs_order(root)
-    adj = tree.adjacency()
-    parent: dict[int, int] = {root: 0}
-    for v in order[1:]:
-        for u in adj[v]:
-            if u in parent:
-                parent[v] = u
-                break
+    parent = tree.bfs_parents(root)
+    order = list(parent)
     edge_idx = tree.edge_index()
     slot = {v: i for i, v in enumerate(order)}
     # For each order position > 0: (parent position, canonical edge index).
@@ -369,6 +354,7 @@ def _enumerate_weight_tuples(
             used[idx] = True
             rec(1)
             used[idx] = False
+    return values
 
 
 def distinct_weight_tuples(
@@ -377,82 +363,23 @@ def distinct_weight_tuples(
     *,
     include_zero: bool = False,
     collect: bool = False,
-    spill_dir: str | None = None,
-    spill_chunk: int = 200_000,
 ):
     """Count distinct edge-weight tuples over injective maps of ``tree``.
 
     Tuples are ordered by the canonical edge order, and tuples containing a
     zero dot product are excluded unless requested.  Returns the count, or
     ``(count, frozenset_of_tuples)`` with ``collect=True``.
-
-    With ``spill_dir`` set, sorted-and-deduplicated chunks are spilled to
-    temporary files and merge-counted, keeping memory proportional to
-    ``spill_chunk`` instead of the number of distinct tuples.
     """
     if tree.num_edges == 0:
         raise ValueError("weight tuples need at least one edge")
-    if collect and spill_dir is not None:
-        raise ValueError("collect and spill_dir are mutually exclusive")
-    if spill_dir is None:
-        seen: set[tuple[int, ...]] = set()
-        _enumerate_weight_tuples(
-            tree, points, include_zero=include_zero, pinned=None, emit=seen.add
-        )
-        if collect:
-            _, values, _ = _value_id_matrix(points)
-            tuples = frozenset(tuple(values[i] for i in t) for t in seen)
-            return len(seen), tuples
-        return len(seen)
-
-    files: list[str] = []
-    buffer: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if not buffer:
-            return
-        buffer.sort()
-        fd, path = tempfile.mkstemp(dir=spill_dir, suffix=".tuples")
-        with os.fdopen(fd, "w") as fh:
-            prev = None
-            for t in buffer:
-                if t != prev:
-                    fh.write(" ".join(map(str, t)) + "\n")
-                    prev = t
-        files.append(path)
-        buffer.clear()
-
-    def emit(t: tuple[int, ...]) -> None:
-        buffer.append(t)
-        if len(buffer) >= spill_chunk:
-            flush()
-
-    try:
-        _enumerate_weight_tuples(
-            tree, points, include_zero=include_zero, pinned=None, emit=emit
-        )
-        flush()
-        streams = [open(path) for path in files]
-        try:
-            merged = heapq.merge(
-                *[
-                    (tuple(map(int, line.split())) for line in fh)
-                    for fh in streams
-                ]
-            )
-            count = 0
-            prev = None
-            for t in merged:
-                if t != prev:
-                    count += 1
-                    prev = t
-            return count
-        finally:
-            for fh in streams:
-                fh.close()
-    finally:
-        for path in files:
-            os.unlink(path)
+    seen: set[tuple[int, ...]] = set()
+    values = _enumerate_weight_tuples(
+        tree, points, include_zero=include_zero, pinned=None, emit=seen.add
+    )
+    if collect:
+        tuples = frozenset(tuple(values[i] for i in t) for t in seen)
+        return len(seen), tuples
+    return len(seen)
 
 
 def pinned_weight_tuples(
@@ -482,13 +409,6 @@ def pinned_weight_tuples(
         emit=seen.add,
     )
     return len(seen)
-
-
-def product_set(a: Iterable, b: Iterable) -> frozenset[Fraction]:
-    """Exact set of pairwise products {x*y : x in a, y in b}."""
-    left = [Fraction(x) for x in a]
-    right = [Fraction(y) for y in b]
-    return frozenset(x * y for x in left for y in right)
 
 
 def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:
@@ -577,11 +497,21 @@ def count_segment_crossings(segments: Sequence[tuple[Point, Point]]) -> int:
     return crossings
 
 
+def _require_planar(points: PointSet, right: PointSet) -> None:
+    if points.dim != 2 or right.dim != 2:
+        raise ValueError("the proof multigraph is planar; need dimension 2")
+    for ps in (points, right):
+        for p in ps.points:
+            if is_origin(p):
+                raise ValueError("point sets must not contain the origin")
+
+
 def proof_graph_edges(
     points: PointSet,
     second: PointSet | None = None,
     *,
     include_zero: bool = False,
+    index: DotProductIndex | None = None,
 ) -> dict[tuple[Point, Point], int]:
     """Multigraph edges of the consecutive-points construction.
 
@@ -593,16 +523,13 @@ def proof_graph_edges(
     (pin, value) contribution.
 
     Returns a map from the segment (endpoint pair, lexicographically ordered)
-    to its edge multiplicity.
+    to its edge multiplicity.  A prebuilt ``index`` of ``points`` against the
+    second set is used as given, so ``include_zero`` is then ignored.
     """
     right = second if second is not None else points
-    if points.dim != 2 or right.dim != 2:
-        raise ValueError("the proof multigraph is planar; need dimension 2")
-    for ps in (points, right):
-        for p in ps.points:
-            if is_origin(p):
-                raise ValueError("point sets must not contain the origin")
-    index = DotProductIndex(points, right, include_zero=include_zero)
+    _require_planar(points, right)
+    if index is None:
+        index = DotProductIndex(points, right, include_zero=include_zero)
     edges: Counter[tuple[Point, Point]] = Counter()
     for p in points.points:
         for members in index.partner_map(p).values():
@@ -647,8 +574,9 @@ def proof_multigraph(
     drawing, and whether crossings <= |E|^2 * t^2.
     """
     right = second if second is not None else points
-    edge_counts = proof_graph_edges(points, right, include_zero=include_zero)
+    _require_planar(points, right)
     index = DotProductIndex(points, right, include_zero=include_zero)
+    edge_counts = proof_graph_edges(points, right, index=index)
     t = max((len(index.partner_map(p)) for p in points.points), default=0)
     vertices = len(set(points.points) | set(right.points))
     e = sum(edge_counts.values())

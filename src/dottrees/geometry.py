@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 __all__ = [
-    "ExactScalar",
     "Point",
     "PointSet",
     "AlphaHyperplane",
@@ -31,18 +30,15 @@ __all__ = [
     "alpha_hyperplane",
     "radial_direction",
     "read_point_set",
-    "write_point_set",
     "parse_point_set",
     "format_point_set",
     "integer_grid",
     "random_point_set",
 ]
 
-# Scalars are always stored in lowest terms with a positive denominator, so
-# equality and hashing agree with the canonical form.
-ExactScalar = Fraction
-
-# A point is a fixed-length tuple of exact scalars.
+# A point is a fixed-length tuple of exact scalars.  Fractions are always in
+# lowest terms with a positive denominator, so equality and hashing agree
+# with the canonical form.
 Point = tuple[Fraction, ...]
 
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -257,10 +253,6 @@ def read_point_set(stream: IO[str]) -> PointSet:
     if dim is None:
         raise ParseError("missing 'd <dim>' header")
     return PointSet(dim, tuple(pts))
-
-
-def write_point_set(ps: PointSet, stream: IO[str]) -> None:
-    stream.write(format_point_set(ps))
 
 
 def format_point_set(ps: PointSet) -> str:

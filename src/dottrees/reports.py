@@ -7,9 +7,8 @@ import json
 from dataclasses import dataclass, field
 
 from .geometry import PointSet, format_point_set
-from .trees import Tree, WeightedTree, format_tree
 
-__all__ = ["CountReport", "digest_inputs", "point_set_digest", "tree_digest"]
+__all__ = ["CountReport", "digest_inputs", "point_set_digest"]
 
 
 def digest_inputs(*parts: str) -> str:
@@ -24,10 +23,6 @@ def digest_inputs(*parts: str) -> str:
 
 def point_set_digest(ps: PointSet) -> str:
     return digest_inputs(format_point_set(ps))
-
-
-def tree_digest(wt: WeightedTree | Tree) -> str:
-    return digest_inputs(format_tree(wt))
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,11 @@ __all__ = [
     "WeightVector",
     "WeightedTree",
     "Bipartition",
-    "RootedTree",
-    "Subtree",
     "bipartition",
-    "split_at_vertex",
     "make_path",
     "make_star",
     "make_perfect_binary",
     "read_tree",
-    "write_tree",
     "parse_tree",
     "format_tree",
 ]
@@ -105,22 +101,27 @@ class Tree:
     def edge_index(self) -> dict[Edge, int]:
         return {e: j for j, e in enumerate(self.edges)}
 
-    def bfs_order(self, root: int = 1) -> tuple[int, ...]:
-        """Vertices in breadth-first order from ``root``, neighbors ascending."""
+    def bfs_parents(self, root: int = 1) -> dict[int, int]:
+        """Each vertex's parent when rooted at ``root`` (0 for the root itself).
+
+        Keys run in breadth-first order from ``root``, neighbors ascending.
+        """
         if root not in self.vertices:
             raise ValueError(f"no vertex {root}")
         adj = self.adjacency()
-        seen = {root}
-        order = [root]
+        parents = {root: 0}
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
+                if u not in parents:
+                    parents[u] = v
                     queue.append(u)
-        return tuple(order)
+        return parents
+
+    def bfs_order(self, root: int = 1) -> tuple[int, ...]:
+        """Vertices in breadth-first order from ``root``, neighbors ascending."""
+        return tuple(self.bfs_parents(root))
 
 
 @dataclass(frozen=True)
@@ -168,89 +169,20 @@ class Bipartition:
         return len(self.v)
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    tree: Tree
-    root: int
-
-    def __post_init__(self):
-        if self.root not in self.tree.vertices:
-            raise ValueError(f"no vertex {self.root}")
-
-
 def bipartition(t: Tree) -> Bipartition:
     """Proper 2-coloring by breadth-first parity from vertex 1.
 
     Classes are swapped if needed so the first is at least as large; on a tie
     the class containing vertex 1 comes first.
     """
-    order = t.bfs_order(1)
-    adj = t.adjacency()
-    level = {1: 0}
-    for v in order[1:]:
-        for u in adj[v]:
-            if u in level:
-                level[v] = level[u] + 1
-                break
+    level: dict[int, int] = {}
+    for v, u in t.bfs_parents(1).items():
+        level[v] = level[u] + 1 if u else 0
     even = frozenset(v for v in t.vertices if level[v] % 2 == 0)
     odd = frozenset(t.vertices) - even
     if len(odd) > len(even):
         return Bipartition(odd, even)
     return Bipartition(even, odd)
-
-
-@dataclass(frozen=True)
-class Subtree:
-    """An edge-subtree of a host tree, kept in the host's vertex labels."""
-
-    edges: tuple[Edge, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        vs: set[int] = set()
-        for a, b in self.edges:
-            vs.add(a)
-            vs.add(b)
-        return tuple(sorted(vs))
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def to_tree(self) -> tuple[Tree, tuple[int, ...]]:
-        """Relabel to a canonical Tree; returns it with old labels per new index."""
-        labels = self.vertices
-        new = {old: i + 1 for i, old in enumerate(labels)}
-        t = Tree.from_edges(len(labels), [(new[a], new[b]) for a, b in self.edges])
-        return t, labels
-
-
-def split_at_vertex(t: Tree, v: int) -> tuple[Subtree, Subtree]:
-    """Split ``t`` into two edge-disjoint subtrees that share only ``v``.
-
-    The first part is the branch through v's lowest incident edge; the second
-    is everything else.  Splitting at a leaf is an error since it cannot give
-    two nonempty parts.
-    """
-    adj = t.adjacency()
-    if v not in adj:
-        raise ValueError(f"no vertex {v}")
-    if len(adj[v]) < 2:
-        raise ValueError(f"vertex {v} is a leaf; cannot split there")
-    first_edge = next(e for e in t.edges if v in e)
-    w = first_edge[0] if first_edge[1] == v else first_edge[1]
-    # Component of w once v is removed.
-    comp = {w}
-    queue = deque([w])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y != v and y not in comp:
-                comp.add(y)
-                queue.append(y)
-    side1 = tuple(e for e in t.edges if e == first_edge or (e[0] in comp and e[1] in comp))
-    side2 = tuple(e for e in t.edges if e not in side1)
-    return Subtree(side1), Subtree(side2)
 
 
 def make_path(k: int) -> Tree:
@@ -335,10 +267,6 @@ def read_tree(stream: IO[str]) -> WeightedTree:
         raise ParseError(str(exc)) from None
     weights = tuple(r[1] for r in rows) if weighted_rows else None
     return WeightedTree(tree, weights)
-
-
-def write_tree(wt: WeightedTree | Tree, stream: IO[str]) -> None:
-    stream.write(format_tree(wt))
 
 
 def format_tree(wt: WeightedTree | Tree) -> str:

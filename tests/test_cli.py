@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -440,3 +444,38 @@ class TestUsage:
             "--points", str(columns_pts),
         )
         assert code == 2
+
+
+# Inputs that raise a ValueError (or ParseError) inside the engine or a
+# constructor rather than in the CLI's own checks.
+ENGINE_REJECTS = {
+    "tuples_of_edgeless_tree": ["distinct", "--points", "a.pts", "--tree", "k0.tree"],
+    "random_box_too_small": [
+        "generate", "--construction", "random", "--n", "50", "--seed", "1",
+        "--low", "0", "--high", "2", "-o", "out.pts",
+    ],
+    "random_dimension_one": [
+        "generate", "--construction", "random", "--n", "5", "--seed", "1",
+        "--d", "1", "-o", "out.pts",
+    ],
+    "lattice_q_zero": ["generate", "--construction", "lattice", "--q", "0", "-o", "out.pts"],
+    "lines_bad_rational": ["incidence", "--points", "a.pts", "--lines", "bad.lines"],
+}
+
+
+@pytest.mark.parametrize("argv", ENGINE_REJECTS.values(), ids=ENGINE_REJECTS.keys())
+def test_engine_value_errors_exit_2(tmp_path, argv):
+    (tmp_path / "a.pts").write_text("d 2\n1 2\n2 1\n3 1\n")
+    (tmp_path / "k0.tree").write_text("k 0\n")
+    (tmp_path / "bad.lines").write_text("1 1 3\n1 x 2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from dottrees.cli import main; main()", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -27,7 +27,6 @@ from dottrees import (
     pinned_weight_tuples,
     point,
     point_set,
-    product_set,
     proof_graph_edges,
     proof_multigraph,
     radial_histogram,
@@ -353,15 +352,6 @@ class TestDistinctWeightTuples:
         assert without == len(naive_weight_tuples(make_path(1), ps))
         assert with_zero > without
 
-    def test_spill_mode_matches(self, tmp_path):
-        ps = random_instance(2, max_points=9)
-        tree = make_path(2)
-        in_memory = distinct_weight_tuples(tree, ps)
-        spilled = distinct_weight_tuples(
-            tree, ps, spill_dir=str(tmp_path), spill_chunk=16
-        )
-        assert spilled == in_memory
-
     def test_scaling_invariance(self):
         ps = random_instance(5, max_points=7)
         tree = make_path(2)
@@ -400,31 +390,6 @@ class TestPinnedWeightTuples:
         assert pinned_weight_tuples(tree, v, x, ps) == len(
             naive_pinned_weight_tuples(tree, v, x, ps)
         )
-
-
-class TestProductSet:
-    def test_enumeration(self):
-        a = {Q(1), Q(2), Q(3)}
-        assert product_set(a, a) == {Q(1), Q(2), Q(3), Q(4), Q(6), Q(9)}
-
-    def test_identity_element(self):
-        b = {Q(5), Q(-2), Q(1, 3)}
-        assert product_set({Q(1)}, b) == frozenset(b)
-
-    @given(
-        st.sets(
-            st.fractions(min_value=Q(1, 9), max_value=9, max_denominator=9),
-            min_size=1,
-            max_size=8,
-        ),
-        st.sets(
-            st.fractions(min_value=Q(1, 9), max_value=9, max_denominator=9),
-            min_size=1,
-            max_size=8,
-        ),
-    )
-    def test_size_lower_bound_without_zero(self, a, b):
-        assert len(product_set(a, b)) >= max(len(a), len(b))
 
 
 class TestIncidences:
@@ -557,6 +522,20 @@ class TestProofMultigraph:
             (pt(2, -3), pt(2, 1)),
             (pt(2, 1), pt(2, 5)),
         }
+
+    def test_builds_one_index(self, monkeypatch):
+        built = []
+        original = DotProductIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DotProductIndex, "__init__", counting_init)
+        ps = random_point_set(12, seed=3, low=-6, high=6)
+        stats = proof_multigraph(ps)
+        assert len(built) == 1
+        assert stats.edges == sum(proof_graph_edges(ps).values())
 
     def test_two_set_radial_coincidence_multiplicity(self):
         # Two pins on one radial line see the same geometric line x=3

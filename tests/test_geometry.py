@@ -244,12 +244,7 @@ class TestPtsFormat:
 
     def test_stream_io(self):
         ps = point_set([(1, 2), (3, 4)])
-        buf = io.StringIO()
-        from dottrees import write_point_set
-
-        write_point_set(ps, buf)
-        buf.seek(0)
-        assert read_point_set(buf) == ps
+        assert read_point_set(io.StringIO(format_point_set(ps))) == ps
 
 
 class TestRandomPointSet:

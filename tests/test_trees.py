@@ -14,7 +14,6 @@ from dottrees import (
     make_perfect_binary,
     make_star,
     parse_tree,
-    split_at_vertex,
 )
 
 
@@ -58,6 +57,11 @@ class TestTreeValidation:
     def test_bfs_root_validated(self):
         with pytest.raises(ValueError):
             make_path(2).bfs_order(9)
+
+    def test_bfs_parents(self):
+        parents = make_perfect_binary(2).bfs_parents(2)
+        assert list(parents) == [2, 1, 4, 5, 3, 6, 7]
+        assert parents == {2: 0, 1: 2, 4: 2, 5: 2, 3: 1, 6: 3, 7: 3}
 
 
 class TestGenerators:
@@ -111,42 +115,6 @@ class TestBipartition:
             assert b.k1 >= -(-t.num_vertices // 2)
             for a, c in t.edges:
                 assert (a in b.u) != (c in b.u)
-
-
-class TestSplit:
-    def test_path_split_at_center(self):
-        first, second = split_at_vertex(make_path(2), 2)
-        assert first.edges == ((1, 2),) and second.edges == ((2, 3),)
-
-    def test_star_split_takes_first_edge(self):
-        first, second = split_at_vertex(make_star(3), 1)
-        assert first.edges == ((1, 2),)
-        assert second.edges == ((1, 3), (1, 4))
-
-    def test_leaf_rejected(self):
-        with pytest.raises(ValueError):
-            split_at_vertex(make_path(2), 1)
-
-    def test_partition_properties(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(3, 12)
-            edges = [(rng.randint(1, i), i + 1) for i in range(1, n)]
-            t = Tree.from_edges(n, edges)
-            adj = t.adjacency()
-            internal = [v for v in t.vertices if len(adj[v]) >= 2]
-            v = rng.choice(internal)
-            first, second = split_at_vertex(t, v)
-            assert set(first.edges) | set(second.edges) == set(t.edges)
-            assert not set(first.edges) & set(second.edges)
-            assert v in first.vertices and v in second.vertices
-            assert first.num_edges + second.num_edges == t.num_edges
-            assert first.num_edges >= 1 and second.num_edges >= 1
-
-    def test_to_tree_relabels(self):
-        _, second = split_at_vertex(make_path(2), 2)
-        tree, labels = second.to_tree()
-        assert tree.edges == ((1, 2),) and labels == (2, 3)
 
 
 class TestTreeFormat:
@@ -211,12 +179,3 @@ class TestWeightedTree:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             WeightedTree(make_path(2), (Q(1),))
-
-
-class TestRootedTree:
-    def test_root_validated(self):
-        from dottrees import RootedTree
-
-        assert RootedTree(make_path(2), 2).root == 2
-        with pytest.raises(ValueError):
-            RootedTree(make_path(2), 9)
