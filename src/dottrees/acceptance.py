@@ -34,7 +34,7 @@ from .counting import (
     proof_multigraph,
     radial_histogram,
 )
-from .experiments import perplines_report
+from .experiments import perplines_report, unit_pair_count
 from .geometry import PointSet, dot, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
@@ -58,7 +58,7 @@ def _grid_sets() -> list[tuple[int, PointSet]]:
     return [(side * side, integer_grid(side)) for side in (8, 10, 12, 14)]
 
 
-def criterion_1(threads: int = 1) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Column construction: engine count equals the predicted product exactly."""
     start = time.perf_counter()
     cases = []
@@ -73,7 +73,7 @@ def criterion_1(threads: int = 1) -> CriterionResult:
         bip = bipartition(tree)
         for n in (8, 12, 16, 20):
             result = build_column_construction(tree, n)
-            counted = count_embeddings(result.weighted_tree, result.points, threads=threads)
+            counted = count_embeddings(result.weighted_tree, result.points)
             formula = ((n - bip.k2) // bip.k1) ** bip.k1
             ok = counted == result.predicted_count == formula
             good += ok
@@ -84,7 +84,7 @@ def criterion_1(threads: int = 1) -> CriterionResult:
     return CriterionResult(1, "column-construction-oracle", passed, details, elapsed)
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Perpendicular-lines construction counts, plus the scaling-note flag."""
     start = time.perf_counter()
     tree = make_path(2)
@@ -92,7 +92,7 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     flagged = True
     for n, expected in ((9, 27), (12, 64)):
         result = build_perp_lines_3d(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points, threads=threads)
+        counted = count_embeddings(result.weighted_tree, result.points)
         formula = (n // 3) ** 3
         ok_counts.append(counted == expected == formula == result.predicted_count)
         meta = result.metadata
@@ -101,7 +101,7 @@ def criterion_2(threads: int = 1) -> CriterionResult:
             and meta.get("realized_exponent") == 3
             and bool(meta.get("scaling_note"))
         )
-    report = perplines_report(tree, (9, 12), tree_label="path-2", threads=threads)
+    report = perplines_report(tree, (9, 12), tree_label="path-2")
     flagged = flagged and any("realized exponent" in note for note in report["notes"])
     elapsed = time.perf_counter() - start
     passed = all(ok_counts) and flagged and report["pass"]
@@ -112,7 +112,7 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     return CriterionResult(2, "perp-lines-oracle", passed, details, elapsed)
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Unit identity f.x = 1 exactly, for every hyperplane and lattice slice."""
     start = time.perf_counter()
     checks = 0
@@ -140,22 +140,14 @@ def criterion_3(threads: int = 1) -> CriterionResult:
     return CriterionResult(3, "lattice-unit-identity", passed, details, elapsed)
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Calibrated lattice richness: unit pairs >= q^4/16, brute force."""
     start = time.perf_counter()
     rows = []
     all_ok = True
     for q in (4, 5, 6, 7, 8):
         result = build_unit_lattice(LatticeSpec(2, q, mode="calibrated"))
-        one = Fraction(1)
-        pairs = 0
-        e_pts = result.e_points.points
-        f_pts = result.f_points.points
-        for e in e_pts:
-            e0, e1 = e
-            for f in f_pts:
-                if e0 * f[0] + e1 * f[1] == one:
-                    pairs += 1
+        pairs = unit_pair_count(result.e_points, result.f_points)
         ok = 16 * pairs >= q**4
         all_ok = all_ok and ok
         rows.append(f"q={q}:{pairs}")
@@ -167,7 +159,7 @@ def criterion_4(threads: int = 1) -> CriterionResult:
     return CriterionResult(4, "lattice-unit-richness", passed, details, elapsed)
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Distinct nonzero dot products on shifted grids: >= n^(2/3)/4."""
     start = time.perf_counter()
     rows = []
@@ -184,7 +176,7 @@ def criterion_5(threads: int = 1) -> CriterionResult:
     return CriterionResult(5, "distinct-dot-products", all_ok, details, elapsed)
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """At least half the grid points pin n^(2/3)/4 distinct dot products."""
     start = time.perf_counter()
     rows = []
@@ -205,7 +197,7 @@ def criterion_6(threads: int = 1) -> CriterionResult:
     return CriterionResult(6, "pinned-grid-check", all_ok, details, elapsed)
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Distinct weight 2-tuples of the 2-path on the n=100 grid."""
     start = time.perf_counter()
     grid = integer_grid(10)
@@ -220,7 +212,7 @@ def criterion_7(threads: int = 1) -> CriterionResult:
     return CriterionResult(7, "distinct-tuple-growth", passed, details, elapsed)
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Proof multigraph invariants on the worked example and 20 seeded sets."""
     start = time.perf_counter()
     problems: list[str] = []
@@ -264,7 +256,7 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     return CriterionResult(8, "proof-multigraph-invariants", passed, details, elapsed)
 
 
-def criterion_9(threads: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Exponent formula consistency, exact."""
     start = time.perf_counter()
     ok = main_exponents_consistent()
@@ -291,12 +283,12 @@ CRITERIA = (
 )
 
 
-def run_criteria(numbers=None, threads: int = 1) -> list[CriterionResult]:
+def run_criteria(numbers=None) -> list[CriterionResult]:
     """Run the requested criteria (all nine by default) and collect results."""
     selected = numbers if numbers is not None else range(1, len(CRITERIA) + 1)
     results = []
     for number in selected:
         if not 1 <= number <= len(CRITERIA):
             raise ValueError(f"no criterion {number}")
-        results.append(CRITERIA[number - 1](threads=threads))
+        results.append(CRITERIA[number - 1]())
     return results

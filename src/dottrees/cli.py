@@ -76,7 +76,6 @@ class RunConfig:
     """Validated run options shared by the subcommands."""
 
     subcommand: str
-    threads: int
     include_zero: bool
     json_path: Path | None
     timings: bool
@@ -84,8 +83,7 @@ class RunConfig:
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise UsageError("--threads must be at least 1")
         json_path = getattr(args, "json", None)
         if json_path is not None:
@@ -94,7 +92,6 @@ class RunConfig:
                 raise UsageError(f"directory {json_path.parent} does not exist")
         return RunConfig(
             subcommand=args.subcommand,
-            threads=threads,
             include_zero=getattr(args, "include_zero", False),
             json_path=json_path,
             timings=getattr(args, "timings", False),
@@ -307,9 +304,7 @@ def _cmd_count(args, config: RunConfig) -> int:
     if args.homomorphisms:
         counted = count_homomorphisms(wt, points, include_zero=config.include_zero)
     else:
-        counted = count_embeddings(
-            wt, points, include_zero=config.include_zero, threads=config.threads
-        )
+        counted = count_embeddings(wt, points, include_zero=config.include_zero)
     elapsed_ms = _elapsed_ms(config, start)
     print(counted)
     _write_json(config.json_path, CountReport(
@@ -525,7 +520,7 @@ def _cmd_proofgraph(args, config: RunConfig) -> int:
 
 def _cmd_verify(args, config: RunConfig) -> int:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
-    results = run_criteria(numbers, threads=config.threads)
+    results = run_criteria(numbers)
     for result in results:
         print(result.line())
     passed = sum(1 for r in results if r.passed)
@@ -555,7 +550,7 @@ def _cmd_report(args, config: RunConfig) -> int:
         if not ns:
             raise UsageError("--n must list at least one size")
         maker = columns_report if args.experiment == "columns" else perplines_report
-        kwargs = {"tree_label": args.tree, "threads": config.threads}
+        kwargs = {"tree_label": args.tree}
         if threshold is not None:
             kwargs["threshold_c"] = threshold
         report = maker(wt.tree, ns, **kwargs)
@@ -592,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="no effect; must be at least 1")
         p.add_argument("--seed", type=int, default=None, help="PRNG seed")
         p.add_argument(
             "--include-zero",

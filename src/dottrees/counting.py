@@ -12,10 +12,11 @@ admitted with ``include_zero=True``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
@@ -52,6 +53,48 @@ __all__ = [
 ]
 
 
+def _dot_table(
+    left: PointSet, right: PointSet | None = None
+) -> tuple[list[list[int]], list[Fraction]]:
+    """All dot products between two point sets, as value ids.
+
+    ``rows[i][j]`` is the id of ``left[i] . right[j]`` and ``values[id]`` is
+    that dot product; ids number the values in row-major order of first
+    appearance.  Each set is scaled once by the lcm of its coordinate
+    denominators, so the products are Python ints that all share the scale
+    ``L_left * L_right``: equal products get equal ids, and dividing by the
+    scale gives the exact rational.  Every all-pairs counter reads this table.
+    """
+    if right is None:
+        right = left
+    if right.dim != left.dim:
+        raise ValueError(f"dimension mismatch: {left.dim} != {right.dim}")
+    left_ints, left_scale = _scaled(left)
+    right_ints, right_scale = _scaled(right)
+    ids: dict[int, int] = {}
+    rows = [
+        [ids.setdefault(sum(map(mul, p, q)), len(ids)) for q in right_ints]
+        for p in left_ints
+    ]
+    scale = left_scale * right_scale
+    return rows, [Fraction(v, scale) for v in ids]
+
+
+def _scaled(points: PointSet) -> tuple[list[tuple[int, ...]], int]:
+    """The points times the lcm of their coordinate denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for p in points.points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points.points]
+    return ints, scale
+
+
+def _value_id(values: list[Fraction], value) -> int:
+    """The id of ``value`` in a ``_dot_table``, or -1 when no pair has it."""
+    try:
+        return values.index(value)
+    except ValueError:
+        return -1
+
+
 class DotProductIndex:
     """All dot products between two point sets, grouped for fast lookup.
 
@@ -70,23 +113,22 @@ class DotProductIndex:
         *,
         include_zero: bool = False,
     ):
-        if right is not None and right.dim != left.dim:
-            raise ValueError("point sets must share a dimension")
         self.left = left
         self.right = right if right is not None else left
-        self.include_zero = include_zero
+        rows, values = _dot_table(self.left, self.right)
+        skip = -1 if include_zero else _value_id(values, 0)
         self._partners: dict[Point, dict[Fraction, list[Point]]] = {}
-        self._pairs: dict[Fraction, list[tuple[Point, Point]]] = {}
-        for p in self.left.points:
-            by_value: dict[Fraction, list[Point]] = {}
-            for q in self.right.points:
-                value = dot(p, q)
-                if value == 0 and not include_zero:
+        pairs: dict[int, list[tuple[Point, Point]]] = {}
+        for p, row in zip(self.left.points, rows):
+            by_id: dict[int, list[Point]] = {}
+            for q, vid in zip(self.right.points, row):
+                if vid == skip:
                     continue
-                by_value.setdefault(value, []).append(q)
+                by_id.setdefault(vid, []).append(q)
                 if p != q:
-                    self._pairs.setdefault(value, []).append((p, q))
-            self._partners[p] = by_value
+                    pairs.setdefault(vid, []).append((p, q))
+            self._partners[p] = {values[vid]: qs for vid, qs in by_id.items()}
+        self._pairs = {values[vid]: ps for vid, ps in pairs.items()}
 
     def values(self) -> Iterable[Fraction]:
         return self._pairs.keys()
@@ -132,15 +174,20 @@ def distinct_dot_products(
     ``points x second`` instead of within one set.
     """
     right = second if second is not None else points
-    counts: Counter[Fraction] = Counter()
-    for p in points.points:
-        for q in right.points:
-            if p == q:
-                continue
-            value = dot(p, q)
-            if value == 0 and not include_zero:
-                continue
-            counts[value] += 1
+    rows, values = _dot_table(points, right)
+    counts: Counter[int] = Counter()
+    for row in rows:
+        counts.update(row)
+    # Drop the pair of each point with itself: once per point the two sets
+    # share, so once per point for a single set.
+    position = {q: j for j, q in enumerate(right.points)}
+    for p, row in zip(points.points, rows):
+        j = position.get(p)
+        if j is not None:
+            counts[row[j]] -= 1
+    if not include_zero:
+        counts.pop(_value_id(values, 0), None)
+    counts = +counts
     if not counts:
         return DotProductSummary(0, 0)
     return DotProductSummary(len(counts), max(counts.values()))
@@ -165,9 +212,8 @@ def count_embeddings(
     separately.  Backtracks over the dot-product index in canonical edge
     order, pruning any branch whose next edge has no exact-weight extension.
 
-    With ``threads > 1`` the pair list of the first edge is partitioned and
-    counted concurrently; integer addition is commutative, so the result is
-    identical for every thread count.
+    The search runs on the calling thread.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     weights = wt.require_weights()
     tree = wt.tree
@@ -215,20 +261,8 @@ def count_embeddings(
                 used.discard(y)
         return total
 
-    first_pairs = index.pairs(weights[0])
     a0, b0 = edges[0]
-
-    def count_chunk(chunk: Sequence[tuple[Point, Point]]) -> int:
-        subtotal = 0
-        for x, y in chunk:
-            subtotal += extend(1, {a0: x, b0: y}, {x, y})
-        return subtotal
-
-    if threads <= 1 or len(first_pairs) < 2:
-        return count_chunk(first_pairs)
-    chunks = [list(first_pairs[i::threads]) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count_chunk, chunks))
+    return sum(extend(1, {a0: x, b0: y}, {x, y}) for x, y in index.pairs(weights[0]))
 
 
 def count_homomorphisms(
@@ -270,27 +304,6 @@ def count_homomorphisms(
     return sum(table[1].values())
 
 
-def _value_id_matrix(points: PointSet) -> tuple[list[list[int]], list[Fraction], int]:
-    """Dense matrix of dot-product value ids for fast tuple enumeration."""
-    pts = points.points
-    n = len(pts)
-    ids: dict[Fraction, int] = {}
-    values: list[Fraction] = []
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = matrix[i]
-        for j in range(n):
-            v = dot(pts[i], pts[j])
-            vid = ids.get(v)
-            if vid is None:
-                vid = len(values)
-                ids[v] = vid
-                values.append(v)
-            row[j] = vid
-    zero_id = ids.get(Fraction(0), -1)
-    return matrix, values, zero_id
-
-
 def _enumerate_weight_tuples(
     tree: Tree,
     points: PointSet,
@@ -309,7 +322,8 @@ def _enumerate_weight_tuples(
     n = len(points)
     if tree.num_vertices > n:
         return []
-    matrix, values, zero_id = _value_id_matrix(points)
+    matrix, values = _dot_table(points)
+    zero_id = _value_id(values, 0)
     root = pinned[0] if pinned is not None else 1
     parent = tree.bfs_parents(root)
     order = list(parent)
@@ -343,17 +357,11 @@ def _enumerate_weight_tuples(
             rec(pos + 1)
             used[idx] = False
 
-    if pinned is not None:
-        start = pinned[1]
-        assigned[0] = start
-        used[start] = True
+    for idx in [pinned[1]] if pinned is not None else range(n):
+        assigned[0] = idx
+        used[idx] = True
         rec(1)
-    else:
-        for idx in range(n):
-            assigned[0] = idx
-            used[idx] = True
-            rec(1)
-            used[idx] = False
+        used[idx] = False
     return values
 
 
@@ -593,11 +601,13 @@ def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, 
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
+    rows, values = _dot_table(points)
+    skip = -1 if include_zero else _value_id(values, 0)
     best: tuple[Point, int] | None = None
-    for p in points.points:
+    for p, row in zip(points.points, rows):
         if is_origin(p):
             continue
-        size = len(pinned_set(p, points, include_zero))
+        size = len(set(row) - {skip})
         if best is None or size > best[1]:
             best = (p, size)
     assert best is not None

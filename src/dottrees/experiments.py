@@ -12,8 +12,8 @@ from .constructions import (
     build_perp_lines_3d,
     build_unit_lattice,
 )
-from .counting import count_embeddings
-from .geometry import PointSet, dot
+from .counting import _dot_table, _value_id, count_embeddings
+from .geometry import PointSet
 from .trees import Tree
 
 __all__ = [
@@ -25,11 +25,10 @@ __all__ = [
 
 
 def unit_pair_count(e_points: PointSet, f_points: PointSet) -> int:
-    """Ordered pairs (e, f) with e.f exactly 1, by brute force."""
-    one = Fraction(1)
-    return sum(
-        1 for e in e_points.points for f in f_points.points if dot(e, f) == one
-    )
+    """Ordered pairs (e, f) with e.f exactly 1, over all pairs."""
+    rows, values = _dot_table(e_points, f_points)
+    one = _value_id(values, 1)
+    return sum(row.count(one) for row in rows)
 
 
 def columns_report(
@@ -37,7 +36,6 @@ def columns_report(
     ns: Sequence[int],
     *,
     tree_label: str,
-    threads: int = 1,
     threshold_c: Fraction | int = Fraction(1, 8),
 ) -> dict:
     """Column-construction counts against the ceil((k+1)/2) exponent.
@@ -48,7 +46,7 @@ def columns_report(
     runs = []
     for n in ns:
         result = build_column_construction(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points, threads=threads)
+        counted = count_embeddings(result.weighted_tree, result.points)
         runs.append(
             {
                 "params": {"n": n, "k": tree.num_edges, "d": 2, "tree": tree_label},
@@ -70,7 +68,6 @@ def perplines_report(
     ns: Sequence[int],
     *,
     tree_label: str,
-    threads: int = 1,
     threshold_c: Fraction | int = Fraction(1, 8),
 ) -> dict:
     """Perpendicular-lines counts against the nominal n^k claim.
@@ -82,7 +79,7 @@ def perplines_report(
     notes: list[str] = []
     for n in ns:
         result = build_perp_lines_3d(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points, threads=threads)
+        counted = count_embeddings(result.weighted_tree, result.points)
         runs.append(
             {
                 "params": {"n": n, "k": tree.num_edges, "d": 3, "tree": tree_label},

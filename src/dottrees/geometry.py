@@ -1,9 +1,11 @@
 """Exact rational geometry: scalars, points, alpha-hyperplanes, radial directions.
 
 Every coordinate, dot product, and hyperplane membership test in this package
-is computed with arbitrary-precision rationals (`fractions.Fraction`).  Counts
-downstream hash and compare these values for equality, so floating point never
-enters a geometric computation.
+is exact: coordinates are arbitrary-precision rationals (`fractions.Fraction`),
+and the counters' all-pairs table multiplies Python ints after scaling each
+set by the lcm of its denominators, so each product converts back to its exact
+`Fraction`.  Counts downstream hash and compare these values for equality, so
+floating point never enters a geometric computation.
 """
 
 from __future__ import annotations

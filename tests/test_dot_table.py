@@ -1,0 +1,216 @@
+"""The all-pairs dot-product table behind every counter.
+
+Each all-pairs counter reads one integer table built by
+``counting._dot_table``.  The differential tests compare the counters with
+references built on ``geometry.dot`` over random rational sets with mixed
+denominators and negative coordinates; the call-count tests check that each
+counter builds the table exactly once.
+"""
+
+import threading
+from collections import Counter
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dottrees import (
+    DotProductIndex,
+    PointSet,
+    count_embeddings,
+    count_homomorphisms,
+    distinct_dot_products,
+    distinct_weight_tuples,
+    dot,
+    integer_grid,
+    make_path,
+    make_star,
+    max_pinned,
+    pinned_weight_tuples,
+    proof_multigraph,
+    random_point_set,
+)
+from dottrees import counting, experiments
+from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
+from dottrees.experiments import unit_pair_count
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
+SCALARS = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
+def _points(dim, min_size=1):
+    return st.lists(
+        st.tuples(*[SCALARS] * dim), min_size=min_size, max_size=9, unique=True
+    )
+
+
+@st.composite
+def single_sets(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    pts = draw(_points(dim, min_size=2))
+    origin = (Q(0),) * dim
+    if draw(st.booleans()) and origin not in pts:
+        pts.append(origin)
+    return PointSet(dim, tuple(pts))
+
+
+@st.composite
+def set_pairs(draw):
+    """Two sets of one dimension, sharing some points and some unit products."""
+    dim = draw(st.sampled_from((2, 3)))
+    left = draw(_points(dim))
+    right = draw(_points(dim))
+    for p in draw(st.lists(st.sampled_from(left), max_size=3, unique=True)):
+        if p not in right:
+            right.append(p)
+    # The dual of a point with no zero coordinate has dot product 1 with it.
+    for p in left[:2]:
+        dual = tuple(1 / (dim * c) for c in p) if all(p) else None
+        if dual is not None and dual not in right:
+            right.append(dual)
+    if draw(st.booleans()):
+        # A point in both sets with e.e = 1.
+        unit = (Q(1),) + (Q(0),) * (dim - 1)
+        for side in (left, right):
+            if unit not in side:
+                side.append(unit)
+    return PointSet(dim, tuple(left)), PointSet(dim, tuple(right))
+
+
+def reference_index(left, right, include_zero):
+    """Partner maps and pair lists, in the index's key order, from ``dot``."""
+    partners = {}
+    pairs = {}
+    for p in left.points:
+        by_value = {}
+        for q in right.points:
+            value = dot(p, q)
+            if value == 0 and not include_zero:
+                continue
+            by_value.setdefault(value, []).append(q)
+            if p != q:
+                pairs.setdefault(value, []).append((p, q))
+        partners[p] = by_value
+    return partners, pairs
+
+
+def reference_distinct(left, right, include_zero):
+    counts = Counter(
+        dot(p, q)
+        for p in left.points
+        for q in right.points
+        if p != q and (include_zero or dot(p, q) != 0)
+    )
+    return (len(counts), max(counts.values())) if counts else (0, 0)
+
+
+def reference_max_pinned(points, include_zero):
+    best = None
+    for p in points.points:
+        if all(c == 0 for c in p):
+            continue
+        values = {dot(p, q) for q in points.points}
+        if not include_zero:
+            values.discard(0)
+        if best is None or len(values) > best[1]:
+            best = (p, len(values))
+    return best
+
+
+def assert_index_matches(left, right, include_zero):
+    index = DotProductIndex(left, right, include_zero=include_zero)
+    partners, pairs = reference_index(left, left if right is None else right, include_zero)
+    for p in left.points:
+        assert list(index.partner_map(p).items()) == list(partners[p].items())
+    assert list(index.values()) == list(pairs)
+    assert [list(index.pairs(v)) for v in pairs] == list(pairs.values())
+
+
+@given(single_sets(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_single_set_matches_reference(points, include_zero):
+    assert_index_matches(points, None, include_zero)
+    assert tuple(distinct_dot_products(points, include_zero=include_zero)) == (
+        reference_distinct(points, points, include_zero)
+    )
+    assert max_pinned(points, include_zero=include_zero) == reference_max_pinned(
+        points, include_zero
+    )
+    ones = sum(1 for p in points.points for q in points.points if dot(p, q) == 1)
+    assert unit_pair_count(points, points) == ones
+
+
+@given(set_pairs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_two_sets_match_reference(sets, include_zero):
+    left, right = sets
+    assert_index_matches(left, right, include_zero)
+    assert tuple(distinct_dot_products(left, right, include_zero=include_zero)) == (
+        reference_distinct(left, right, include_zero)
+    )
+    ones = sum(1 for e in left.points for f in right.points if dot(e, f) == 1)
+    assert unit_pair_count(left, right) == ones
+
+
+def test_mismatched_dimensions_raise():
+    planar = PointSet(2, ((Q(1), Q(2)), (Q(1, 3), Q(-1))))
+    spatial = PointSet(3, ((Q(1), Q(2), Q(3)),))
+    with pytest.raises(ValueError):
+        distinct_dot_products(planar, spatial)
+    with pytest.raises(ValueError):
+        unit_pair_count(planar, spatial)
+    with pytest.raises(ValueError):
+        unit_pair_count(spatial, planar)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Record every table build, wherever the table is called from."""
+    built = []
+    original = counting._dot_table
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, "_dot_table", recording)
+    monkeypatch.setattr(experiments, "_dot_table", recording)
+    return built
+
+
+_COLUMNS = build_column_construction(make_star(3), 12)
+_GRID = integer_grid(4)
+_RANDOM = random_point_set(12, seed=3, low=-6, high=6)
+_LATTICE = build_unit_lattice(LatticeSpec(2, 3))
+
+ONE_TABLE_CALLS = {
+    "count_embeddings": lambda: count_embeddings(_COLUMNS.weighted_tree, _COLUMNS.points),
+    "count_homomorphisms": lambda: count_homomorphisms(
+        _COLUMNS.weighted_tree, _COLUMNS.points
+    ),
+    "distinct_dot_products": lambda: distinct_dot_products(_GRID),
+    "distinct_weight_tuples": lambda: distinct_weight_tuples(make_path(2), _GRID, collect=True),
+    "pinned_weight_tuples": lambda: pinned_weight_tuples(
+        make_path(2), 2, _GRID.points[5], _GRID
+    ),
+    "max_pinned": lambda: max_pinned(_GRID),
+    "proof_multigraph": lambda: proof_multigraph(_RANDOM),
+    "unit_pair_count": lambda: unit_pair_count(_LATTICE.e_points, _LATTICE.f_points),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TABLE_CALLS))
+def test_one_table_per_call(tables, name):
+    ONE_TABLE_CALLS[name]()
+    assert len(tables) == 1
+
+
+def test_count_embeddings_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("count_embeddings started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = build_column_construction(make_star(3), 16)
+    counted = count_embeddings(result.weighted_tree, result.points, threads=4)
+    assert counted == result.predicted_count
