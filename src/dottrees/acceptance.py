@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +28,10 @@ from .constructions import (
     build_unit_lattice,
 )
 from .counting import (
+    _pinned_sizes,
     count_embeddings,
     distinct_dot_products,
     distinct_weight_tuples,
-    pinned_set,
     proof_multigraph,
     radial_histogram,
 )
@@ -182,11 +183,10 @@ def criterion_6() -> CriterionResult:
     rows = []
     all_ok = True
     for n, grid in _grid_sets():
-        good = 0
-        for p in grid.points:
-            size = len(pinned_set(p, grid))
-            if meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4)):
-                good += 1
+        good = sum(
+            meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4))
+            for size in _pinned_sizes(grid)
+        )
         ok = good >= math.ceil(n / 2)
         all_ok = all_ok and ok
         rows.append(f"n={n}:{good}")
@@ -212,6 +212,21 @@ def criterion_7() -> CriterionResult:
     return CriterionResult(7, "distinct-tuple-growth", passed, details, elapsed)
 
 
+def _recount_edges(points: PointSet) -> int:
+    """The proof multigraph's edge count, recounted without engine code.
+
+    For a pin p and a value a, the ``count`` points q with p.q = a lie on one
+    line and give ``count - 1`` consecutive pairs.  Zero is excluded, as the
+    engine does by default.
+    """
+    total = 0
+    for p in points.points:
+        on_line = Counter(dot(p, q) for q in points.points)
+        on_line.pop(0, None)
+        total += sum(count - 1 for count in on_line.values())
+    return total
+
+
 def criterion_8() -> CriterionResult:
     """Proof multigraph invariants on the worked example and 20 seeded sets."""
     start = time.perf_counter()
@@ -231,14 +246,7 @@ def criterion_8() -> CriterionResult:
         n = 14 + 2 * i
         ps = random_point_set(n, seed=101 + i, low=-25, high=25)
         st = proof_multigraph(ps)
-        # Independent edge-count recomputation from pinned sets.
-        e_expected = 0
-        for p in ps.points:
-            for alpha in pinned_set(p, ps):
-                on_line = sum(1 for q in ps.points if dot(p, q) == alpha)
-                if on_line >= 2:
-                    e_expected += on_line - 1
-        if st.edges != e_expected:
+        if st.edges != _recount_edges(ps):
             problems.append(f"seed{101 + i}-edges")
         if radial_histogram(ps).max_count == 1 and st.edges >= 1 and st.max_multiplicity != 1:
             problems.append(f"seed{101 + i}-multiplicity")

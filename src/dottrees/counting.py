@@ -52,6 +52,9 @@ __all__ = [
     "count_segment_crossings",
 ]
 
+# A point scaled to integer coordinates by ``_scaled``.
+_IntPoint = tuple[int, ...]
+
 
 def _dot_table(
     left: PointSet, right: PointSet | None = None
@@ -69,8 +72,8 @@ def _dot_table(
         right = left
     if right.dim != left.dim:
         raise ValueError(f"dimension mismatch: {left.dim} != {right.dim}")
-    left_ints, left_scale = _scaled(left)
-    right_ints, right_scale = _scaled(right)
+    left_ints, left_scale = _scaled(left.points)
+    right_ints, right_scale = _scaled(right.points)
     ids: dict[int, int] = {}
     rows = [
         [ids.setdefault(sum(map(mul, p, q)), len(ids)) for q in right_ints]
@@ -80,10 +83,10 @@ def _dot_table(
     return rows, [Fraction(v, scale) for v in ids]
 
 
-def _scaled(points: PointSet) -> tuple[list[tuple[int, ...]], int]:
+def _scaled(points: Sequence[Point]) -> tuple[list[_IntPoint], int]:
     """The points times the lcm of their coordinate denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for p in points.points for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points.points]
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
     return ints, scale
 
 
@@ -460,11 +463,11 @@ def radial_histogram(points: PointSet, *, allow_origin: bool = False) -> RadialH
     return RadialHistogram(dict(counts), total)
 
 
-def _orient(o: Point, a: Point, b: Point) -> Fraction:
+def _orient(o: _IntPoint, a: _IntPoint, b: _IntPoint) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _properly_cross(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool:
+def _properly_cross(s1: tuple[_IntPoint, _IntPoint], s2: tuple[_IntPoint, _IntPoint]) -> bool:
     p1, p2 = s1
     q1, q2 = s2
     if p1 in (q1, q2) or p2 in (q1, q2):
@@ -483,11 +486,16 @@ def _properly_cross(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool:
 def count_segment_crossings(segments: Sequence[tuple[Point, Point]]) -> int:
     """Number of unordered pairs of distinct segments that properly cross.
 
-    Segments sharing an endpoint, merely touching, or collinear do not count.
-    A bounding-box sweep prunes pairs before the exact orientation tests.
+    Segments sharing an endpoint, merely touching, or overlapping collinearly
+    do not count.  All endpoints are scaled once by the lcm of their
+    coordinate denominators, so the sweep runs on Python ints: a positive
+    scale keeps the order of box coordinates and, orientation being
+    homogeneous of degree 2, the sign of every orientation test.  A
+    bounding-box sweep prunes pairs before those tests.
     """
+    ends, _ = _scaled([end for segment in segments for end in segment])
     boxes = []
-    for a, b in segments:
+    for a, b in zip(ends[::2], ends[1::2]):
         xs = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
         ys = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
         boxes.append((xs[0], xs[1], ys[0], ys[1], (a, b)))
@@ -594,6 +602,13 @@ def proof_multigraph(
     return ProofGraphStats(vertices, e, m, t, crossings, bound_ok)
 
 
+def _pinned_sizes(points: PointSet, include_zero: bool = False) -> list[int]:
+    """``len(pinned_set(p, points))`` for every point p, read from one table."""
+    rows, values = _dot_table(points)
+    skip = -1 if include_zero else _value_id(values, 0)
+    return [len(set(row) - {skip}) for row in rows]
+
+
 def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, int]:
     """The pin in the set maximizing its pinned dot-product set, with the size.
 
@@ -601,13 +616,10 @@ def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, 
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
-    rows, values = _dot_table(points)
-    skip = -1 if include_zero else _value_id(values, 0)
     best: tuple[Point, int] | None = None
-    for p, row in zip(points.points, rows):
+    for p, size in zip(points.points, _pinned_sizes(points, include_zero)):
         if is_origin(p):
             continue
-        size = len(set(row) - {skip})
         if best is None or size > best[1]:
             best = (p, size)
     assert best is not None

@@ -11,7 +11,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from dottrees.acceptance import run_criteria
+from dottrees import dot, pinned_set, point_set, random_point_set
+from dottrees.acceptance import _recount_edges, run_criteria
 from dottrees.cli import cli_main
 
 _RESULTS = {}
@@ -66,6 +67,28 @@ def test_criterion_07_distinct_tuple_growth():
 def test_criterion_08_proof_multigraph_invariants():
     result = _run(8)
     assert result.passed, result.details
+
+
+def _nested_recount(ps):
+    """Criterion 8's earlier recount: every pinned value, then a full rescan."""
+    total = 0
+    for p in ps.points:
+        for alpha in pinned_set(p, ps):
+            on_line = sum(1 for q in ps.points if dot(p, q) == alpha)
+            if on_line >= 2:
+                total += on_line - 1
+    return total
+
+
+@pytest.mark.parametrize("i", (0, 3, 9))
+def test_criterion_08_grouped_recount_matches_nested(i):
+    ps = random_point_set(14 + 2 * i, seed=101 + i, low=-25, high=25)
+    assert _recount_edges(ps) == _nested_recount(ps)
+
+
+def test_criterion_08_recount_with_zero_and_rational_products():
+    ps = point_set([(1, 0), (0, 1), (2, 0), (1, 1), ("1/2", "-1/2"), ("-3/4", 2), (3, "1/3")])
+    assert _recount_edges(ps) == _nested_recount(ps) > 0
 
 
 def test_criterion_09_exponent_consistency():

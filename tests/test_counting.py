@@ -9,6 +9,7 @@ from dottrees.trees import Tree
 
 from dottrees import (
     DotProductIndex,
+    PointSet,
     WeightedTree,
     alpha_hyperplane,
     count_embeddings,
@@ -592,6 +593,57 @@ class TestSegmentCrossings:
             if a != b:
                 segs.append((a, b))
         assert count_segment_crossings(segs) == naive_crossings(segs)
+
+
+RATIONALS = st.builds(Q, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 7, 9)))
+NONZERO_FACTORS = st.builds(
+    Q, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 5, 7))
+)
+
+
+@st.composite
+def rational_segments(draw):
+    """A pool of rational points and segments between them, as index pairs.
+
+    Segments drawn from a small pool share endpoints often; the points placed
+    on the line through the first two pool points give collinear overlaps.
+    """
+    pool = draw(
+        st.lists(st.tuples(RATIONALS, RATIONALS), min_size=4, max_size=8, unique=True)
+    )
+    a, b = pool[0], pool[1]
+    steps = st.sampled_from((Q(-1), Q(1, 3), Q(1, 2), Q(2, 3), Q(2)))
+    for t in draw(st.lists(steps, max_size=3)):
+        on_line = tuple(x + t * (y - x) for x, y in zip(a, b))
+        if on_line not in pool:
+            pool.append(on_line)
+    index = st.integers(0, len(pool) - 1)
+    pair = st.tuples(index, index).filter(lambda ij: ij[0] != ij[1])
+    pairs = draw(st.lists(pair, min_size=4, max_size=14))
+    return PointSet(2, tuple(pool)), pairs
+
+
+def _segments(points, pairs):
+    return [(points.points[i], points.points[j]) for i, j in pairs]
+
+
+class TestRationalSegmentCrossings:
+    @given(rational_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive(self, case):
+        points, pairs = case
+        segs = _segments(points, pairs)
+        assert count_segment_crossings(segs) == naive_crossings(segs)
+
+    @given(rational_segments(), NONZERO_FACTORS)
+    @settings(max_examples=80, deadline=None)
+    def test_invariant_under_scaling_and_rotation(self, case, factor):
+        points, pairs = case
+        count = count_segment_crossings(_segments(points, pairs))
+        scaled = scale_points(points, factor)
+        assert count_segment_crossings(_segments(scaled, pairs)) == count
+        rotated = apply_matrix(ROTATION_2D, points)
+        assert count_segment_crossings(_segments(rotated, pairs)) == count
 
 
 class TestMaxPinned:

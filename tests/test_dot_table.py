@@ -27,11 +27,12 @@ from dottrees import (
     make_path,
     make_star,
     max_pinned,
+    pinned_set,
     pinned_weight_tuples,
     proof_multigraph,
     random_point_set,
 )
-from dottrees import counting, experiments
+from dottrees import acceptance, counting, experiments
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
 from dottrees.experiments import unit_pair_count
 
@@ -204,6 +205,20 @@ ONE_TABLE_CALLS = {
 def test_one_table_per_call(tables, name):
     ONE_TABLE_CALLS[name]()
     assert len(tables) == 1
+
+
+def test_criterion_6_builds_one_table_per_grid(tables):
+    assert acceptance.criterion_6().passed
+    assert len(tables) == 4
+
+
+def test_pinned_sizes_match_pinned_set():
+    mixed = PointSet(2, ((Q(1, 2), Q(-3)), (Q(2, 3), Q(1, 4)), (Q(-1), Q(0)), (Q(0), Q(7, 9))))
+    cases = [(grid, False) for _, grid in acceptance._grid_sets()]
+    cases += [(mixed, False), (mixed, True)]
+    for points, include_zero in cases:
+        sizes = counting._pinned_sizes(points, include_zero)
+        assert sizes == [len(pinned_set(p, points, include_zero)) for p in points.points]
 
 
 def test_count_embeddings_starts_no_thread(monkeypatch):
