@@ -1,11 +1,20 @@
 """Command-line front end.
 
 Subcommands: generate, count, distinct, pinned, incidence, radial,
-proofgraph, verify, report.  Exit status is 0 on success, 1 when a check
-fails, and 2 on any malformed input or out-of-range parameter: ``cli_main``
-turns every ``ValueError`` (``UsageError`` and ``ParseError`` included) into
-an ``error:`` line on stderr.  All outputs are deterministic for a fixed
-configuration; timings appear only with --timings.
+proofgraph, verify, report.  Each subcommand takes only the shared flags it
+reads: ``--threads`` on all of them (checked to be at least 1, no other
+effect), ``--json`` on all but generate (which always writes a sidecar next
+to ``-o``), ``--include-zero`` on count, distinct, pinned and proofgraph,
+``--timings`` on count, distinct, pinned, incidence, radial and proofgraph,
+and ``--seed`` on generate.
+
+Every counting handler loads its inputs through ``_read_file``, starts the
+clock, computes, and hands its output lines and counts to ``_report``, which
+prints them and writes the ``CountReport``.  Exit status is 0 on success, 1
+when a check fails, and 2 on any malformed input or out-of-range parameter:
+``cli_main`` turns every ``ValueError`` (``UsageError`` and ``ParseError``
+included) into an ``error:`` line on stderr.  All outputs are deterministic
+for a fixed configuration; timings appear only with --timings.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +59,7 @@ from .geometry import (
     random_point_set,
     read_point_set,
 )
-from .reports import CountReport, digest_inputs, point_set_digest
+from .reports import CountReport, digest_inputs
 from .trees import (
     WeightedTree,
     format_tree,
@@ -61,49 +69,16 @@ from .trees import (
     read_tree,
 )
 
-__all__ = ["cli_main", "main", "RunConfig"]
+__all__ = ["cli_main", "main"]
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
+BUILTIN_TREES = {"path": make_path, "star": make_star, "binary": make_perfect_binary}
+
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the subcommands."""
-
-    subcommand: str
-    include_zero: bool
-    json_path: Path | None
-    timings: bool
-    seed: int | None
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be at least 1")
-        json_path = getattr(args, "json", None)
-        if json_path is not None:
-            json_path = Path(json_path)
-            if not json_path.parent.exists():
-                raise UsageError(f"directory {json_path.parent} does not exist")
-        return RunConfig(
-            subcommand=args.subcommand,
-            include_zero=getattr(args, "include_zero", False),
-            json_path=json_path,
-            timings=getattr(args, "timings", False),
-            seed=getattr(args, "seed", None),
-        )
-
-
-def _input_path(value: str) -> Path:
-    path = Path(value)
-    if not path.is_file():
-        raise UsageError(f"no such file: {path}")
-    return path
 
 
 def _output_path(value: str) -> Path:
@@ -113,13 +88,31 @@ def _output_path(value: str) -> Path:
     return path
 
 
-def _load_points(value: str) -> PointSet:
-    path = _input_path(value)
+def _read_file(value: str, reader):
+    """``reader`` applied to the open input file; a ParseError names the file."""
+    path = Path(value)
+    if not path.is_file():
+        raise UsageError(f"no such file: {path}")
     with open(path) as fh:
         try:
-            return read_point_set(fh)
+            return reader(fh)
         except ParseError as exc:
             raise UsageError(f"{path}: {exc}") from None
+
+
+def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:
+    """A --lines file: each non-comment row is dim normal coordinates then the value."""
+    hyperplanes = []
+    for line_no, raw in enumerate(stream, 1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split()
+        if len(fields) != dim + 1:
+            raise ParseError(f"expected {dim + 1} rationals", line_no)
+        values = [parse_scalar(f, line_no) for f in fields]
+        hyperplanes.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
+    return hyperplanes
 
 
 def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
@@ -133,22 +126,11 @@ def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
             size = int(raw_size)
         except ValueError:
             raise UsageError(f"bad tree size {raw_size!r}") from None
-        if kind == "path":
-            tree = make_path(size)
-        elif kind == "star":
-            tree = make_star(size)
-        elif kind == "binary":
-            tree = make_perfect_binary(size)
-        else:
+        if kind not in BUILTIN_TREES:
             raise UsageError(f"unknown builtin tree kind {kind!r}")
-        wt = WeightedTree(tree, None)
+        wt = WeightedTree(BUILTIN_TREES[kind](size), None)
     else:
-        path = _input_path(spec)
-        with open(path) as fh:
-            try:
-                wt = read_tree(fh)
-            except ParseError as exc:
-                raise UsageError(f"{path}: {exc}") from None
+        wt = _read_file(spec, read_tree)
     if weights is not None:
         try:
             parsed = tuple(parse_scalar(w.strip()) for w in weights.split(","))
@@ -163,50 +145,54 @@ def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
     return wt
 
 
-def _read_lines_file(value: str, dim: int) -> list[AlphaHyperplane]:
-    """Each non-comment row: dim normal coordinates then the value."""
-    path = _input_path(value)
-    lines = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) != dim + 1:
-                raise UsageError(
-                    f"{path}: line {line_no}: expected {dim + 1} rationals"
-                )
-            try:
-                values = [parse_scalar(f, line_no) for f in fields]
-            except ParseError as exc:
-                raise UsageError(f"{path}: {exc}") from None
-            lines.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
-    return lines
+def _write_json(path: str | Path | None, data) -> None:
+    """Write plain JSON data to ``path`` if one is given."""
+    if path is not None:
+        Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _write_json(path: Path | None, payload) -> None:
-    """Write a CountReport, or plain JSON data, to ``path`` if one is given."""
-    if path is None:
-        return
-    if isinstance(payload, CountReport):
-        path.write_text(payload.to_json())
-    else:
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _report(
+    args,
+    start: float,
+    lines: list[str],
+    operation: str,
+    parameters: dict,
+    inputs: list,
+    counts: dict,
+    histograms: dict | None = None,
+    ok: bool = True,
+) -> int:
+    """Print ``lines``, write the --json report, and return the exit status.
+
+    The clock is read first, and only under --timings, so ``elapsed_ms``
+    covers the computation since ``start`` and none of the output.  The
+    report's digest covers ``inputs``, each a point set or a tree.
+    """
+    elapsed_ms = None
+    if args.timings:
+        elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    print(*lines, sep="\n")
+    if args.json is not None:
+        digest = digest_inputs(*(
+            format_point_set(x) if isinstance(x, PointSet) else format_tree(x)
+            for x in inputs
+        ))
+        report = CountReport(
+            operation, parameters, digest, counts, histograms or {}, elapsed_ms
+        )
+        Path(args.json).write_text(report.to_json())
+    return 0 if ok else CHECK_FAILURE
 
 
-def _elapsed_ms(config: RunConfig, start: float) -> float | None:
-    """Milliseconds since ``start``, or None unless --timings was given."""
-    if not config.timings:
-        return None
-    return round((time.perf_counter() - start) * 1000.0, 3)
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str, flag: str, noun: str) -> list[int]:
+    """A comma-separated list of integers naming at least one ``noun``."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise UsageError(f"bad {flag}: {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} must list at least one {noun}")
+    return values
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -221,10 +207,44 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args, config: RunConfig) -> int:
+def _cmd_generate(args) -> int:
     out = _output_path(args.output)
     sidecar = out.with_suffix(".json")
-    if args.construction in ("columns", "perplines"):
+    if args.construction == "lattice":
+        if args.q is None:
+            raise UsageError("--q is required for the lattice construction")
+        result = build_unit_lattice(LatticeSpec(args.d, args.q, mode=args.mode))
+        f_out = out.with_name(out.stem + "_F" + out.suffix)
+        written = {out: result.e_points, f_out: result.f_points}
+        payload = {
+            "construction": "lattice",
+            "parameters": dict(sorted(result.metadata.items())),
+        }
+        lines = [
+            f"wrote {len(result.e_points)} lattice points to {out}",
+            f"wrote {len(result.f_points)} dual points to {f_out}",
+            f"sidecar {sidecar}",
+        ]
+    elif args.construction == "random":
+        if args.n is None:
+            raise UsageError("--n is required for the random construction")
+        if args.seed is None:
+            raise UsageError("--seed is mandatory for randomized generation")
+        ps = random_point_set(args.n, args.d, seed=args.seed, low=args.low, high=args.high)
+        written = {out: ps}
+        payload = {
+            "construction": "random",
+            "parameters": {
+                "n": args.n,
+                "d": args.d,
+                "seed": args.seed,
+                "low": args.low,
+                "high": args.high,
+                "generator": "random.Random (Mersenne Twister)",
+            },
+        }
+        lines = [f"wrote {len(ps)} random points to {out}"]
+    else:
         if args.n is None:
             raise UsageError("--n is required for this construction")
         if args.tree is None:
@@ -236,7 +256,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
             else build_perp_lines_3d
         )
         result = builder(wt.tree, args.n)
-        out.write_text(format_point_set(result.points))
+        written = {out: result.points}
         payload = {
             "construction": args.construction,
             "parameters": dict(sorted(result.metadata.items())),
@@ -248,285 +268,197 @@ def _cmd_generate(args, config: RunConfig) -> int:
                 for v, pts in sorted(result.vertex_assignment.items())
             },
         }
-        _write_json(sidecar, payload)
-        print(f"wrote {len(result.points)} points to {out}")
-        print(f"predicted count {result.predicted_count}, sidecar {sidecar}")
-        return 0
-    if args.construction == "lattice":
-        if args.q is None:
-            raise UsageError("--q is required for the lattice construction")
-        spec = LatticeSpec(args.d, args.q, mode=args.mode)
-        result = build_unit_lattice(spec)
-        f_out = out.with_name(out.stem + "_F" + out.suffix)
-        out.write_text(format_point_set(result.e_points))
-        f_out.write_text(format_point_set(result.f_points))
-        payload = {
-            "construction": "lattice",
-            "parameters": dict(sorted(result.metadata.items())),
-        }
-        _write_json(sidecar, payload)
-        print(f"wrote {len(result.e_points)} lattice points to {out}")
-        print(f"wrote {len(result.f_points)} dual points to {f_out}")
-        print(f"sidecar {sidecar}")
-        return 0
-    if args.construction == "random":
-        if args.n is None:
-            raise UsageError("--n is required for the random construction")
-        if config.seed is None:
-            raise UsageError("--seed is mandatory for randomized generation")
-        ps = random_point_set(
-            args.n, args.d, seed=config.seed, low=args.low, high=args.high
-        )
-        out.write_text(format_point_set(ps))
-        payload = {
-            "construction": "random",
-            "parameters": {
-                "n": args.n,
-                "d": args.d,
-                "seed": config.seed,
-                "low": args.low,
-                "high": args.high,
-                "generator": "random.Random (Mersenne Twister)",
-            },
-        }
-        _write_json(sidecar, payload)
-        print(f"wrote {len(ps)} random points to {out}")
-        return 0
-    raise UsageError(f"unknown construction {args.construction!r}")
+        lines = [
+            f"wrote {len(result.points)} points to {out}",
+            f"predicted count {result.predicted_count}, sidecar {sidecar}",
+        ]
+    for path, ps in written.items():
+        path.write_text(format_point_set(ps))
+    _write_json(sidecar, payload)
+    print(*lines, sep="\n")
+    return 0
 
 
-def _cmd_count(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
+def _cmd_count(args) -> int:
+    points = _read_file(args.points, read_point_set)
     wt = _resolve_tree(args.tree, args.weights)
     if wt.weights is None:
         raise UsageError("no weights: give them in the .tree file or via --weights")
     start = time.perf_counter()
     if args.homomorphisms:
-        counted = count_homomorphisms(wt, points, include_zero=config.include_zero)
+        operation = "count_homomorphisms"
+        counted = count_homomorphisms(wt, points, include_zero=args.include_zero)
     else:
-        counted = count_embeddings(wt, points, include_zero=config.include_zero)
-    elapsed_ms = _elapsed_ms(config, start)
-    print(counted)
-    _write_json(config.json_path, CountReport(
-        "count_homomorphisms" if args.homomorphisms else "count_embeddings",
-        {
-            "tree": args.tree,
-            "weights": [format_scalar(w) for w in wt.weights],
-            "include_zero": config.include_zero,
-        },
-        digest_inputs(format_point_set(points), format_tree(wt)),
+        operation = "count_embeddings"
+        counted = count_embeddings(wt, points, include_zero=args.include_zero)
+    parameters = {
+        "tree": args.tree,
+        "weights": [format_scalar(w) for w in wt.weights],
+        "include_zero": args.include_zero,
+    }
+    return _report(
+        args, start, [str(counted)], operation, parameters, [points, wt],
         {"count": counted},
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0
+    )
 
 
-def _cmd_distinct(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
+def _cmd_distinct(args) -> int:
+    points = _read_file(args.points, read_point_set)
+    zero = args.include_zero
     start = time.perf_counter()
     if args.tree is None:
-        summary = distinct_dot_products(points, include_zero=config.include_zero)
-        elapsed_ms = _elapsed_ms(config, start)
-        print(f"distinct {summary.distinct}")
-        print(f"max multiplicity {summary.max_multiplicity}")
-        _write_json(config.json_path, CountReport(
-            "distinct_dot_products",
-            {"include_zero": config.include_zero},
-            point_set_digest(points),
-            {
-                "distinct": summary.distinct,
-                "max_multiplicity": summary.max_multiplicity,
-            },
-            elapsed_ms=elapsed_ms,
-        ))
-        return 0
-    wt = _resolve_tree(args.tree, None)
-    count = distinct_weight_tuples(wt.tree, points, include_zero=config.include_zero)
-    elapsed_ms = _elapsed_ms(config, start)
-    print(count)
-    _write_json(config.json_path, CountReport(
-        "distinct_weight_tuples",
-        {"tree": args.tree, "include_zero": config.include_zero},
-        digest_inputs(format_point_set(points), format_tree(wt.tree)),
+        summary = distinct_dot_products(points, include_zero=zero)
+        return _report(
+            args, start,
+            [f"distinct {summary.distinct}", f"max multiplicity {summary.max_multiplicity}"],
+            "distinct_dot_products", {"include_zero": zero}, [points],
+            {"distinct": summary.distinct, "max_multiplicity": summary.max_multiplicity},
+        )
+    tree = _resolve_tree(args.tree, None).tree
+    count = distinct_weight_tuples(tree, points, include_zero=zero)
+    return _report(
+        args, start, [str(count)], "distinct_weight_tuples",
+        {"tree": args.tree, "include_zero": zero}, [points, tree],
         {"distinct_tuples": count},
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0
+    )
 
 
-def _cmd_pinned(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
+def _cmd_pinned(args) -> int:
+    points = _read_file(args.points, read_point_set)
+    zero = args.include_zero
     start = time.perf_counter()
     if args.descent:
-        trace = hyperplane_descent(points, include_zero=config.include_zero)
-        elapsed_ms = _elapsed_ms(config, start)
-        for i, level in enumerate(trace.levels, 1):
-            pin = " ".join(format_scalar(c) for c in level.pin)
-            print(
-                f"level {i}: pin ({pin}) distinct {level.distinct_count} "
-                f"remaining {level.points_remaining}"
-            )
-        print(f"final points {trace.final_points}")
-        print(f"final pinned count {trace.final_pinned_count}")
-        print(f"reported count {trace.reported_count}")
-        _write_json(config.json_path, CountReport(
-            "hyperplane_descent",
-            {"include_zero": config.include_zero},
-            point_set_digest(points),
+        trace = hyperplane_descent(points, include_zero=zero)
+        lines = [
+            f"level {i}: pin ({' '.join(format_scalar(c) for c in level.pin)}) "
+            f"distinct {level.distinct_count} remaining {level.points_remaining}"
+            for i, level in enumerate(trace.levels, 1)
+        ]
+        lines += [
+            f"final points {trace.final_points}",
+            f"final pinned count {trace.final_pinned_count}",
+            f"reported count {trace.reported_count}",
+        ]
+        return _report(
+            args, start, lines, "hyperplane_descent", {"include_zero": zero}, [points],
             {
                 "levels": [lvl.distinct_count for lvl in trace.levels],
                 "final_pinned": trace.final_pinned_count,
                 "reported": trace.reported_count,
             },
-            elapsed_ms=elapsed_ms,
-        ))
-        return 0
+        )
     if args.tree is not None:
         if args.vertex is None or args.pin_index is None:
             raise UsageError("pinned tuple counting needs --vertex and --pin-index")
-        wt = _resolve_tree(args.tree, None)
-        if not 1 <= args.pin_index <= len(points):
-            raise UsageError(f"--pin-index out of range 1..{len(points)}")
-        pin = points.points[args.pin_index - 1]
-        count = pinned_weight_tuples(
-            wt.tree, args.vertex, pin, points, include_zero=config.include_zero
+        tree = _resolve_tree(args.tree, None).tree
+    if args.pin_index is None:
+        pin, count = max_pinned(points, include_zero=zero)
+        coords = " ".join(format_scalar(c) for c in pin)
+        return _report(
+            args, start, [f"pin ({coords})", f"pinned count {count}"], "max_pinned",
+            {"include_zero": zero}, [points], {"max_pinned": count},
         )
-        elapsed_ms = _elapsed_ms(config, start)
-        print(count)
-        _write_json(config.json_path, CountReport(
-            "pinned_weight_tuples",
-            {
-                "tree": args.tree,
-                "vertex": args.vertex,
-                "pin_index": args.pin_index,
-                "include_zero": config.include_zero,
-            },
-            digest_inputs(format_point_set(points), format_tree(wt.tree)),
-            {"distinct_tuples": count},
-            elapsed_ms=elapsed_ms,
-        ))
-        return 0
-    if args.pin_index is not None:
-        if not 1 <= args.pin_index <= len(points):
-            raise UsageError(f"--pin-index out of range 1..{len(points)}")
-        pin = points.points[args.pin_index - 1]
-        values = pinned_set(pin, points, include_zero=config.include_zero)
-        elapsed_ms = _elapsed_ms(config, start)
-        print(len(values))
-        _write_json(config.json_path, CountReport(
-            "pinned_set",
-            {"pin_index": args.pin_index, "include_zero": config.include_zero},
-            point_set_digest(points),
-            {"pinned_size": len(values)},
-            histograms={
-                "values": [format_scalar(v) for v in sorted(values)],
-            },
-            elapsed_ms=elapsed_ms,
-        ))
-        return 0
-    pin, count = max_pinned(points, include_zero=config.include_zero)
-    elapsed_ms = _elapsed_ms(config, start)
-    coords = " ".join(format_scalar(c) for c in pin)
-    print(f"pin ({coords})")
-    print(f"pinned count {count}")
-    _write_json(config.json_path, CountReport(
-        "max_pinned",
-        {"include_zero": config.include_zero},
-        point_set_digest(points),
-        {"max_pinned": count},
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0
+    if not 1 <= args.pin_index <= len(points):
+        raise UsageError(f"--pin-index out of range 1..{len(points)}")
+    pin = points.points[args.pin_index - 1]
+    if args.tree is not None:
+        count = pinned_weight_tuples(tree, args.vertex, pin, points, include_zero=zero)
+        parameters = {
+            "tree": args.tree,
+            "vertex": args.vertex,
+            "pin_index": args.pin_index,
+            "include_zero": zero,
+        }
+        return _report(
+            args, start, [str(count)], "pinned_weight_tuples", parameters,
+            [points, tree], {"distinct_tuples": count},
+        )
+    values = pinned_set(pin, points, include_zero=zero)
+    return _report(
+        args, start, [str(len(values))], "pinned_set",
+        {"pin_index": args.pin_index, "include_zero": zero}, [points],
+        {"pinned_size": len(values)},
+        histograms={"values": [format_scalar(v) for v in sorted(values)]},
+    )
 
 
-def _cmd_incidence(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
+def _cmd_incidence(args) -> int:
+    points = _read_file(args.points, read_point_set)
     if args.lines is None and args.pins is None:
         raise UsageError("give --lines or --pins with --alpha")
     start = time.perf_counter()
     if args.lines is not None:
-        lines = _read_lines_file(args.lines, points.dim)
+        hyperplanes = _read_file(args.lines, lambda fh: _read_lines(fh, points.dim))
     else:
         if args.alpha is None:
             raise UsageError("--pins needs --alpha")
-        pins = _load_points(args.pins)
+        pins = _read_file(args.pins, read_point_set)
         alpha = _parse_fraction(args.alpha, "--alpha")
-        lines = [alpha_hyperplane(p, alpha) for p in pins.points]
-    count = incidences(points, lines)
-    elapsed_ms = _elapsed_ms(config, start)
-    print(count)
-    _write_json(config.json_path, CountReport(
-        "incidences",
-        {"lines": len(lines)},
-        point_set_digest(points),
-        {"incidences": count},
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0
+        hyperplanes = [alpha_hyperplane(p, alpha) for p in pins.points]
+    count = incidences(points, hyperplanes)
+    return _report(
+        args, start, [str(count)], "incidences", {"lines": len(hyperplanes)},
+        [points], {"incidences": count},
+    )
 
 
-def _cmd_radial(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
+def _cmd_radial(args) -> int:
+    points = _read_file(args.points, read_point_set)
     cap = _parse_fraction(args.cap_c, "--cap-c")
     start = time.perf_counter()
     hist = radial_histogram(points, allow_origin=args.allow_origin)
-    elapsed_ms = _elapsed_ms(config, start)
-    for direction in sorted(hist.buckets, key=lambda d: d.primitive):
-        print(f"{direction}: {hist.buckets[direction]}")
-    print(f"max {hist.max_count} of {hist.total}")
     ok = hist.within_cap(cap)
-    print(f"cap check (C={cap}): {'ok' if ok else 'FAIL'}")
-    _write_json(config.json_path, CountReport(
-        "radial_histogram",
-        {"cap_c": str(cap)},
-        point_set_digest(points),
+    buckets = sorted(hist.buckets.items(), key=lambda kv: kv[0].primitive)
+    lines = [f"{direction}: {count}" for direction, count in buckets]
+    lines += [
+        f"max {hist.max_count} of {hist.total}",
+        f"cap check (C={cap}): {'ok' if ok else 'FAIL'}",
+    ]
+    return _report(
+        args, start, lines, "radial_histogram", {"cap_c": str(cap)}, [points],
         {"max": hist.max_count, "total": hist.total, "cap_ok": int(ok)},
-        histograms={str(d): c for d, c in sorted(hist.buckets.items(), key=lambda kv: kv[0].primitive)},
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0 if ok else CHECK_FAILURE
+        histograms={str(direction): count for direction, count in buckets},
+        ok=ok,
+    )
 
 
-def _cmd_proofgraph(args, config: RunConfig) -> int:
-    points = _load_points(args.points)
-    second = _load_points(args.second) if args.second else None
+def _cmd_proofgraph(args) -> int:
+    points = _read_file(args.points, read_point_set)
+    second = _read_file(args.second, read_point_set) if args.second else None
     start = time.perf_counter()
-    stats = proof_multigraph(points, second, include_zero=config.include_zero)
-    elapsed_ms = _elapsed_ms(config, start)
-    print(f"vertices {stats.vertices}")
-    print(f"edges {stats.edges}")
-    print(f"max multiplicity {stats.max_multiplicity}")
-    print(f"t = max pinned cardinality (per proof usage): {stats.max_pinned_size}")
-    print(f"drawing crossings {stats.drawing_crossings}")
-    print(f"crossing bound check: {'ok' if stats.crossing_bound_ok else 'FAIL'}")
-    _write_json(config.json_path, CountReport(
-        "proof_multigraph",
-        {"include_zero": config.include_zero},
-        point_set_digest(points)
-        if second is None
-        else digest_inputs(format_point_set(points), format_point_set(second)),
-        {
-            "vertices": stats.vertices,
-            "edges": stats.edges,
-            "max_multiplicity": stats.max_multiplicity,
-            "max_pinned_cardinality": stats.max_pinned_size,
-            "drawing_crossings": stats.drawing_crossings,
-            "crossing_bound_ok": int(stats.crossing_bound_ok),
-        },
-        elapsed_ms=elapsed_ms,
-    ))
-    return 0 if stats.crossing_bound_ok else CHECK_FAILURE
+    stats = proof_multigraph(points, second, include_zero=args.include_zero)
+    ok = stats.crossing_bound_ok
+    lines = [
+        f"vertices {stats.vertices}",
+        f"edges {stats.edges}",
+        f"max multiplicity {stats.max_multiplicity}",
+        f"t = max pinned cardinality (per proof usage): {stats.max_pinned_size}",
+        f"drawing crossings {stats.drawing_crossings}",
+        f"crossing bound check: {'ok' if ok else 'FAIL'}",
+    ]
+    counts = {
+        "vertices": stats.vertices,
+        "edges": stats.edges,
+        "max_multiplicity": stats.max_multiplicity,
+        "max_pinned_cardinality": stats.max_pinned_size,
+        "drawing_crossings": stats.drawing_crossings,
+        "crossing_bound_ok": int(ok),
+    }
+    return _report(
+        args, start, lines, "proof_multigraph", {"include_zero": args.include_zero},
+        [points] if second is None else [points, second], counts, ok=ok,
+    )
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
+def _cmd_verify(args) -> int:
+    numbers = None
+    if args.criteria is not None:
+        numbers = _parse_int_list(args.criteria, "--criteria", "criterion")
     results = run_criteria(numbers)
-    for result in results:
-        print(result.line())
     passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} criteria passed")
+    print(*(r.line() for r in results), f"{passed}/{len(results)} criteria passed", sep="\n")
     _write_json(
-        config.json_path,
+        args.json,
         [
             {
                 "number": r.number,
@@ -540,40 +472,44 @@ def _cmd_verify(args, config: RunConfig) -> int:
     return 0 if passed == len(results) else CHECK_FAILURE
 
 
-def _cmd_report(args, config: RunConfig) -> int:
-    threshold = _parse_fraction(args.threshold_c, "--threshold-c") if args.threshold_c else None
-    if args.experiment in ("columns", "perplines"):
+def _cmd_report(args) -> int:
+    kwargs = {}
+    if args.threshold_c:
+        kwargs["threshold_c"] = _parse_fraction(args.threshold_c, "--threshold-c")
+    if args.experiment == "lattice":
+        if args.q is None:
+            raise UsageError("the lattice experiment needs --q")
+        report = lattice_report(args.d, _parse_int_list(args.q, "--q", "size"), **kwargs)
+    else:
         if args.tree is None or args.n is None:
             raise UsageError("this experiment needs --tree and --n")
         wt = _resolve_tree(args.tree, None)
-        ns = _parse_int_list(args.n, "--n")
-        if not ns:
-            raise UsageError("--n must list at least one size")
+        ns = _parse_int_list(args.n, "--n", "size")
         maker = columns_report if args.experiment == "columns" else perplines_report
-        kwargs = {"tree_label": args.tree}
-        if threshold is not None:
-            kwargs["threshold_c"] = threshold
-        report = maker(wt.tree, ns, **kwargs)
-    elif args.experiment == "lattice":
-        if args.q is None:
-            raise UsageError("the lattice experiment needs --q")
-        qs = _parse_int_list(args.q, "--q")
-        if not qs:
-            raise UsageError("--q must list at least one size")
-        kwargs = {}
-        if threshold is not None:
-            kwargs["threshold_c"] = threshold
-        report = lattice_report(args.d, qs, **kwargs)
-    else:
-        raise UsageError(f"unknown experiment {args.experiment!r}")
+        report = maker(wt.tree, ns, tree_label=args.tree, **kwargs)
     sys.stdout.write(format_report_table(report))
-    _write_json(config.json_path, report)
+    _write_json(args.json, report)
     return 0 if report["pass"] else CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+# The flags several subcommands share; each subcommand declares only the ones
+# its handler reads.  --threads is on every subcommand.
+SHARED_FLAGS = {
+    "--threads": dict(type=int, default=1, help="no effect; must be at least 1"),
+    "--seed": dict(type=int, default=None, help="PRNG seed"),
+    "--include-zero": dict(
+        action="store_true", help="admit zero dot products (excluded by default)"
+    ),
+    "--json": dict(default=None, help="write a JSON report here"),
+    "--timings": dict(
+        action="store_true",
+        help="include elapsed_ms in JSON reports (breaks byte determinism)",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,20 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1, help="no effect; must be at least 1")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
-        p.add_argument(
-            "--include-zero",
-            action="store_true",
-            help="admit zero dot products (excluded by default)",
-        )
-        p.add_argument("--json", default=None, help="write a JSON report here")
-        p.add_argument(
-            "--timings",
-            action="store_true",
-            help="include elapsed_ms in JSON reports (breaks byte determinism)",
-        )
+    def add_shared(p: argparse.ArgumentParser, handler, *flags: str) -> None:
+        """--threads and the listed shared flags, in SHARED_FLAGS order."""
+        for flag, options in SHARED_FLAGS.items():
+            if flag == "--threads" or flag in flags:
+                p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
+
+    counting = ("--include-zero", "--json", "--timings")
 
     p = sub.add_parser("generate", help="generate a construction or random set")
     p.add_argument(
@@ -615,19 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", type=int, default=-50, help="random box lower bound")
     p.add_argument("--high", type=int, default=50, help="random box upper bound")
     p.add_argument("-o", "--output", required=True, help="output .pts path")
-    add_common(p)
+    add_shared(p, _cmd_generate, "--seed")
 
     p = sub.add_parser("count", help="count tree embeddings (or homomorphisms)")
     p.add_argument("--tree", required=True)
     p.add_argument("--weights", default=None, help="comma-separated rationals")
     p.add_argument("--points", required=True)
     p.add_argument("--homomorphisms", action="store_true", help="count maps without injectivity")
-    add_common(p)
+    add_shared(p, _cmd_count, *counting)
 
     p = sub.add_parser("distinct", help="distinct dot products or weight tuples")
     p.add_argument("--points", required=True)
     p.add_argument("--tree", default=None, help="count distinct weight tuples of this tree")
-    add_common(p)
+    add_shared(p, _cmd_distinct, *counting)
 
     p = sub.add_parser("pinned", help="pinned sets, max pin, descent, pinned tuples")
     p.add_argument("--points", required=True)
@@ -635,29 +565,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descent", action="store_true", help="run the hyperplane descent")
     p.add_argument("--tree", default=None)
     p.add_argument("--vertex", type=int, default=None)
-    add_common(p)
+    add_shared(p, _cmd_pinned, *counting)
 
     p = sub.add_parser("incidence", help="exact point-line incidence count")
     p.add_argument("--points", required=True)
     p.add_argument("--lines", default=None, help="file of normal coords + value rows")
     p.add_argument("--pins", default=None, help="points whose alpha-lines to use")
     p.add_argument("--alpha", default=None, help="alpha for --pins")
-    add_common(p)
+    add_shared(p, _cmd_incidence, "--json", "--timings")
 
     p = sub.add_parser("radial", help="radial-line histogram and cap check")
     p.add_argument("--points", required=True)
     p.add_argument("--cap-c", default="1", help="cap constant C in max <= C n^(2/3)")
     p.add_argument("--allow-origin", action="store_true")
-    add_common(p)
+    add_shared(p, _cmd_radial, "--json", "--timings")
 
     p = sub.add_parser("proofgraph", help="consecutive-points multigraph statistics")
     p.add_argument("--points", required=True)
     p.add_argument("--second", default=None, help="second point set (defaults to the first)")
-    add_common(p)
+    add_shared(p, _cmd_proofgraph, *counting)
 
     p = sub.add_parser("verify", help="run the self-contained acceptance checks")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    add_common(p)
+    add_shared(p, _cmd_verify, "--json")
 
     p = sub.add_parser("report", help="experiment series with comparison report")
     p.add_argument(
@@ -668,30 +598,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--q", default=None, help="comma-separated lattice parameters")
     p.add_argument("--threshold-c", default=None, help="rational threshold constant")
-    add_common(p)
+    add_shared(p, _cmd_report, "--json")
 
     return parser
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "count": _cmd_count,
-    "distinct": _cmd_distinct,
-    "pinned": _cmd_pinned,
-    "incidence": _cmd_incidence,
-    "radial": _cmd_radial,
-    "proofgraph": _cmd_proofgraph,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return _HANDLERS[args.subcommand](args, config)
+        if args.threads < 1:
+            raise UsageError("--threads must be at least 1")
+        if getattr(args, "json", None) is not None:
+            _output_path(args.json)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -444,8 +444,10 @@ class RadialHistogram:
         return max(self.buckets.values(), default=0)
 
     def within_cap(self, c: Fraction | int = 1) -> bool:
-        """Exact check of max bucket <= c * total^(2/3)."""
+        """Exact check of max bucket <= c * total^(2/3) for a positive ``c``."""
         c = Fraction(c)
+        if c <= 0:
+            raise ValueError("cap constant must be positive")
         lhs = self.max_count * c.denominator
         return lhs**3 <= c.numerator**3 * self.total**2
 

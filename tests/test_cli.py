@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dottrees.cli import cli_main
+from dottrees.cli import build_parser, cli_main
 
 
 def run_cli(*argv):
@@ -326,6 +327,14 @@ class TestRadial:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "-1/2"])
+    def test_cap_constant_must_be_positive(self, tmp_path, cap):
+        pts = tmp_path / "p.pts"
+        pts.write_text("d 2\n1 0\n2 0\n3 3\n")
+        code, out, err = run_cli("radial", "--points", str(pts), f"--cap-c={cap}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestProofgraph:
     def test_worked_example(self, tmp_path):
@@ -380,6 +389,12 @@ class TestVerifySubset:
     def test_unknown_criterion(self):
         code, _, _ = run_cli("verify", "--criteria", "77")
         assert code == 2
+
+    @pytest.mark.parametrize("criteria", [",", ""])
+    def test_criteria_must_name_one(self, criteria):
+        code, out, err = run_cli("verify", "--criteria", criteria)
+        assert (code, out) == (2, "")
+        assert err == "error: --criteria must list at least one criterion\n"
 
 
 class TestUsage:
@@ -479,3 +494,282 @@ def test_engine_value_errors_exit_2(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+# Fixed inputs for the pinned-output test, written under the test's working
+# directory.  cols.pts is the columns construction of builtin:path:2 at n=9;
+# lat.pts and lat_F.pts are the q=2 unit lattice pair.
+PINNED_INPUTS = {
+    "cols.pts": "d 2\n1 3\n1 4\n1 5\n1 6\n2 0\n3 3\n3 4\n3 5\n3 6\n",
+    "g3.pts": "d 3\n" + "".join(
+        f"{x} {y} {z}\n" for x in (1, 2, 3) for y in (1, 2, 3) for z in (1, 2, 3)
+    ),
+    "lat.pts": "d 2\n3/4 17/16\n3/4 9/8\n3/4 19/16\n3/4 5/4\n"
+               "1 17/16\n1 9/8\n1 19/16\n1 5/4\n",
+    "lat_F.pts": "d 2\n-12/5 16/5\n-2 8/3\n-12/7 16/7\n-3/2 2\n"
+                 "-16/5 16/5\n-8/3 8/3\n-16/7 16/7\n-2 2\n",
+    "diag.pts": "d 2\n" + "".join(f"{i} {i}\n" for i in range(1, 28)),
+    "pins.pts": "d 2\n1 0\n0 1\n",
+    "x.lines": "# the x-axis and the line x = 3\n0 1 0\n1 0 3\n",
+}
+
+# argv, exit code, SHA-256 of stdout, and SHA-256 of every file the call
+# writes.  These bytes are the CLI's output contract: a change to any of them
+# is a change in behaviour, not a refactor.
+PINNED_OUTPUTS = {
+    "generate-columns": (
+        ["generate", "--construction", "columns", "--tree", "builtin:path:2", "--n", "9", "-o", "out.pts"],
+        0, "012cea1ff56c24ba7159f64057fcbaa4ac431a0ba92fac83a80d406c242be87b",
+        {
+            "out.json": "380359dbbac98340802a180f4fb26f30edc272e0bf55ca54c143760ad64c87a8",
+            "out.pts": "be644000df2048dc45a0986e102c889399664c3c2fb1db150b085f0ee5fe0db9",
+        },
+    ),
+    "generate-lattice": (
+        ["generate", "--construction", "lattice", "--d", "2", "--q", "3", "-o", "out.pts"],
+        0, "e62e40e447c89bd9c08b7b77efda8b5224ddee985fbacb7e977ed742bb77f88f",
+        {
+            "out.json": "7aec885473cef8f07e135d2075297b085136fb4512f046e263bee84d5a952caa",
+            "out.pts": "f5d4936b1fdd49dfdbf7c45d15cc8d5cae5096f6dc88d0166139f36d0aa50485",
+            "out_F.pts": "a50619d44475e9719ea701ec2f278808faa69d44552890ea1298a50fc5692fd7",
+        },
+    ),
+    "generate-random": (
+        ["generate", "--construction", "random", "--n", "12", "--seed", "9", "-o", "out.pts"],
+        0, "1bc2cbaa767ac981711b10c198da87aea670a13488f443b0cb1622a99826cc4f",
+        {
+            "out.json": "9f31091e0e128d63957a5080cb29930f7252392e9b383ebf6b8fc78833e30926",
+            "out.pts": "6f826d3e603c2442879a6b652f98989ea286da73da89c73121a294bbd451ca88",
+        },
+    ),
+    "count": (
+        ["count", "--tree", "builtin:path:2", "--weights", "2,6", "--points", "cols.pts", "--json", "r.json"],
+        0, "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+        {
+            "r.json": "b81d78eb78f62ca8bfe0ed06b4c3f2ed0070dfb2760f897220f4e829244cbdd2",
+        },
+    ),
+    "count-homomorphisms": (
+        ["count", "--tree", "builtin:path:2", "--weights", "2,6", "--points", "cols.pts", "--homomorphisms", "--json", "r.json"],
+        0, "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+        {
+            "r.json": "c1a4cfa65bb76661c02450ef3e7cff67a0f8bbb5c9d784e851121582596f1c20",
+        },
+    ),
+    "count-include-zero": (
+        ["count", "--tree", "builtin:path:1", "--weights", "0", "--points", "pins.pts", "--include-zero", "--json", "r.json"],
+        0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        {
+            "r.json": "24adcdc4daae2e68736902081af5354a9315b98a0564e72004290360659b9d8d",
+        },
+    ),
+    "distinct": (
+        ["distinct", "--points", "cols.pts", "--json", "r.json"],
+        0, "ca3a39df42b715f31d9c151e1fb26690a9c36fa2d2a44284508e480552361620",
+        {
+            "r.json": "8a3187f8f39c0c060e4311760cb2e7591a6bb19e32befd6aa39e950505247e66",
+        },
+    ),
+    "distinct-tree": (
+        ["distinct", "--points", "cols.pts", "--tree", "builtin:path:2", "--json", "r.json"],
+        0, "acbf3426054eb2943640b7d941b8181fe3cc9c00a2f396a4ebaa7647d493e420",
+        {
+            "r.json": "1a65c985308779bdb12be80ecee6c789f84df6bedabdd63917d1c724c54637ab",
+        },
+    ),
+    "pinned-max": (
+        ["pinned", "--points", "cols.pts", "--json", "r.json"],
+        0, "2b48fdfd57227001f636ee54d604fae7bee1842ec50cafddd3295739fed774c2",
+        {
+            "r.json": "de4006895f1f16af58afc76c9d983c06676da694367435db42419d0c64608be6",
+        },
+    ),
+    "pinned-index": (
+        ["pinned", "--points", "cols.pts", "--pin-index", "6", "--json", "r.json"],
+        0, "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58",
+        {
+            "r.json": "b13222b241e2366ba25d95d61ef5c1f7b1a5a129f01051f50218015aa4844f39",
+        },
+    ),
+    "pinned-tuples": (
+        ["pinned", "--points", "cols.pts", "--tree", "builtin:path:2", "--vertex", "1", "--pin-index", "6", "--json", "r.json"],
+        0, "a5331f18877e9e1543361e44b4cb0a1f5f0ed5f8297d850bf1fcc68bd7a3ab5f",
+        {
+            "r.json": "3ea4da8d2d81120cd5439e066b952276f70cf3fc5c7b39ea9ad03bb7d6c753f7",
+        },
+    ),
+    "pinned-descent": (
+        ["pinned", "--points", "g3.pts", "--descent", "--json", "r.json"],
+        0, "96bff0159d2b5ab48205727e1bb17fa17e2b138de4eb2ea8a081968dd076115d",
+        {
+            "r.json": "a753b5353d87f97946c00772901d4e018252a0f0bfbded6fc7f1bde75388ed7d",
+        },
+    ),
+    "incidence-lines": (
+        ["incidence", "--points", "cols.pts", "--lines", "x.lines", "--json", "r.json"],
+        0, "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+        {
+            "r.json": "79bf731fa7b6e13cd63819a119f8306b6c2f0528727b06028e5a246a3e2ef03e",
+        },
+    ),
+    "incidence-pins": (
+        ["incidence", "--points", "cols.pts", "--pins", "pins.pts", "--alpha", "3", "--json", "r.json"],
+        0, "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+        {
+            "r.json": "1ff3cda8262b6ef4530f38928c11f32795881f8a0763644dd42a727514a1f1aa",
+        },
+    ),
+    "radial": (
+        ["radial", "--points", "cols.pts", "--cap-c", "3/2", "--json", "r.json"],
+        0, "f4b8c20fc816630b0b41097036918bd05a2f7eb34b0ac5bf76b8e747b07c50ca",
+        {
+            "r.json": "52a11dd8f0a7594d4b2f27781f892b157e9ac3fbfd2ce53bf03a2b17c75ad3b9",
+        },
+    ),
+    "radial-cap-fails": (
+        ["radial", "--points", "diag.pts", "--json", "r.json"],
+        1, "cd4637ae27c202f475ef59d59071cafad531a20c7c330e38570de62132b9b7b3",
+        {
+            "r.json": "dc28fcfc55929f79167cfaebe26eb5dfd195f45d45cd522379625483a980a346",
+        },
+    ),
+    "proofgraph": (
+        ["proofgraph", "--points", "cols.pts", "--json", "r.json"],
+        0, "7ab0612a48b24e4186e39fb15b0f89dde1e3e99583d5b7476589727551eb68cf",
+        {
+            "r.json": "cc7a8b993e20ca018a42ece43e276b14c2712ce73887c56cac11ae82dfac9727",
+        },
+    ),
+    "proofgraph-second": (
+        ["proofgraph", "--points", "lat.pts", "--second", "lat_F.pts", "--json", "r.json"],
+        0, "7482181f143db714b1204682275d02249d4221ecb1c7ed8db4a9b230a09a9c63",
+        {
+            "r.json": "80cc3b4e5f2dd81ea89d1610761d2b5ffb557da69af4163410f003830e534943",
+        },
+    ),
+    "verify": (
+        ["verify", "--criteria", "2,9", "--json", "r.json"],
+        0, "7b45d64078bbba32e75d75f0b4790bce4ad6c69c7142403bedb5460082273ca5",
+        {
+            "r.json": "8ed18298a1a718e6e8b84ef53664e224179218b2808bebb36f5db494457b36c0",
+        },
+    ),
+    "report-columns": (
+        ["report", "--experiment", "columns", "--tree", "builtin:path:2", "--n", "8,12", "--json", "r.json"],
+        0, "f8ae311456a0f7363c6d6201fbb85a21b47f4c882be30e5a82bfd7e640227527",
+        {
+            "r.json": "f3c0c39fc3e24446dc7702e4ce12c95654c9ea6bc934c6f823dd3e64e7fa3e0d",
+        },
+    ),
+    "report-lattice": (
+        ["report", "--experiment", "lattice", "--d", "2", "--q", "4,5", "--json", "r.json"],
+        0, "3343129bd45042d2efb5c1600d51f351f976c1ee1a00fa4b397330520860df85",
+        {
+            "r.json": "9766dc164cf3d17ac9c9857beb4e9cbc9593486c9f51ef0bf01b0c6d66a2d787",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha, files",
+    PINNED_OUTPUTS.values(),
+    ids=PINNED_OUTPUTS.keys(),
+)
+def test_cli_output_bytes_pinned(tmp_path, monkeypatch, argv, code, stdout_sha, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in PINNED_INPUTS.items():
+        Path(name).write_text(text)
+    got_code, out, err = run_cli(*argv)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+        if path.name not in PINNED_INPUTS
+    }
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert written == files
+
+
+# One valid argv per subcommand, and the shared flags each one declares.
+SUBCOMMAND_ARGV = {
+    "generate": ["generate", "--construction", "random", "--n", "5", "-o", "out.pts"],
+    "count": ["count", "--tree", "builtin:path:1", "--weights", "1", "--points", "a.pts"],
+    "distinct": ["distinct", "--points", "a.pts"],
+    "pinned": ["pinned", "--points", "a.pts"],
+    "incidence": ["incidence", "--points", "a.pts", "--pins", "a.pts", "--alpha", "1"],
+    "radial": ["radial", "--points", "a.pts"],
+    "proofgraph": ["proofgraph", "--points", "a.pts"],
+    "verify": ["verify", "--criteria", "9"],
+    "report": ["report", "--experiment", "lattice", "--q", "4"],
+}
+SHARED_FLAG_ARGS = {
+    "--threads": ["--threads", "3"],
+    "--seed": ["--seed", "7"],
+    "--include-zero": ["--include-zero"],
+    "--json": ["--json", "out.json"],
+    "--timings": ["--timings"],
+}
+DECLARED_FLAGS = {
+    "generate": {"--threads", "--seed"},
+    "count": {"--threads", "--include-zero", "--json", "--timings"},
+    "distinct": {"--threads", "--include-zero", "--json", "--timings"},
+    "pinned": {"--threads", "--include-zero", "--json", "--timings"},
+    "incidence": {"--threads", "--json", "--timings"},
+    "radial": {"--threads", "--json", "--timings"},
+    "proofgraph": {"--threads", "--include-zero", "--json", "--timings"},
+    "verify": {"--threads", "--json"},
+    "report": {"--threads", "--json"},
+}
+UNDECLARED = [
+    (sub, flag)
+    for sub in SUBCOMMAND_ARGV
+    for flag in SHARED_FLAG_ARGS
+    if flag not in DECLARED_FLAGS[sub]
+]
+
+
+@pytest.mark.parametrize(
+    "sub, flag", UNDECLARED, ids=[f"{sub}{flag}" for sub, flag in UNDECLARED]
+)
+def test_undeclared_shared_flag_exits_2(sub, flag):
+    code, out, err = run_cli(*SUBCOMMAND_ARGV[sub], *SHARED_FLAG_ARGS[flag])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("sub", DECLARED_FLAGS)
+def test_declared_shared_flags_accepted(sub):
+    flags = sorted(DECLARED_FLAGS[sub])
+    argv = SUBCOMMAND_ARGV[sub] + [a for flag in flags for a in SHARED_FLAG_ARGS[flag]]
+    args = build_parser().parse_args(argv)
+    assert args.threads == 3
+    if "--seed" in flags:
+        assert args.seed == 7
+    if "--json" in flags:
+        assert args.json == "out.json"
+    if "--include-zero" in flags:
+        assert args.include_zero is True
+    if "--timings" in flags:
+        assert args.timings is True
+
+
+# The argv shapes perfbench/workloads.py passes to cli_main.
+BENCHMARK_ARGV = {
+    "embed": ["count", "--tree", "builtin:star:3", "--weights", "5,13,25",
+              "--points", "E.pts", "--threads", "2", "--json", "embed.json"],
+    "tuples": ["distinct", "--tree", "builtin:path:2", "--points", "G.pts",
+               "--json", "tuples.json"],
+    "proofgraph-random": ["proofgraph", "--points", "R.pts", "--json", "random.json"],
+    "proofgraph-lattice": ["proofgraph", "--points", "E.pts", "--second", "F.pts",
+                           "--json", "lattice.json"],
+    "verify": ["verify", "--criteria", "1,2,3,6,9", "--json", "verify.json"],
+    "verify-all": ["verify", "--json", "verify.json"],
+}
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV.values(), ids=BENCHMARK_ARGV.keys())
+def test_benchmark_argv_accepted(argv):
+    args = build_parser().parse_args(argv)
+    assert args.subcommand == argv[0]
+    assert args.json == argv[-1]

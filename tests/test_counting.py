@@ -438,6 +438,12 @@ class TestRadialHistogram:
         assert not hist.within_cap(1)
         assert hist.within_cap(3)
 
+    @pytest.mark.parametrize("c", [0, -1, Q(-1, 3)])
+    def test_cap_constant_must_be_positive(self, c):
+        hist = radial_histogram(point_set([(1, 0), (2, 0)]))
+        with pytest.raises(ValueError, match="positive"):
+            hist.within_cap(c)
+
     def test_origin_guard(self):
         ps = point_set([(0, 0), (1, 0)])
         with pytest.raises(ValueError):
