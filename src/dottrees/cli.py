@@ -111,7 +111,10 @@ def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} rationals", line_no)
         values = [parse_scalar(f, line_no) for f in fields]
-        hyperplanes.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
+        try:
+            hyperplanes.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
     return hyperplanes
 
 
@@ -210,6 +213,8 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 def _cmd_generate(args) -> int:
     out = _output_path(args.output)
     sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise UsageError(f"-o {out} is also the path of its JSON sidecar; use another suffix")
     if args.construction == "lattice":
         if args.q is None:
             raise UsageError("--q is required for the lattice construction")
@@ -326,6 +331,10 @@ def _cmd_distinct(args) -> int:
 def _cmd_pinned(args) -> int:
     points = _read_file(args.points, read_point_set)
     zero = args.include_zero
+    if args.descent and (args.pin_index, args.tree, args.vertex) != (None, None, None):
+        raise UsageError("--descent takes none of --pin-index, --tree and --vertex")
+    if args.vertex is not None and args.tree is None:
+        raise UsageError("--vertex needs --tree")
     start = time.perf_counter()
     if args.descent:
         trace = hyperplane_descent(points, include_zero=zero)

@@ -390,7 +390,7 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
         for x_prefix in itertools.product(a_vals, repeat=d - 1):
             x = x_prefix + (sum(ci * xi for ci, xi in zip(c, x_prefix)) + b,)
             if dot(f, x) != one:
-                raise AssertionError(f"unit identity failed for f={f}, x={x}")
+                raise ValueError(f"unit identity failed for f={f}, x={x}")
 
     e_set = PointSet(d, e_pts)
     f_set = PointSet(d, tuple(f_pts))

@@ -12,10 +12,12 @@ admitted with ``include_zero=True``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -106,7 +108,8 @@ class DotProductIndex:
     sides share the point (a point lies on its own alpha-line when p.p = a).
     ``pairs(a)`` lists ordered pairs of *distinct* points, so for a single set
     the list sizes over all values sum to |E|^2 - |E| (minus zero products
-    unless they were indexed).
+    unless they were indexed).  ``table`` is the ``_dot_table`` it was built
+    from, which ``count_embeddings`` reads when handed the index.
     """
 
     def __init__(
@@ -118,7 +121,7 @@ class DotProductIndex:
     ):
         self.left = left
         self.right = right if right is not None else left
-        rows, values = _dot_table(self.left, self.right)
+        self.table = rows, values = _dot_table(self.left, self.right)
         skip = -1 if include_zero else _value_id(values, 0)
         self._partners: dict[Point, dict[Fraction, list[Point]]] = {}
         pairs: dict[int, list[tuple[Point, Point]]] = {}
@@ -201,6 +204,53 @@ def _zero_weight_guard(weights: Sequence[Fraction], include_zero: bool) -> None:
         raise ValueError("zero edge weight; pass include_zero=True to count it")
 
 
+def _search_order(tree: Tree, pinned: int | None):
+    """Parent position and edge index of each search position (-1 at the
+    root), the leaf group's edge indices, and the position of its vertex u.
+
+    u has the most leaf neighbours, ``pinned`` excepted, ties to the smallest
+    label.  The search runs from ``pinned`` (else u) to u, then breadth-first.
+    """
+    adj = tree.adjacency()
+    leaves = {v for v in adj if len(adj[v]) == 1} - {pinned}
+    u = min(adj, key=lambda v: (-len(leaves.intersection(adj[v])), v))
+    group = [v for v in adj[u] if v in leaves]
+    parent = tree.bfs_parents(u if pinned is None else pinned)
+    order = [u]
+    while parent[order[0]]:
+        order.insert(0, parent[order[0]])
+    at_u = len(order) - 1
+    order += [v for v in parent if v not in order and v not in group]
+    up = {(b if parent[b] == a else a): j for j, (a, b) in enumerate(tree.edges)}
+    parents = [order.index(parent[v]) if parent[v] else -1 for v in order]
+    return parents, [up.get(v, -1) for v in order], [up[v] for v in group], at_u
+
+
+def _placements(parents: list[int], roots: Sequence[int], candidates):
+    """Yield each injective placement of a search's positions on point indices:
+    position 0 on ``roots``, p on ``candidates(p, placed[parents[p]])``.  The
+    stack of iterators is explicit; the yielded list is reused.
+    """
+    placed: list[int] = []
+    used: set[int] = set()
+    stack = [iter(roots)]
+    while stack:
+        if len(placed) == len(stack):
+            used.remove(placed.pop())
+        for y in stack[-1]:
+            if y not in used:
+                break
+        else:
+            stack.pop()
+            continue
+        placed.append(y)
+        used.add(y)
+        if len(placed) == len(parents):
+            yield placed
+        else:
+            stack.append(iter(candidates(len(placed), placed[parents[len(placed)]])))
+
+
 def count_embeddings(
     wt: WeightedTree,
     points: PointSet,
@@ -212,60 +262,30 @@ def count_embeddings(
     """Number of injective vertex maps realizing every edge weight exactly.
 
     Copies are labeled: maps differing by a tree automorphism count
-    separately.  Backtracks over the dot-product index in canonical edge
-    order, pruning any branch whose next edge has no exact-weight extension.
+    separately.  The leaves of one vertex u (``_search_order``) are counted,
+    not placed: with u at x, the sets P(x, w) = {y : x . y = w} are disjoint,
+    so the m leaves of weight w add a falling factorial of length m from the
+    unused points of P(x, w).  The other vertices are placed from u outward
+    over the dot-product table's rows, which a given ``index`` lends.
 
     The search runs on the calling thread.  ``threads`` is accepted for
     compatibility and has no effect.
     """
     weights = wt.require_weights()
-    tree = wt.tree
     _zero_weight_guard(weights, include_zero)
-    if tree.num_vertices > len(points):
-        return 0
-    if not tree.edges:
-        return len(points)
-    if index is None:
-        index = DotProductIndex(points, include_zero=include_zero)
-    edges = tree.edges
-
-    def extend(j: int, assignment: dict[int, Point], used: set[Point]) -> int:
-        if j == len(edges):
-            return 1
-        a, b = edges[j]
-        w = weights[j]
-        pa = assignment.get(a)
-        pb = assignment.get(b)
-        if pa is not None and pb is not None:
-            return extend(j + 1, assignment, used) if dot(pa, pb) == w else 0
-        total = 0
-        if pa is not None or pb is not None:
-            anchor, free = (pa, b) if pa is not None else (pb, a)
-            for y in index.partners(anchor, w):
-                if y in used:
-                    continue
-                assignment[free] = y
-                used.add(y)
-                total += extend(j + 1, assignment, used)
-                del assignment[free]
-                used.discard(y)
-        else:
-            for x, y in index.pairs(w):
-                if x in used or y in used:
-                    continue
-                assignment[a] = x
-                assignment[b] = y
-                used.add(x)
-                used.add(y)
-                total += extend(j + 1, assignment, used)
-                del assignment[a]
-                del assignment[b]
-                used.discard(x)
-                used.discard(y)
-        return total
-
-    a0, b0 = edges[0]
-    return sum(extend(1, {a0: x, b0: y}, {x, y}) for x, y in index.pairs(weights[0]))
+    rows, values = index.table if index is not None else _dot_table(points)
+    ids = {value: i for i, value in enumerate(values)}
+    parents, edges, group, _ = _search_order(wt.tree, None)
+    wanted = [ids.get(weights[j], -1) for j in edges[1:]]
+    group_ids = Counter(ids.get(weights[j], -1) for j in group).items()
+    partners = functools.cache(lambda i, a: [j for j, b in enumerate(rows[i]) if b == a])
+    total = 0
+    for placed in _placements(parents, range(len(rows)), lambda p, i: partners(i, wanted[p - 1])):
+        row = rows[placed[0]]
+        total += math.prod(
+            math.perm(row.count(a) - sum(row[y] == a for y in placed), m) for a, m in group_ids
+        )
+    return total
 
 
 def count_homomorphisms(
@@ -307,65 +327,57 @@ def count_homomorphisms(
     return sum(table[1].values())
 
 
-def _enumerate_weight_tuples(
-    tree: Tree,
-    points: PointSet,
-    *,
-    include_zero: bool,
-    pinned: tuple[int, int] | None,
-    emit,
-) -> list[Fraction]:
-    """Drive ``emit(tuple_of_value_ids)`` over all injective vertex maps.
+def _weight_tuple_masks(
+    tree: Tree, points: PointSet, include_zero: bool, pinned: tuple[int, int] | None
+) -> tuple[dict[tuple[int, ...], int], list[int], int, list[Fraction]]:
+    """Distinct edge-weight tuples over injective maps, as value-id bitmasks.
 
-    ``pinned`` fixes (vertex, point index).  Tuples follow canonical edge
-    order; branches producing a zero component are pruned unless zero dot
-    products were requested.  Returns the dot product each value id stands
-    for.
+    The vertices outside the leaf group (``_search_order``) are placed on
+    points, ``pinned`` = (vertex, point index) fixed.  With the group's
+    vertex at x, its leaves but the last take each value id that the unused
+    points of x's row still hold, and the last leaf a bitmask of the ids
+    left.  Zero components are dropped unless ``include_zero``.  Returns the
+    masks keyed by the other components, the edge index of each key
+    position and of the last leaf, and each id's value.
     """
-    n = len(points)
-    if tree.num_vertices > n:
-        return []
-    matrix, values = _dot_table(points)
-    zero_id = _value_id(values, 0)
-    root = pinned[0] if pinned is not None else 1
-    parent = tree.bfs_parents(root)
-    order = list(parent)
-    edge_idx = tree.edge_index()
-    slot = {v: i for i, v in enumerate(order)}
-    # For each order position > 0: (parent position, canonical edge index).
-    hooks = []
-    for v in order[1:]:
-        u = parent[v]
-        hooks.append((slot[u], edge_idx[(min(u, v), max(u, v))]))
-    comps = [0] * tree.num_edges
-    assigned = [0] * len(order)
-    used = [False] * n
-    k_pos = len(order)
-
-    def rec(pos: int) -> None:
-        if pos == k_pos:
-            emit(tuple(comps))
-            return
-        parent_pos, j = hooks[pos - 1]
-        prow = matrix[assigned[parent_pos]]
-        for idx in range(n):
-            if used[idx]:
-                continue
-            vid = prow[idx]
-            if vid == zero_id and not include_zero:
-                continue
-            comps[j] = vid
-            assigned[pos] = idx
-            used[idx] = True
-            rec(pos + 1)
-            used[idx] = False
-
-    for idx in [pinned[1]] if pinned is not None else range(n):
-        assigned[0] = idx
-        used[idx] = True
-        rec(1)
-        used[idx] = False
-    return values
+    if tree.num_edges == 0:
+        raise ValueError("weight tuples need at least one edge")
+    rows, values = _dot_table(points)
+    skip = -1 if include_zero else _value_id(values, 0)
+    parents, edges, group, at_u = _search_order(tree, pinned and pinned[0])
+    masks: dict[tuple[int, ...], int] = {}
+    x = -1
+    for placed in _placements(
+        parents,
+        range(len(points)) if pinned is None else [pinned[1]],
+        lambda p, i: [j for j, a in enumerate(rows[i]) if a != skip],
+    ):
+        if placed[at_u] != x:
+            x = placed[at_u]
+            row = rows[x]
+            size = Counter(row)
+            size.pop(skip, None)
+            full = sum(1 << a for a in size)
+        taken: dict[int, int] = {}
+        for y in placed:
+            taken[row[y]] = taken.get(row[y], 0) + 1
+        mask = full
+        for a, c in taken.items():
+            if size[a] == c:
+                mask &= ~(1 << a)
+        prefix = tuple(rows[placed[parents[p]]][placed[p]] for p in range(1, len(parents)))
+        heads = [a for a in size if size[a] > taken.get(a, 0)] if len(group) > 1 else ()
+        for head in product(heads, repeat=len(group) - 1):
+            left = mask
+            for a in set(head):
+                room = size[a] - taken.get(a, 0) - head.count(a)
+                if room < 0:
+                    break
+                if room == 0:
+                    left &= ~(1 << a)
+            else:
+                masks[prefix + head] = masks.get(prefix + head, 0) | left
+    return masks, edges[1:] + group[:-1], group[-1], values
 
 
 def distinct_weight_tuples(
@@ -379,18 +391,22 @@ def distinct_weight_tuples(
 
     Tuples are ordered by the canonical edge order, and tuples containing a
     zero dot product are excluded unless requested.  Returns the count, or
-    ``(count, frozenset_of_tuples)`` with ``collect=True``.
+    ``(count, frozenset_of_tuples)`` with ``collect=True``.  The m leaves of
+    one vertex are counted by value class, not placed, so the search visits
+    at most n^(k+1-m) placements of the other vertices.
     """
-    if tree.num_edges == 0:
-        raise ValueError("weight tuples need at least one edge")
-    seen: set[tuple[int, ...]] = set()
-    values = _enumerate_weight_tuples(
-        tree, points, include_zero=include_zero, pinned=None, emit=seen.add
-    )
-    if collect:
-        tuples = frozenset(tuple(values[i] for i in t) for t in seen)
-        return len(seen), tuples
-    return len(seen)
+    masks, layout, last, values = _weight_tuple_masks(tree, points, include_zero, None)
+    count = sum(mask.bit_count() for mask in masks.values())
+    if not collect:
+        return count
+    tuples = set()
+    for key, mask in masks.items():
+        comps = dict(zip(layout, key))
+        while mask:
+            comps[last] = (mask & -mask).bit_length() - 1
+            tuples.add(tuple(values[comps[j]] for j in range(len(comps))))
+            mask &= mask - 1
+    return count, frozenset(tuples)
 
 
 def pinned_weight_tuples(
@@ -409,17 +425,8 @@ def pinned_weight_tuples(
         pin_index = points.points.index(pin)
     except ValueError:
         raise ValueError(f"pin {pin} is not in the point set") from None
-    if tree.num_edges == 0:
-        raise ValueError("weight tuples need at least one edge")
-    seen: set[tuple[int, ...]] = set()
-    _enumerate_weight_tuples(
-        tree,
-        points,
-        include_zero=include_zero,
-        pinned=(vertex, pin_index),
-        emit=seen.add,
-    )
-    return len(seen)
+    masks, *_ = _weight_tuple_masks(tree, points, include_zero, (vertex, pin_index))
+    return sum(mask.bit_count() for mask in masks.values())
 
 
 def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:

@@ -117,3 +117,94 @@ def naive_crossings(segments) -> int:
 def grid(side: int, dim: int = 2, start: int = 1) -> PointSet:
     axis = range(start, start + side)
     return point_set(list(product(axis, repeat=dim)))
+
+
+def reference_count_embeddings(wt: WeightedTree, ps: PointSet) -> int:
+    """Backtrack over the edges in canonical order, one point at a time.
+
+    Every vertex is enumerated, leaves included, by recursion over the
+    edges; partners come from ``dot`` directly.  This is the engine's search
+    before it counted leaf groups, kept as a reference for small inputs.
+    """
+    weights = wt.require_weights()
+    edges = wt.tree.edges
+    if wt.tree.num_vertices > len(ps):
+        return 0
+    if not edges:
+        return len(ps)
+
+    def partners(p, w):
+        return [q for q in ps.points if dot(p, q) == w]
+
+    def extend(j, assignment, used):
+        if j == len(edges):
+            return 1
+        a, b = edges[j]
+        w = weights[j]
+        pa, pb = assignment.get(a), assignment.get(b)
+        if pa is not None and pb is not None:
+            return extend(j + 1, assignment, used) if dot(pa, pb) == w else 0
+        total = 0
+        if pa is not None or pb is not None:
+            anchor, free = (pa, b) if pa is not None else (pb, a)
+            for y in partners(anchor, w):
+                if y not in used:
+                    total += extend(j + 1, {**assignment, free: y}, used | {y})
+        else:
+            for x in ps.points:
+                for y in partners(x, w):
+                    if x != y and x not in used and y not in used:
+                        total += extend(j + 1, {**assignment, a: x, b: y}, used | {x, y})
+        return total
+
+    a0, b0 = edges[0]
+    return sum(
+        extend(1, {a0: x, b0: y}, {x, y})
+        for x in ps.points
+        for y in partners(x, weights[0])
+        if x != y
+    )
+
+
+def reference_weight_tuples(
+    tree: Tree, ps: PointSet, include_zero: bool = False, pinned=None
+) -> set[tuple[Fraction, ...]]:
+    """Edge-weight tuples of every injective map, vertex by vertex.
+
+    The vertices are placed in breadth-first order from the pinned vertex
+    (``pinned`` = (vertex, point)) or from vertex 1, recursing once per
+    vertex and pruning a zero component unless ``include_zero``.  This is
+    the engine's enumerator before it counted leaf groups by value.
+    """
+    root = pinned[0] if pinned is not None else 1
+    parent = tree.bfs_parents(root)
+    order = list(parent)
+    edge_idx = tree.edge_index()
+    tuples: set[tuple[Fraction, ...]] = set()
+    comps = [Fraction(0)] * tree.num_edges
+    assigned = {}
+
+    def rec(pos):
+        if pos == len(order):
+            tuples.add(tuple(comps))
+            return
+        v = order[pos]
+        u = parent[v]
+        j = edge_idx[(min(u, v), max(u, v))]
+        for y in ps.points:
+            if y in assigned.values():
+                continue
+            value = dot(assigned[u], y)
+            if value == 0 and not include_zero:
+                continue
+            comps[j] = value
+            assigned[v] = y
+            rec(pos + 1)
+            del assigned[v]
+
+    starts = [tuple(Fraction(c) for c in pinned[1])] if pinned is not None else ps.points
+    if len(order) <= len(ps):
+        for x in starts:
+            assigned[root] = x
+            rec(1)
+    return tuples

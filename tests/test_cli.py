@@ -52,6 +52,19 @@ class TestGenerate:
         assert payload["weights"] == ["2", "6"]
         assert payload["vertex_assignment"]["2"] == [["2", "0"]]
 
+    @pytest.mark.parametrize("construction", [
+        ["columns", "--tree", "builtin:path:2", "--n", "9"],
+        ["random", "--n", "5", "--seed", "1"],
+        ["lattice", "--q", "2"],
+    ])
+    def test_output_must_not_be_its_sidecar(self, tmp_path, construction):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli("generate", "--construction", *construction, "-o", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_n_is_usage_error(self, tmp_path):
         code, _, err = run_cli(
             "generate",
@@ -268,6 +281,27 @@ class TestPinned:
         assert code == 0
         assert int(out.strip()) >= 1
 
+    @pytest.mark.parametrize("extra", [
+        ["--pin-index", "99"],
+        ["--pin-index", "1"],
+        ["--tree", "builtin:path:2"],
+        ["--vertex", "1"],
+        ["--tree", "builtin:path:2", "--vertex", "1", "--pin-index", "1"],
+    ])
+    def test_descent_takes_no_pin_flags(self, tmp_path, extra):
+        grid = tmp_path / "g.pts"
+        grid.write_text("d 3\n" + "".join(
+            f"{x} {y} {z}\n" for x in (1, 2, 3) for y in (1, 2, 3) for z in (1, 2, 3)
+        ))
+        code, out, err = run_cli("pinned", "--points", str(grid), "--descent", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --descent takes none of --pin-index, --tree and --vertex\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--pin-index", "1"]])
+    def test_vertex_needs_tree(self, columns_pts, extra):
+        code, out, err = run_cli("pinned", "--points", str(columns_pts), "--vertex", "1", *extra)
+        assert (code, out, err) == (2, "", "error: --vertex needs --tree\n")
+
     def test_descent_needs_3d(self, columns_pts):
         code, _, _ = run_cli("pinned", "--points", str(columns_pts), "--descent")
         assert code == 2
@@ -304,6 +338,13 @@ class TestIncidence:
         )
         assert code == 0
         assert out.strip() == "3"
+
+    def test_zero_normal_names_file_and_line(self, tmp_path, columns_pts):
+        lines = tmp_path / "l.lines"
+        lines.write_text("# a valid line, then one with no normal\n0 1 0\n0 0 1\n")
+        code, out, err = run_cli("incidence", "--points", str(columns_pts), "--lines", str(lines))
+        assert (code, out) == (2, "")
+        assert err == f"error: {lines}: line 3: hyperplane normal must not be the origin\n"
 
     def test_needs_some_lines(self, columns_pts):
         code, _, _ = run_cli("incidence", "--points", str(columns_pts))

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from dottrees import constructions
 from dottrees import (
     LatticeSpec,
     build_column_construction,
@@ -223,6 +224,11 @@ class TestPerpLines:
 
 
 class TestUnitLattice:
+    def test_identity_violation_is_value_error(self, monkeypatch):
+        monkeypatch.setattr(constructions, "dot", lambda p, q: Q(2))
+        with pytest.raises(ValueError, match="unit identity failed"):
+            build_unit_lattice(LatticeSpec(2, 2))
+
     def test_paper_mode_d2_q2_sets(self):
         result = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))
         a_coords = sorted({p[0] for p in result.e_points.points})
