@@ -8,20 +8,24 @@ test suite both call into this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .bounds import (
     column_exponent,
+    distinct_tuples_exponent,
     main_exponents_consistent,
     max_copies_exponent,
     meets_power_bound,
     pinned_exponent,
 )
 from .constructions import (
+    LatticeResult,
     LatticeSpec,
     build_column_construction,
     build_perp_lines_3d,
@@ -36,7 +40,7 @@ from .counting import (
     radial_histogram,
 )
 from .experiments import perplines_report, unit_pair_count
-from .geometry import PointSet, dot, integer_grid, point_set, random_point_set
+from .geometry import PointSet, _scaled, dot, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -113,28 +117,39 @@ def criterion_2() -> CriterionResult:
     return CriterionResult(2, "perp-lines-oracle", passed, details, elapsed)
 
 
+def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
+    """(checks, failures) of f.x = 1 and plane.normal.x = plane.value, with
+    (c, b) from the recorded numerator ranges in the builder's order, not
+    from f.  Every x is X/L for integers X and L = lcm(da^2, db)."""
+    meta = result.metadata
+    a_lo, a_hi = meta["a_numerators"]
+    b_lo, b_hi = meta["f_b_numerators"]
+    da, db = meta["a_denominator"], meta["b_denominator"]
+    scale = math.lcm(da * da, db)
+    prefixes = list(itertools.product(range(a_lo, a_hi + 1), repeat=meta["dim"] - 1))
+    params = itertools.product(prefixes, range(b_lo, b_hi + 1))
+    f_ints, f_scale = _scaled(result.f_points.points)
+    n_ints, n_scale = _scaled([plane.normal for plane in result.hyperplanes])
+    heads = [tuple(v * (scale // da) for v in xi) for xi in prefixes]
+    kc, kb = scale // (da * da), scale // db
+    checks = failures = 0
+    for f, n, plane, (gamma, beta) in zip(f_ints, n_ints, result.hyperplanes, params):
+        value, den = plane.value.numerator * n_scale * scale, plane.value.denominator
+        for xi, head in zip(prefixes, heads):
+            x = head + (sum(map(mul, gamma, xi)) * kc + beta * kb,)
+            checks += 1
+            if sum(map(mul, f, x)) != f_scale * scale or sum(map(mul, n, x)) * den != value:
+                failures += 1
+    return checks, failures
+
+
 def criterion_3() -> CriterionResult:
     """Unit identity f.x = 1 exactly, for every hyperplane and lattice slice."""
     start = time.perf_counter()
-    checks = 0
-    failures = 0
-    import itertools
-
-    for d in (2, 3):
-        for q in (2, 3, 4):
-            result = build_unit_lattice(LatticeSpec(d, q, mode="paper"))
-            a_lo, a_hi = result.metadata["a_numerators"]
-            denom_a = result.metadata["a_denominator"]
-            a_vals = [Fraction(i, denom_a) for i in range(a_lo, a_hi + 1)]
-            for f, plane in zip(result.f_points.points, result.hyperplanes):
-                b = 1 / f[-1]
-                c = tuple(-fj * b for fj in f[:-1])
-                for x_prefix in itertools.product(a_vals, repeat=d - 1):
-                    x_last = sum(ci * xi for ci, xi in zip(c, x_prefix)) + b
-                    x = x_prefix + (x_last,)
-                    checks += 1
-                    if dot(f, x) != 1 or not plane.contains(x):
-                        failures += 1
+    checks, failures = map(sum, zip(*(
+        _unit_identity_failures(build_unit_lattice(LatticeSpec(d, q, mode="paper")))
+        for d in (2, 3) for q in (2, 3, 4)
+    )))
     elapsed = time.perf_counter() - start
     passed = failures == 0
     details = f"{checks} exact identity checks, {failures} failures"
@@ -203,7 +218,7 @@ def criterion_7() -> CriterionResult:
     grid = integer_grid(10)
     n = 100
     count = distinct_weight_tuples(make_path(2), grid)
-    ok = meets_power_bound(count, n, Fraction(4, 3), Fraction(1, 8))
+    ok = meets_power_bound(count, n, distinct_tuples_exponent(2), Fraction(1, 8))
     elapsed = time.perf_counter() - start
     passed = ok and elapsed < 120.0
     details = f"{count} distinct 2-tuples on the n=100 grid"

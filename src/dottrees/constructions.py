@@ -21,12 +21,14 @@ against the weight set.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .geometry import AlphaHyperplane, Point, PointSet, dot
+from .geometry import AlphaHyperplane, Point, PointSet, _scaled, dot
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -120,7 +122,7 @@ def _check_constant_edge_weights(
             for y in assignment[b]:
                 got = dot(x, y)
                 if got != w:
-                    raise AssertionError(
+                    raise ValueError(
                         f"edge ({a},{b}) weight drifted: {got} != {w}"
                     )
 
@@ -331,8 +333,6 @@ def _calibrated_window(spec: LatticeSpec, a_nums: list[int], b_nums: list[int]) 
     prefix = [0]
     for v in window_values:
         prefix.append(prefix[-1] + value_counts[v])
-    import bisect
-
     for lo in range(lo_all, max(lo_all, hi_all - width + 1) + 1):
         left = bisect.bisect_left(window_values, lo)
         right = bisect.bisect_right(window_values, lo + width - 1)
@@ -347,9 +347,9 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
 
     Every f = (-c_1/b, ..., -c_(d-1)/b, 1/b) is paired with the hyperplane of
     points x whose last coordinate is c . x' + b; the identity f . x = 1 is
-    verified exactly for one synthesized point per (f, x') choice at build
-    time.  Returned hyperplanes are expressed as the unit-value level sets
-    of the F points, which are the same point sets.
+    verified on scaled integers for one synthesized point per (f, x') choice
+    at build time.  Returned hyperplanes are expressed as the unit-value level
+    sets of the F points, which are the same point sets.
     """
     d, q = spec.dim, spec.q
     denom_a = d * q
@@ -369,32 +369,37 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
 
     a_vals = [Fraction(i, denom_a) for i in a_nums]
     e_last_vals = [Fraction(j, denom_b) for j in range(e_last_lo, e_last_hi + 1)]
-    b_vals_f = [Fraction(j, denom_b) for j in b_nums_f]
 
     e_pts = tuple(
         prefix + (last,)
         for prefix in itertools.product(a_vals, repeat=d - 1)
         for last in e_last_vals
     )
-    f_pts = []
-    params = []
-    for c in itertools.product(a_vals, repeat=d - 1):
-        for b in b_vals_f:
-            f = tuple(-cj / b for cj in c) + (1 / b,)
-            f_pts.append(f)
-            params.append((c, b))
+    # With c = gamma/(dq), b = beta/D and D = d^2 q^2, c_j/b is
+    # gamma_j D/(dq beta) and 1/b is D/beta.
+    prefixes = list(itertools.product(a_nums, repeat=d - 1))
+    params = list(itertools.product(prefixes, b_nums_f))
+    f_pts = tuple(
+        tuple(Fraction(-g * denom_b, denom_a * beta) for g in gamma)
+        + (Fraction(denom_b, beta),)
+        for gamma, beta in params
+    )
 
-    # The displayed identity: any x on h_f has f . x = 1, exactly.
-    one = Fraction(1)
-    for f, (c, b) in zip(f_pts, params):
-        for x_prefix in itertools.product(a_vals, repeat=d - 1):
-            x = x_prefix + (sum(ci * xi for ci, xi in zip(c, x_prefix)) + b,)
-            if dot(f, x) != one:
+    # The displayed identity: any x on h_f has f . x = 1, exactly.  Here
+    # x = X/D for the integers X = (xi dq, gamma . xi + beta); F scaled by
+    # L_F gives f . x = 1 exactly when F . X = L_F D.
+    f_ints, f_scale = _scaled(f_pts)
+    heads = [tuple(v * denom_a for v in xi) for xi in prefixes]
+    for f, f_int, (gamma, beta) in zip(f_pts, f_ints, params):
+        for xi, head in zip(prefixes, heads):
+            x = head + (sum(map(mul, gamma, xi)) + beta,)
+            if sum(map(mul, f_int, x)) != f_scale * denom_b:
+                x = tuple(Fraction(v, denom_b) for v in x)
                 raise ValueError(f"unit identity failed for f={f}, x={x}")
 
     e_set = PointSet(d, e_pts)
-    f_set = PointSet(d, tuple(f_pts))
-    hyperplanes = tuple(AlphaHyperplane(f, one) for f in f_set.points)
+    f_set = PointSet(d, f_pts)
+    hyperplanes = tuple(AlphaHyperplane(f, Fraction(1)) for f in f_pts)
     metadata = {
         "construction": "unit-lattice",
         "dim": d,

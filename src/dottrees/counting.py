@@ -26,6 +26,8 @@ from .geometry import (
     Direction,
     Point,
     PointSet,
+    _IntPoint,
+    _scaled,
     dot,
     is_origin,
     radial_direction,
@@ -54,10 +56,6 @@ __all__ = [
     "count_segment_crossings",
 ]
 
-# A point scaled to integer coordinates by ``_scaled``.
-_IntPoint = tuple[int, ...]
-
-
 def _dot_table(
     left: PointSet, right: PointSet | None = None
 ) -> tuple[list[list[int]], list[Fraction]]:
@@ -83,13 +81,6 @@ def _dot_table(
     ]
     scale = left_scale * right_scale
     return rows, [Fraction(v, scale) for v in ids]
-
-
-def _scaled(points: Sequence[Point]) -> tuple[list[_IntPoint], int]:
-    """The points times the lcm of their coordinate denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
-    return ints, scale
 
 
 def _value_id(values: list[Fraction], value) -> int:

@@ -2,10 +2,11 @@
 
 Every coordinate, dot product, and hyperplane membership test in this package
 is exact: coordinates are arbitrary-precision rationals (`fractions.Fraction`),
-and the counters' all-pairs table multiplies Python ints after scaling each
-set by the lcm of its denominators, so each product converts back to its exact
-`Fraction`.  Counts downstream hash and compare these values for equality, so
-floating point never enters a geometric computation.
+and the counters' all-pairs table and the lattice identity checks multiply
+Python ints after scaling each set by the lcm of its denominators (`_scaled`),
+so each product converts back to its exact `Fraction`.  Counts downstream
+hash and compare these values for equality, so floating point never enters a
+geometric computation.
 """
 
 from __future__ import annotations
@@ -101,6 +102,17 @@ def dot(p: Point, q: Point) -> Fraction:
     if len(p) != len(q):
         raise ValueError(f"dimension mismatch: {len(p)} != {len(q)}")
     return sum((a * b for a, b in zip(p, q)), Fraction(0))
+
+
+# A point scaled to integer coordinates by ``_scaled``.
+_IntPoint = tuple[int, ...]
+
+
+def _scaled(points: Sequence[Point]) -> tuple[list[_IntPoint], int]:
+    """The points times the lcm of their coordinate denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    return ints, scale
 
 
 @dataclass(frozen=True)

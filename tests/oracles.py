@@ -208,3 +208,28 @@ def reference_weight_tuples(
             assigned[root] = x
             rec(1)
     return tuples
+
+
+def reference_unit_identity(result) -> tuple[int, int]:
+    """(checks, failures) of a lattice's unit identity, in Fractions.
+
+    Each dual point's (c, b) comes from the recorded numerator ranges, in the
+    builder's order (prefixes, then b); every x = (x', c . x' + b) must have
+    f . x = 1 and lie on f's hyperplane.
+    """
+    meta = result.metadata
+    a_lo, a_hi = meta["a_numerators"]
+    b_lo, b_hi = meta["f_b_numerators"]
+    a_vals = [Fraction(i, meta["a_denominator"]) for i in range(a_lo, a_hi + 1)]
+    b_vals = [Fraction(j, meta["b_denominator"]) for j in range(b_lo, b_hi + 1)]
+    prefixes = list(product(a_vals, repeat=meta["dim"] - 1))
+    checks = failures = 0
+    for f, plane, (c, b) in zip(
+        result.f_points.points, result.hyperplanes, product(prefixes, b_vals)
+    ):
+        for x_prefix in prefixes:
+            x = x_prefix + (sum(ci * xi for ci, xi in zip(c, x_prefix)) + b,)
+            checks += 1
+            if dot(f, x) != 1 or dot(plane.normal, x) != plane.value:
+                failures += 1
+    return checks, failures

@@ -8,12 +8,17 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from dottrees import dot, pinned_set, point_set, random_point_set
-from dottrees.acceptance import _recount_edges, run_criteria
+from dottrees import AlphaHyperplane, PointSet, dot, pinned_set, point_set, random_point_set
+from dottrees import acceptance
+from dottrees.acceptance import _recount_edges, _unit_identity_failures, run_criteria
 from dottrees.cli import cli_main
+from dottrees.constructions import LatticeSpec, build_unit_lattice
+from oracles import reference_unit_identity
 
 _RESULTS = {}
 
@@ -40,6 +45,54 @@ def test_criterion_02_perp_lines_oracle():
 def test_criterion_03_lattice_unit_identity():
     result = _run(3)
     assert result.passed, result.details
+
+
+def _perturbed(result, part):
+    """The lattice with its first dual point, hyperplane normal or value moved.
+
+    ``"point"`` moves the F point and rebuilds its hyperplane from it, as the
+    builder does, so the two still agree with each other.
+    """
+    f = result.f_points.points[0]
+    moved = f[:-1] + (f[-1] + Fraction(1, 10**6),)
+    plane = result.hyperplanes[0]
+    f_points = result.f_points
+    if part == "point":
+        f_points = PointSet(f_points.dim, (moved,) + f_points.points[1:])
+        plane = AlphaHyperplane(moved, plane.value)
+    elif part == "normal":
+        plane = AlphaHyperplane(moved, plane.value)
+    else:
+        plane = AlphaHyperplane(plane.normal, plane.value + 1)
+    return replace(result, f_points=f_points, hyperplanes=(plane,) + result.hyperplanes[1:])
+
+
+@pytest.mark.parametrize("part", ["point", "normal", "value"])
+def test_criterion_03_fails_on_a_perturbed_lattice(monkeypatch, part):
+    # One x per prefix fails in each of the six lattices: q for d=2, q^2 for d=3.
+    build = acceptance.build_unit_lattice
+    monkeypatch.setattr(acceptance, "build_unit_lattice", lambda spec: _perturbed(build(spec), part))
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert result.details == "5242 exact identity checks, 38 failures"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["paper", "calibrated", "override"])
+@pytest.mark.parametrize("part", [None, "point", "value"])
+def test_unit_identity_integer_check_matches_fraction_reference(d, q, mode, part):
+    if mode == "override":
+        spec = LatticeSpec(d, q, a_numerators=(1, q))
+    else:
+        spec = LatticeSpec(d, q, mode=mode)
+    result = build_unit_lattice(spec)
+    if part is not None:
+        result = _perturbed(result, part)
+    checks, failures = _unit_identity_failures(result)
+    assert (checks, failures) == reference_unit_identity(result)
+    assert checks == len(result.f_points) * q ** (d - 1)
+    assert failures == (0 if part is None else q ** (d - 1))
 
 
 def test_criterion_04_lattice_unit_richness():

@@ -1,9 +1,8 @@
-import itertools
 from fractions import Fraction as Q
 
 import pytest
 
-from dottrees import constructions
+from dottrees import constructions, geometry
 from dottrees import (
     LatticeSpec,
     build_column_construction,
@@ -18,7 +17,7 @@ from dottrees import (
 )
 from dottrees.experiments import unit_pair_count
 from dottrees.trees import Tree, bipartition
-from oracles import naive_count_embeddings
+from oracles import naive_count_embeddings, reference_unit_identity
 
 pt = point
 
@@ -223,11 +222,30 @@ class TestPerpLines:
         )
 
 
+@pytest.mark.parametrize(
+    "build", [build_column_construction, build_perp_lines_3d], ids=["columns", "perp-lines"]
+)
+def test_edge_weight_drift_is_value_error(monkeypatch, build):
+    monkeypatch.setattr(constructions, "dot", lambda p, q: Q(-1))
+    with pytest.raises(ValueError, match="weight drifted"):
+        build(make_path(2), 12)
+
+
 class TestUnitLattice:
     def test_identity_violation_is_value_error(self, monkeypatch):
-        monkeypatch.setattr(constructions, "dot", lambda p, q: Q(2))
-        with pytest.raises(ValueError, match="unit identity failed"):
-            build_unit_lattice(LatticeSpec(2, 2))
+        # The build check scales the F points once; move the first or last
+        # of them by 1/10^6 in its last coordinate on the way in.
+        for spec in (LatticeSpec(2, 2), LatticeSpec(3, 3, mode="paper")):
+            for which in (0, -1):
+                def scaled_with_moved_point(points, which=which):
+                    points = list(points)
+                    f = points[which]
+                    points[which] = f[:-1] + (f[-1] + Q(1, 10**6),)
+                    return geometry._scaled(points)
+
+                monkeypatch.setattr(constructions, "_scaled", scaled_with_moved_point)
+                with pytest.raises(ValueError, match="unit identity failed"):
+                    build_unit_lattice(spec)
 
     def test_paper_mode_d2_q2_sets(self):
         result = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))
@@ -248,16 +266,10 @@ class TestUnitLattice:
 
     @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2)])
     def test_unit_identity_on_synthesized_points(self, d, q):
+        # (c, b) come from the recorded ranges, not from f, so a dual point
+        # off its hyperplane would fail here.
         result = build_unit_lattice(LatticeSpec(d, q, mode="paper"))
-        a_lo, a_hi = result.metadata["a_numerators"]
-        denom = result.metadata["a_denominator"]
-        a_vals = [Q(i, denom) for i in range(a_lo, a_hi + 1)]
-        for f in result.f_points.points:
-            b = 1 / f[-1]
-            c = tuple(-fj * b for fj in f[:-1])
-            for x_prefix in itertools.product(a_vals, repeat=d - 1):
-                x = x_prefix + (sum(ci * xi for ci, xi in zip(c, x_prefix)) + b,)
-                assert dot(f, x) == 1
+        assert reference_unit_identity(result) == (q ** (2 * d), 0)
 
     def test_hyperplane_membership_matches_unit_product(self):
         result = build_unit_lattice(LatticeSpec(2, 3, mode="calibrated"))
