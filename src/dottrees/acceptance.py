@@ -32,6 +32,7 @@ from .constructions import (
     build_unit_lattice,
 )
 from .counting import (
+    DotProductIndex,
     _pinned_sizes,
     count_embeddings,
     distinct_dot_products,
@@ -200,7 +201,7 @@ def criterion_6() -> CriterionResult:
     for n, grid in _grid_sets():
         good = sum(
             meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4))
-            for size in _pinned_sizes(grid)
+            for size in _pinned_sizes(DotProductIndex(grid))
         )
         ok = good >= math.ceil(n / 2)
         all_ok = all_ok and ok

@@ -12,14 +12,13 @@ admitted with ``include_zero=True``.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import (
     AlphaHyperplane,
@@ -56,51 +55,17 @@ __all__ = [
     "count_segment_crossings",
 ]
 
-def _dot_table(
-    left: PointSet, right: PointSet | None = None
-) -> tuple[list[list[int]], list[Fraction]]:
-    """All dot products between two point sets, as value ids.
-
-    ``rows[i][j]`` is the id of ``left[i] . right[j]`` and ``values[id]`` is
-    that dot product; ids number the values in row-major order of first
-    appearance.  Each set is scaled once by the lcm of its coordinate
-    denominators, so the products are Python ints that all share the scale
-    ``L_left * L_right``: equal products get equal ids, and dividing by the
-    scale gives the exact rational.  Every all-pairs counter reads this table.
-    """
-    if right is None:
-        right = left
-    if right.dim != left.dim:
-        raise ValueError(f"dimension mismatch: {left.dim} != {right.dim}")
-    left_ints, left_scale = _scaled(left.points)
-    right_ints, right_scale = _scaled(right.points)
-    ids: dict[int, int] = {}
-    rows = [
-        [ids.setdefault(sum(map(mul, p, q)), len(ids)) for q in right_ints]
-        for p in left_ints
-    ]
-    scale = left_scale * right_scale
-    return rows, [Fraction(v, scale) for v in ids]
-
-
-def _value_id(values: list[Fraction], value) -> int:
-    """The id of ``value`` in a ``_dot_table``, or -1 when no pair has it."""
-    try:
-        return values.index(value)
-    except ValueError:
-        return -1
-
-
 class DotProductIndex:
-    """All dot products between two point sets, grouped for fast lookup.
+    """All dot products between two point sets, as one table of value ids.
 
-    Built once, queried by every counter.  ``partners(p, a)`` lists the points
-    q of the right-hand set with p.q = a, including q = p itself when both
-    sides share the point (a point lies on its own alpha-line when p.p = a).
-    ``pairs(a)`` lists ordered pairs of *distinct* points, so for a single set
-    the list sizes over all values sum to |E|^2 - |E| (minus zero products
-    unless they were indexed).  ``table`` is the ``_dot_table`` it was built
-    from, which ``count_embeddings`` reads when handed the index.
+    Each set is scaled once by the lcm of its coordinate denominators, so
+    every product is a Python int at the scale ``L_left * L_right``.
+    ``rows[i][j]`` is the id of ``left[i] . right[j]``, ids numbering the
+    products in row-major order of first appearance; ``ids`` maps each
+    scaled product to its id.  A weight resolves to an id by scaling
+    (``id_of``), and a ``Fraction`` is built only for output (``value``).
+    ``skip`` is the id of zero, which the counters leave out, or -1 under
+    ``include_zero``.  Every all-pairs counter reads this table.
     """
 
     def __init__(
@@ -112,35 +77,51 @@ class DotProductIndex:
     ):
         self.left = left
         self.right = right if right is not None else left
-        self.table = rows, values = _dot_table(self.left, self.right)
-        skip = -1 if include_zero else _value_id(values, 0)
-        self._partners: dict[Point, dict[Fraction, list[Point]]] = {}
-        pairs: dict[int, list[tuple[Point, Point]]] = {}
-        for p, row in zip(self.left.points, rows):
-            by_id: dict[int, list[Point]] = {}
-            for q, vid in zip(self.right.points, row):
-                if vid == skip:
-                    continue
-                by_id.setdefault(vid, []).append(q)
-                if p != q:
-                    pairs.setdefault(vid, []).append((p, q))
-            self._partners[p] = {values[vid]: qs for vid, qs in by_id.items()}
-        self._pairs = {values[vid]: ps for vid, ps in pairs.items()}
+        if self.right.dim != left.dim:
+            raise ValueError(f"dimension mismatch: {left.dim} != {self.right.dim}")
+        left_ints, left_scale = _scaled(left.points)
+        right_ints, right_scale = _scaled(self.right.points)
+        self.ids: dict[int, int] = {}
+        self.rows = [
+            [self.ids.setdefault(sum(map(mul, p, q)), len(self.ids)) for q in right_ints]
+            for p in left_ints
+        ]
+        self.scale = left_scale * right_scale
+        self.skip = -1 if include_zero else self.ids.get(0, -1)
+        self._products: list[int] = []
 
-    def values(self) -> Iterable[Fraction]:
-        return self._pairs.keys()
+    def id_of(self, value: Fraction | int) -> int:
+        """The id of the product ``value``, or -1 when no pair has it."""
+        scaled = Fraction(value) * self.scale
+        return self.ids.get(scaled.numerator, -1) if scaled.denominator == 1 else -1
 
-    def pairs(self, value: Fraction) -> Sequence[tuple[Point, Point]]:
-        return self._pairs.get(Fraction(value), ())
+    def value(self, a: int) -> Fraction:
+        """The dot product with id ``a``."""
+        if len(self._products) < len(self.ids):
+            self._products = list(self.ids)
+        return Fraction(self._products[a], self.scale)
 
-    def partners(self, p: Point, value: Fraction) -> Sequence[Point]:
-        return self._partners[p].get(Fraction(value), ())
+    def pair_counts(self) -> Counter[int]:
+        """Ordered pairs of distinct points per value id, ``skip`` left out."""
+        counts: Counter[int] = Counter()
+        for row in self.rows:
+            counts.update(row)
+        # Drop the pair of each point with itself: once per point the two sets
+        # share, so once per point for a single set.
+        position = {q: j for j, q in enumerate(self.right.points)}
+        for p, row in zip(self.left.points, self.rows):
+            j = position.get(p)
+            if j is not None:
+                counts[row[j]] -= 1
+        counts.pop(self.skip, None)
+        return +counts
 
-    def partner_map(self, p: Point) -> dict[Fraction, list[Point]]:
-        return self._partners[p]
+    def values(self) -> list[Fraction]:
+        """The distinct products over ordered pairs of distinct points."""
+        return [self.value(a) for a in self.pair_counts()]
 
     def pair_total(self) -> int:
-        return sum(len(v) for v in self._pairs.values())
+        return sum(self.pair_counts().values())
 
 
 def pinned_set(p: Point, points: PointSet, include_zero: bool = False) -> frozenset[Fraction]:
@@ -170,24 +151,8 @@ def distinct_dot_products(
     pairs producing any single value.  With ``second`` given, pairs run over
     ``points x second`` instead of within one set.
     """
-    right = second if second is not None else points
-    rows, values = _dot_table(points, right)
-    counts: Counter[int] = Counter()
-    for row in rows:
-        counts.update(row)
-    # Drop the pair of each point with itself: once per point the two sets
-    # share, so once per point for a single set.
-    position = {q: j for j, q in enumerate(right.points)}
-    for p, row in zip(points.points, rows):
-        j = position.get(p)
-        if j is not None:
-            counts[row[j]] -= 1
-    if not include_zero:
-        counts.pop(_value_id(values, 0), None)
-    counts = +counts
-    if not counts:
-        return DotProductSummary(0, 0)
-    return DotProductSummary(len(counts), max(counts.values()))
+    counts = DotProductIndex(points, second, include_zero=include_zero).pair_counts()
+    return DotProductSummary(len(counts), max(counts.values(), default=0))
 
 
 def _zero_weight_guard(weights: Sequence[Fraction], include_zero: bool) -> None:
@@ -264,14 +229,22 @@ def count_embeddings(
     """
     weights = wt.require_weights()
     _zero_weight_guard(weights, include_zero)
-    rows, values = index.table if index is not None else _dot_table(points)
-    ids = {value: i for i, value in enumerate(values)}
+    if index is None:
+        index = DotProductIndex(points)
+    rows = index.rows
     parents, edges, group, _ = _search_order(wt.tree, None)
-    wanted = [ids.get(weights[j], -1) for j in edges[1:]]
-    group_ids = Counter(ids.get(weights[j], -1) for j in group).items()
-    partners = functools.cache(lambda i, a: [j for j, b in enumerate(rows[i]) if b == a])
+    wanted = [index.id_of(weights[j]) for j in edges[1:]]
+    group_ids = Counter(index.id_of(weights[j]) for j in group).items()
+    partners: dict[tuple[int, int], list[int]] = {}
+
+    def candidates(p: int, i: int) -> list[int]:
+        key = i, wanted[p - 1]
+        if key not in partners:
+            partners[key] = [j for j, b in enumerate(rows[i]) if b == key[1]]
+        return partners[key]
+
     total = 0
-    for placed in _placements(parents, range(len(rows)), lambda p, i: partners(i, wanted[p - 1])):
+    for placed in _placements(parents, range(len(rows)), candidates):
         row = rows[placed[0]]
         total += math.prod(
             math.perm(row.count(a) - sum(row[y] == a for y in placed), m) for a, m in group_ids
@@ -284,43 +257,51 @@ def count_homomorphisms(
     points: PointSet,
     *,
     include_zero: bool = False,
-    index: DotProductIndex | None = None,
 ) -> int:
     """Number of not-necessarily-injective maps satisfying all edge weights.
 
-    Dynamic program over the tree rooted at vertex 1: each vertex's table
-    counts partial maps of its subtree, children combining multiplicatively.
-    Always at least ``count_embeddings`` on the same input.
+    Dynamic program over the tree rooted at vertex 1: each vertex's list
+    counts, per point index, the partial maps of its subtree with the vertex
+    there, children combining multiplicatively.  Always at least
+    ``count_embeddings`` on the same input.
     """
     weights = wt.require_weights()
     tree = wt.tree
     _zero_weight_guard(weights, include_zero)
     if not tree.edges:
         return len(points)
-    if index is None:
-        index = DotProductIndex(points, include_zero=include_zero)
+    index = DotProductIndex(points)
+    ids = [index.id_of(w) for w in weights]
+    wanted = set(ids)
+    # Each row's partner indices, grouped by the value ids the tree asks for.
+    partners: list[dict[int, list[int]]] = [{} for _ in index.rows]
+    for groups, row in zip(partners, index.rows):
+        for j, a in enumerate(row):
+            if a in wanted:
+                groups.setdefault(a, []).append(j)
     parent = tree.bfs_parents(1)
     adj = tree.adjacency()
     edge_idx = tree.edge_index()
-    table: dict[int, dict[Point, int]] = {}
+    table: dict[int, list[int]] = {}
     for v in reversed(parent):
-        children = [u for u in adj[v] if parent[u] == v]
-        row: dict[Point, int] = {}
-        for x in points.points:
+        children = [
+            (table.pop(c), ids[edge_idx[(min(v, c), max(v, c))]]) for c in adj[v] if parent[c] == v
+        ]
+        counts = []
+        for groups in partners:
             total = 1
-            for c in children:
-                w = weights[edge_idx[(min(v, c), max(v, c))]]
-                total *= sum(table[c][y] for y in index.partners(x, w))
+            for below, a in children:
+                total *= sum(below[y] for y in groups.get(a, ()))
                 if total == 0:
                     break
-            row[x] = total
-        table[v] = row
-    return sum(table[1].values())
+            counts.append(total)
+        table[v] = counts
+    return sum(table[1])
 
 
 def _weight_tuple_masks(
     tree: Tree, points: PointSet, include_zero: bool, pinned: tuple[int, int] | None
-) -> tuple[dict[tuple[int, ...], int], list[int], int, list[Fraction]]:
+) -> tuple[dict[tuple[int, ...], int], list[int], int, DotProductIndex]:
     """Distinct edge-weight tuples over injective maps, as value-id bitmasks.
 
     The vertices outside the leaf group (``_search_order``) are placed on
@@ -329,12 +310,12 @@ def _weight_tuple_masks(
     points of x's row still hold, and the last leaf a bitmask of the ids
     left.  Zero components are dropped unless ``include_zero``.  Returns the
     masks keyed by the other components, the edge index of each key
-    position and of the last leaf, and each id's value.
+    position and of the last leaf, and the table the ids index.
     """
     if tree.num_edges == 0:
         raise ValueError("weight tuples need at least one edge")
-    rows, values = _dot_table(points)
-    skip = -1 if include_zero else _value_id(values, 0)
+    index = DotProductIndex(points, include_zero=include_zero)
+    rows, skip = index.rows, index.skip
     parents, edges, group, at_u = _search_order(tree, pinned and pinned[0])
     masks: dict[tuple[int, ...], int] = {}
     x = -1
@@ -368,7 +349,7 @@ def _weight_tuple_masks(
                     left &= ~(1 << a)
             else:
                 masks[prefix + head] = masks.get(prefix + head, 0) | left
-    return masks, edges[1:] + group[:-1], group[-1], values
+    return masks, edges[1:] + group[:-1], group[-1], index
 
 
 def distinct_weight_tuples(
@@ -386,10 +367,11 @@ def distinct_weight_tuples(
     one vertex are counted by value class, not placed, so the search visits
     at most n^(k+1-m) placements of the other vertices.
     """
-    masks, layout, last, values = _weight_tuple_masks(tree, points, include_zero, None)
+    masks, layout, last, index = _weight_tuple_masks(tree, points, include_zero, None)
     count = sum(mask.bit_count() for mask in masks.values())
     if not collect:
         return count
+    values = [index.value(a) for a in range(len(index.ids))]
     tuples = set()
     for key, mask in masks.items():
         comps = dict(zip(layout, key))
@@ -546,13 +528,16 @@ def proof_graph_edges(
     _require_planar(points, right)
     if index is None:
         index = DotProductIndex(points, right, include_zero=include_zero)
+    # Lexicographic order is monotone along any line, so walking the second
+    # set in that order lists each line's points in order along it.
+    order = sorted(range(len(right)), key=right.points.__getitem__)
     edges: Counter[tuple[Point, Point]] = Counter()
-    for p in points.points:
-        for members in index.partner_map(p).values():
-            if len(members) < 2:
-                continue
-            # Lexicographic order is monotone along any line.
-            line_pts = sorted(members)
+    for row in index.rows:
+        lines: dict[int, list[Point]] = {}
+        for j in order:
+            if row[j] != index.skip:
+                lines.setdefault(row[j], []).append(right.points[j])
+        for line_pts in lines.values():
             for r, s in zip(line_pts, line_pts[1:]):
                 edges[(r, s)] += 1
     return dict(edges)
@@ -593,7 +578,7 @@ def proof_multigraph(
     _require_planar(points, right)
     index = DotProductIndex(points, right, include_zero=include_zero)
     edge_counts = proof_graph_edges(points, right, index=index)
-    t = max((len(index.partner_map(p)) for p in points.points), default=0)
+    t = max(_pinned_sizes(index), default=0)
     vertices = len(set(points.points) | set(right.points))
     e = sum(edge_counts.values())
     m = max(edge_counts.values(), default=0)
@@ -602,11 +587,9 @@ def proof_multigraph(
     return ProofGraphStats(vertices, e, m, t, crossings, bound_ok)
 
 
-def _pinned_sizes(points: PointSet, include_zero: bool = False) -> list[int]:
-    """``len(pinned_set(p, points))`` for every point p, read from one table."""
-    rows, values = _dot_table(points)
-    skip = -1 if include_zero else _value_id(values, 0)
-    return [len(set(row) - {skip}) for row in rows]
+def _pinned_sizes(index: DotProductIndex) -> list[int]:
+    """``len(pinned_set(p, index.right))`` for every point p of ``index.left``."""
+    return [len(set(row) - {index.skip}) for row in index.rows]
 
 
 def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, int]:
@@ -617,7 +600,8 @@ def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, 
     if len(points) < 2:
         raise ValueError("need at least two points")
     best: tuple[Point, int] | None = None
-    for p, size in zip(points.points, _pinned_sizes(points, include_zero)):
+    sizes = _pinned_sizes(DotProductIndex(points, include_zero=include_zero))
+    for p, size in zip(points.points, sizes):
         if is_origin(p):
             continue
         if best is None or size > best[1]:

@@ -12,7 +12,7 @@ from .constructions import (
     build_perp_lines_3d,
     build_unit_lattice,
 )
-from .counting import _dot_table, _value_id, count_embeddings
+from .counting import DotProductIndex, count_embeddings
 from .geometry import PointSet
 from .trees import Tree
 
@@ -26,9 +26,9 @@ __all__ = [
 
 def unit_pair_count(e_points: PointSet, f_points: PointSet) -> int:
     """Ordered pairs (e, f) with e.f exactly 1, over all pairs."""
-    rows, values = _dot_table(e_points, f_points)
-    one = _value_id(values, 1)
-    return sum(row.count(one) for row in rows)
+    index = DotProductIndex(e_points, f_points)
+    one = index.id_of(1)
+    return sum(row.count(one) for row in index.rows)
 
 
 def columns_report(

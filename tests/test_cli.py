@@ -537,6 +537,20 @@ def test_engine_value_errors_exit_2(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("module", ["dottrees", "dottrees.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--criteria", "9"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "1/1 criteria passed" in proc.stdout
+
+
 # Fixed inputs for the pinned-output test, written under the test's working
 # directory.  cols.pts is the columns construction of builtin:path:2 at n=9;
 # lat.pts and lat_F.pts are the q=2 unit lattice pair.

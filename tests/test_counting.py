@@ -71,12 +71,6 @@ class TestDotProductIndex:
         with pytest.raises(ValueError):
             DotProductIndex(point_set([(1, 2)]), point_set([(1, 2, 3)]))
 
-    def test_int_value_coercion(self):
-        ps = point_set([(1, 0), (2, 0)])
-        idx = DotProductIndex(ps)
-        assert idx.pairs(2) == idx.pairs(Q(2))
-        assert idx.partners(pt(1, 0), 2) == idx.partners(pt(1, 0), Q(2))
-
     def test_pair_total_minus_zeros(self):
         ps = point_set([(1, 0), (0, 1), (1, 1)])
         idx = DotProductIndex(ps)
@@ -87,11 +81,6 @@ class TestDotProductIndex:
             if p != q and p[0] * q[0] + p[1] * q[1] == 0
         )
         assert idx.pair_total() == len(ps) ** 2 - len(ps) - zero_pairs
-
-    def test_partners_include_self_match(self):
-        ps = point_set([(1, 0), (2, 0)])
-        idx = DotProductIndex(ps)
-        assert pt(1, 0) in idx.partners(pt(1, 0), 1)
 
     def test_multiplicity_sum_invariant(self):
         for seed in range(5):
@@ -240,7 +229,6 @@ class TestCountEmbeddings:
         wt, ps = result.weighted_tree, result.points
         idx = DotProductIndex(ps)
         assert count_embeddings(wt, ps, index=idx) == count_embeddings(wt, ps)
-        assert count_homomorphisms(wt, ps, index=idx) == count_homomorphisms(wt, ps)
 
     def test_one_vertex_tree_counts_points(self):
         from dottrees.trees import Tree
@@ -281,6 +269,15 @@ class TestCountHomomorphisms:
         wt = WeightedTree(make_path(1), (Q(2),))
         ps = point_set([(1, 0), (2, 0)])
         assert count_homomorphisms(wt, ps) == count_embeddings(wt, ps) == 2
+
+    def test_zero_weight_agrees_with_embeddings(self):
+        # A single edge of weight 0: (1,0)-(0,1) in both directions.
+        wt = WeightedTree(make_path(1), (Q(0),))
+        ps = point_set([(1, 0), (0, 1), (1, 1)])
+        homs = count_homomorphisms(wt, ps, include_zero=True)
+        assert homs == count_embeddings(wt, ps, include_zero=True) == 2
+        # An index built without zero still holds zero's id in its rows.
+        assert count_embeddings(wt, ps, include_zero=True, index=DotProductIndex(ps)) == 2
 
     def test_column_construction_dominates(self):
         result = build_column_construction(make_path(2), 9)

@@ -1,7 +1,7 @@
 """The all-pairs dot-product table behind every counter.
 
-Each all-pairs counter reads one integer table built by
-``counting._dot_table``.  The differential tests compare the counters with
+Each all-pairs counter reads one integer table, a ``DotProductIndex``.
+The differential tests compare the table and the counters with
 references built on ``geometry.dot`` over random rational sets with mixed
 denominators and negative coordinates; the call-count tests check that each
 counter builds the table exactly once.
@@ -32,7 +32,7 @@ from dottrees import (
     proof_multigraph,
     random_point_set,
 )
-from dottrees import acceptance, counting, experiments
+from dottrees import acceptance, counting
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
 from dottrees.experiments import unit_pair_count
 
@@ -121,11 +121,18 @@ def reference_max_pinned(points, include_zero):
 
 def assert_index_matches(left, right, include_zero):
     index = DotProductIndex(left, right, include_zero=include_zero)
-    partners, pairs = reference_index(left, left if right is None else right, include_zero)
-    for p in left.points:
-        assert list(index.partner_map(p).items()) == list(partners[p].items())
-    assert list(index.values()) == list(pairs)
-    assert [list(index.pairs(v)) for v in pairs] == list(pairs.values())
+    right = left if right is None else right
+    partners, pairs = reference_index(left, right, include_zero)
+    for p, row in zip(left.points, index.rows):
+        grouped = {}
+        for q, a in zip(right.points, row):
+            if a != index.skip:
+                grouped.setdefault(index.value(a), []).append(q)
+        assert list(grouped.items()) == list(partners[p].items())
+    counts = {index.value(a): n for a, n in index.pair_counts().items()}
+    assert counts == {value: len(found) for value, found in pairs.items()}
+    assert sorted(index.values()) == sorted(pairs)
+    assert index.pair_total() == sum(counts.values())
 
 
 @given(single_sets(), st.booleans())
@@ -165,18 +172,43 @@ def test_mismatched_dimensions_raise():
         unit_pair_count(spatial, planar)
 
 
+@given(st.one_of(single_sets().map(lambda s: (s, None)), set_pairs()))
+@settings(max_examples=60, deadline=None)
+def test_value_ids_round_trip(sets):
+    left, right = sets
+    index = DotProductIndex(left, right)
+    right = left if right is None else right
+    for p, row in zip(left.points, index.rows):
+        for q, a in zip(right.points, row):
+            value = dot(p, q)
+            assert index.id_of(value) == a
+            assert index.value(a) == value
+            if value.denominator == 1:
+                assert index.id_of(int(value)) == a
+        # A point's own product stays in its row, zero or not.
+        if p in right.points:
+            assert row[right.points.index(p)] == index.id_of(dot(p, p))
+    products = {dot(p, q) for p in left.points for q in right.points}
+    absent = max(products) + 1
+    assert index.id_of(absent) == -1
+    # A value whose scaled form is not an integer matches no product, even
+    # when its numerator is a product's scaled form.
+    for value in products - {0}:
+        scaled = value * index.scale
+        assert index.id_of(value / (abs(scaled) + 1)) == -1
+
+
 @pytest.fixture
 def tables(monkeypatch):
-    """Record every table build, wherever the table is called from."""
+    """Record every table build, wherever the table is built from."""
     built = []
-    original = counting._dot_table
+    original = DotProductIndex.__init__
 
-    def recording(*args):
+    def recording(self, *args, **kwargs):
         built.append(args)
-        return original(*args)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "_dot_table", recording)
-    monkeypatch.setattr(experiments, "_dot_table", recording)
+    monkeypatch.setattr(DotProductIndex, "__init__", recording)
     return built
 
 
@@ -217,7 +249,7 @@ def test_pinned_sizes_match_pinned_set():
     cases = [(grid, False) for _, grid in acceptance._grid_sets()]
     cases += [(mixed, False), (mixed, True)]
     for points, include_zero in cases:
-        sizes = counting._pinned_sizes(points, include_zero)
+        sizes = counting._pinned_sizes(DotProductIndex(points, include_zero=include_zero))
         assert sizes == [len(pinned_set(p, points, include_zero)) for p in points.points]
 
 
