@@ -200,8 +200,9 @@ def criterion_6() -> CriterionResult:
     all_ok = True
     for n, grid in _grid_sets():
         good = sum(
-            meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4))
-            for size in _pinned_sizes(DotProductIndex(grid))
+            pins
+            for size, pins in Counter(_pinned_sizes(DotProductIndex(grid))).items()
+            if meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4))
         )
         ok = good >= math.ceil(n / 2)
         all_ok = all_ok and ok

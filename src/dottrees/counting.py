@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import count, filterfalse, product, repeat
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -27,7 +27,6 @@ from .geometry import (
     PointSet,
     _IntPoint,
     _scaled,
-    dot,
     is_origin,
     radial_direction,
 )
@@ -62,7 +61,10 @@ class DotProductIndex:
     every product is a Python int at the scale ``L_left * L_right``.
     ``rows[i][j]`` is the id of ``left[i] . right[j]``, ids numbering the
     products in row-major order of first appearance; ``ids`` maps each
-    scaled product to its id.  A weight resolves to an id by scaling
+    scaled product to its id.  A row is built in C-level iterators: the
+    right set is transposed into coordinate columns once, the row's
+    products are summed column by column, and the products not yet in
+    ``ids`` take the next ids in order.  A weight resolves to an id by scaling
     (``id_of``), and a ``Fraction`` is built only for output (``value``).
     ``skip`` is the id of zero, which the counters leave out, or -1 under
     ``include_zero``.  Every all-pairs counter reads this table.
@@ -81,11 +83,19 @@ class DotProductIndex:
             raise ValueError(f"dimension mismatch: {left.dim} != {self.right.dim}")
         left_ints, left_scale = _scaled(left.points)
         right_ints, right_scale = _scaled(self.right.points)
+        columns = list(zip(*right_ints)) or [()] * left.dim
         self.ids: dict[int, int] = {}
-        self.rows = [
-            [self.ids.setdefault(sum(map(mul, p, q)), len(self.ids)) for q in right_ints]
-            for p in left_ints
-        ]
+        self.rows: list[list[int]] = []
+        ids = self.ids
+        for p in left_ints:
+            acc = map(mul, repeat(p[0]), columns[0])
+            for c, column in zip(p[1:], columns[1:]):
+                acc = map(add, acc, map(mul, repeat(c), column))
+            products = list(acc)
+            # dict.update inserts each pair before it pulls the next, so a
+            # product repeated within the row is filtered out and gets one id.
+            ids.update(zip(filterfalse(ids.__contains__, products), count(len(ids))))
+            self.rows.append(list(map(ids.__getitem__, products)))
         self.scale = left_scale * right_scale
         self.skip = -1 if include_zero else self.ids.get(0, -1)
         self._products: list[int] = []
@@ -128,10 +138,8 @@ def pinned_set(p: Point, points: PointSet, include_zero: bool = False) -> frozen
     """The set of dot products determined by the pin ``p`` against ``points``."""
     if is_origin(p):
         raise ValueError("the origin cannot be a pin")
-    values = {dot(p, q) for q in points.points}
-    if not include_zero:
-        values.discard(Fraction(0))
-    return frozenset(values)
+    index = DotProductIndex(PointSet(points.dim, (p,)), points, include_zero=include_zero)
+    return frozenset(index.value(a) for a in set(index.rows[0]) - {index.skip})
 
 
 class DotProductSummary(NamedTuple):
@@ -153,6 +161,11 @@ def distinct_dot_products(
     """
     counts = DotProductIndex(points, second, include_zero=include_zero).pair_counts()
     return DotProductSummary(len(counts), max(counts.values(), default=0))
+
+
+def _require_index_of(index: DotProductIndex, left: PointSet, right: PointSet) -> None:
+    if index.left != left or index.right != right:
+        raise ValueError("the prebuilt index is of other point sets")
 
 
 def _zero_weight_guard(weights: Sequence[Fraction], include_zero: bool) -> None:
@@ -222,7 +235,8 @@ def count_embeddings(
     not placed: with u at x, the sets P(x, w) = {y : x . y = w} are disjoint,
     so the m leaves of weight w add a falling factorial of length m from the
     unused points of P(x, w).  The other vertices are placed from u outward
-    over the dot-product table's rows, which a given ``index`` lends.
+    over the dot-product table's rows, which a given ``index`` of ``points``
+    against itself lends; an index of other sets raises ``ValueError``.
 
     The search runs on the calling thread.  ``threads`` is accepted for
     compatibility and has no effect.
@@ -231,6 +245,7 @@ def count_embeddings(
     _zero_weight_guard(weights, include_zero)
     if index is None:
         index = DotProductIndex(points)
+    _require_index_of(index, points, points)
     rows = index.rows
     parents, edges, group, _ = _search_order(wt.tree, None)
     wanted = [index.id_of(weights[j]) for j in edges[1:]]
@@ -522,12 +537,14 @@ def proof_graph_edges(
 
     Returns a map from the segment (endpoint pair, lexicographically ordered)
     to its edge multiplicity.  A prebuilt ``index`` of ``points`` against the
-    second set is used as given, so ``include_zero`` is then ignored.
+    second set is used as given, so ``include_zero`` is then ignored; an
+    index of other sets raises ``ValueError``.
     """
     right = second if second is not None else points
     _require_planar(points, right)
     if index is None:
         index = DotProductIndex(points, right, include_zero=include_zero)
+    _require_index_of(index, points, right)
     # Lexicographic order is monotone along any line, so walking the second
     # set in that order lists each line's points in order along it.
     order = sorted(range(len(right)), key=right.points.__getitem__)
@@ -599,13 +616,18 @@ def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, 
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
-    best: tuple[Point, int] | None = None
-    sizes = _pinned_sizes(DotProductIndex(points, include_zero=include_zero))
-    for p, size in zip(points.points, sizes):
+    i, size = _best_pin(DotProductIndex(points, include_zero=include_zero))
+    return points.points[i], size
+
+
+def _best_pin(index: DotProductIndex) -> tuple[int, int]:
+    """Position in ``index.left`` and pinned-set size of ``max_pinned``'s pin."""
+    best: tuple[int, int] | None = None
+    for i, (p, size) in enumerate(zip(index.left.points, _pinned_sizes(index))):
         if is_origin(p):
             continue
         if best is None or size > best[1]:
-            best = (p, size)
+            best = (i, size)
     assert best is not None
     return best
 
@@ -691,24 +713,20 @@ def hyperplane_descent(points: PointSet, *, include_zero: bool = False) -> Desce
     for _ in range(d - 2):
         if len(current) < 2 or _affine_rank(current) <= 2:
             break
-        subset = PointSet(d, tuple(current))
-        pin, t = max_pinned(subset, include_zero=include_zero)
-        buckets: dict[Fraction, list[Point]] = {}
-        order: dict[Fraction, int] = {}
-        for pos, y in enumerate(current):
-            value = dot(pin, y)
-            if value == 0 and not include_zero:
-                continue
-            buckets.setdefault(value, []).append(y)
-            order.setdefault(value, pos)
-        best_value = min(
-            buckets, key=lambda v: (-len(buckets[v]), order[v])
-        )
-        members = buckets[best_value]
+        index = DotProductIndex(PointSet(d, tuple(current)), include_zero=include_zero)
+        i, t = _best_pin(index)
+        # Buckets by value id, in order of each bucket's first point, so the
+        # first heaviest bucket is the one whose first point comes earliest.
+        buckets: dict[int, list[Point]] = {}
+        for a, y in zip(index.rows[i], current):
+            if a != index.skip:
+                buckets.setdefault(a, []).append(y)
+        best, members = max(buckets.items(), key=lambda item: len(item[1]))
         if len(members) == len(current):
             break
+        pin = current[i]
         levels.append(
-            DescentLevel(pin, t, AlphaHyperplane(pin, best_value), len(members))
+            DescentLevel(pin, t, AlphaHyperplane(pin, index.value(best)), len(members))
         )
         current = members
     if len(current) >= 2:

@@ -736,6 +736,42 @@ class TestHyperplaneDescent:
             )
             assert trace.final_pinned_count == final_best
 
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            integer_grid(3, dim=4, start=2),
+            integer_grid(3, dim=3, start=0),
+            random_point_set(40, dim=4, seed=2, low=-2, high=2),
+            random_point_set(40, dim=5, seed=5, low=-1, high=1),
+        ],
+        ids=["grid4", "grid3-origin", "random4", "random5"],
+    )
+    def test_ties_break_toward_earliest_point(self, points, include_zero):
+        # Replay each level with dot: the pin is the earliest point with the
+        # most distinct values, and the hyperplane the heaviest level set
+        # whose first point comes earliest.
+        trace = hyperplane_descent(points, include_zero=include_zero)
+        current = list(points.points)
+        for level in trace.levels:
+            subset = point_set(current)
+            sizes = [
+                -1 if all(c == 0 for c in p) else len(pinned_set(p, subset, include_zero))
+                for p in current
+            ]
+            pin = current[sizes.index(max(sizes))]
+            buckets = {}
+            for y in current:
+                if include_zero or dot(pin, y) != 0:
+                    buckets.setdefault(dot(pin, y), []).append(y)
+            heaviest = max(map(len, buckets.values()))
+            value = next(v for v, members in buckets.items() if len(members) == heaviest)
+            assert (level.pin, level.distinct_count) == (pin, max(sizes))
+            assert level.hyperplane.value == value
+            assert level.points_remaining == heaviest
+            current = buckets[value]
+        assert trace.final_points == len(current)
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             hyperplane_descent(COLLINEAR)

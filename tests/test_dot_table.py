@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dottrees import (
     DotProductIndex,
     PointSet,
+    WeightedTree,
     count_embeddings,
     count_homomorphisms,
     distinct_dot_products,
@@ -27,8 +28,10 @@ from dottrees import (
     make_path,
     make_star,
     max_pinned,
+    meets_power_bound,
     pinned_set,
     pinned_weight_tuples,
+    proof_graph_edges,
     proof_multigraph,
     random_point_set,
 )
@@ -47,8 +50,8 @@ def _points(dim, min_size=1):
 
 
 @st.composite
-def single_sets(draw):
-    dim = draw(st.sampled_from((2, 3)))
+def single_sets(draw, dims=(2, 3)):
+    dim = draw(st.sampled_from(dims))
     pts = draw(_points(dim, min_size=2))
     origin = (Q(0),) * dim
     if draw(st.booleans()) and origin not in pts:
@@ -57,9 +60,9 @@ def single_sets(draw):
 
 
 @st.composite
-def set_pairs(draw):
+def set_pairs(draw, dims=(2, 3)):
     """Two sets of one dimension, sharing some points and some unit products."""
-    dim = draw(st.sampled_from((2, 3)))
+    dim = draw(st.sampled_from(dims))
     left = draw(_points(dim))
     right = draw(_points(dim))
     for p in draw(st.lists(st.sampled_from(left), max_size=3, unique=True)):
@@ -94,6 +97,22 @@ def reference_index(left, right, include_zero):
                 pairs.setdefault(value, []).append((p, q))
         partners[p] = by_value
     return partners, pairs
+
+
+def reference_numbering(left, right, include_zero):
+    """Ids numbering the ``dot`` products in row-major order of first
+    appearance, the rows of ids, and the id of zero (-1 if absent or kept)."""
+    ids = {}
+    rows = [[ids.setdefault(dot(p, q), len(ids)) for q in right.points] for p in left.points]
+    return ids, rows, -1 if include_zero else ids.get(0, -1)
+
+
+def assert_numbering_matches(left, right, include_zero):
+    index = DotProductIndex(left, right, include_zero=include_zero)
+    ids, rows, skip = reference_numbering(left, left if right is None else right, include_zero)
+    assert [(Q(k, index.scale), a) for k, a in index.ids.items()] == list(ids.items())
+    assert index.rows == rows
+    assert index.skip == skip
 
 
 def reference_distinct(left, right, include_zero):
@@ -159,6 +178,28 @@ def test_two_sets_match_reference(sets, include_zero):
     )
     ones = sum(1 for e in left.points for f in right.points if dot(e, f) == 1)
     assert unit_pair_count(left, right) == ones
+
+
+@given(
+    st.one_of(single_sets(dims=(2, 3, 4)).map(lambda s: (s, None)), set_pairs(dims=(2, 3, 4))),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_numbering_matches_reference(sets, include_zero):
+    assert_numbering_matches(*sets, include_zero)
+
+
+@pytest.mark.parametrize("include_zero", [False, True])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_numbering_of_empty_and_one_point_sets(dim, include_zero):
+    empty = PointSet(dim, ())
+    one = PointSet(dim, ((Q(1, 2),) + (Q(-3),) * (dim - 1),))
+    many = PointSet(dim, tuple((Q(i, 3),) + (Q(i % 2),) * (dim - 1) for i in range(-2, 3)))
+    for left, right in [(empty, None), (empty, many), (many, empty), (one, None),
+                        (one, many), (many, one)]:
+        assert_numbering_matches(left, right, include_zero)
+    assert DotProductIndex(empty, many).rows == []
+    assert DotProductIndex(many, empty).rows == [[]] * len(many)
 
 
 def test_mismatched_dimensions_raise():
@@ -244,6 +285,15 @@ def test_criterion_6_builds_one_table_per_grid(tables):
     assert len(tables) == 4
 
 
+def test_criterion_6_counts_good_pins_per_grid():
+    recount = []
+    for n, grid in acceptance._grid_sets():
+        sizes = counting._pinned_sizes(DotProductIndex(grid))
+        good = sum(meets_power_bound(size, n, Q(2, 3), Q(1, 4)) for size in sizes)
+        recount.append(f"n={n}:{good}")
+    assert acceptance.criterion_6().details == "good pins " + " ".join(recount)
+
+
 def test_pinned_sizes_match_pinned_set():
     mixed = PointSet(2, ((Q(1, 2), Q(-3)), (Q(2, 3), Q(1, 4)), (Q(-1), Q(0)), (Q(0), Q(7, 9))))
     cases = [(grid, False) for _, grid in acceptance._grid_sets()]
@@ -261,3 +311,31 @@ def test_count_embeddings_starts_no_thread(monkeypatch):
     result = build_column_construction(make_star(3), 16)
     counted = count_embeddings(result.weighted_tree, result.points, threads=4)
     assert counted == result.predicted_count
+
+
+# A = {(1,0), (0,1), (1,1)} has no product 2 between distinct points;
+# B = {(2,0), (0,2), (2,2), (1,3)} has two ordered pairs with it.
+_A = PointSet(2, ((Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))))
+_B = PointSet(2, ((Q(2), Q(0)), (Q(0), Q(2)), (Q(2), Q(2)), (Q(1), Q(3))))
+
+
+def test_count_embeddings_rejects_index_of_other_sets():
+    wt = WeightedTree(make_path(1), (Q(2),))
+    assert count_embeddings(wt, _A) == 0
+    assert count_embeddings(wt, _A, index=DotProductIndex(_A)) == 0
+    for index in (DotProductIndex(_B), DotProductIndex(_A, _B), DotProductIndex(_B, _A)):
+        with pytest.raises(ValueError, match="other point sets"):
+            count_embeddings(wt, _A, index=index)
+
+
+def test_proof_graph_edges_rejects_index_of_other_sets():
+    edges = proof_graph_edges(_A, _B)
+    assert proof_graph_edges(_A, _B, index=DotProductIndex(_A, _B)) == edges
+    for args, index in [
+        ((_A,), DotProductIndex(_B)),
+        ((_A,), DotProductIndex(_A, _B)),
+        ((_A, _B), DotProductIndex(_A)),
+        ((_A, _B), DotProductIndex(_B, _A)),
+    ]:
+        with pytest.raises(ValueError, match="other point sets"):
+            proof_graph_edges(*args, index=index)
