@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, filterfalse, product, repeat
-from operator import add, mul
+from itertools import compress, count, filterfalse, islice, product, repeat
+from operator import add, eq, itemgetter, mul, ne
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -25,7 +25,6 @@ from .geometry import (
     Direction,
     Point,
     PointSet,
-    _IntPoint,
     _scaled,
     is_origin,
     radial_direction,
@@ -460,53 +459,48 @@ def radial_histogram(points: PointSet, *, allow_origin: bool = False) -> RadialH
     return RadialHistogram(dict(counts), total)
 
 
-def _orient(o: _IntPoint, a: _IntPoint, b: _IntPoint) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _properly_cross(s1: tuple[_IntPoint, _IntPoint], s2: tuple[_IntPoint, _IntPoint]) -> bool:
-    p1, p2 = s1
-    q1, q2 = s2
-    if p1 in (q1, q2) or p2 in (q1, q2):
-        return False
-    o1 = _orient(p1, p2, q1)
-    o2 = _orient(p1, p2, q2)
-    if (o1 > 0) == (o2 > 0) or o1 == 0 or o2 == 0:
-        return False
-    o3 = _orient(q1, q2, p1)
-    o4 = _orient(q1, q2, p2)
-    if (o3 > 0) == (o4 > 0) or o3 == 0 or o4 == 0:
-        return False
-    return True
-
-
 def count_segment_crossings(segments: Sequence[tuple[Point, Point]]) -> int:
     """Number of unordered pairs of distinct segments that properly cross.
 
     Segments sharing an endpoint, merely touching, or overlapping collinearly
-    do not count.  All endpoints are scaled once by the lcm of their
+    do not count.  Every endpoint must have exactly two coordinates, else
+    ``ValueError``.  All endpoints are scaled once by the lcm of their
     coordinate denominators, so the sweep runs on Python ints: a positive
     scale keeps the order of box coordinates and, orientation being
-    homogeneous of degree 2, the sign of every orientation test.  A
-    bounding-box sweep prunes pairs before those tests.
+    homogeneous of degree 2, the sign of every orientation test.  Each
+    segment a-b, its endpoints in lexicographic order, keeps the line
+    coefficients dx, dy and c = dx*ay - dy*ax, so the orientation of a point
+    q against it is dx*qy - dy*qx - c, two multiplies.  Two segments cross
+    when each strictly separates the other's endpoints: both products of
+    orientations are negative.  A bounding-box sweep in order of the left x
+    prunes pairs before those tests.
     """
-    ends, _ = _scaled([end for segment in segments for end in segment])
-    boxes = []
+    ends = [end for segment in segments for end in segment]
+    if any(len(end) != 2 for end in ends):
+        raise ValueError("segment endpoints must have exactly 2 coordinates")
+    ends, _ = _scaled(ends)
+    records = []
     for a, b in zip(ends[::2], ends[1::2]):
-        xs = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        ys = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        boxes.append((xs[0], xs[1], ys[0], ys[1], (a, b)))
-    boxes.sort(key=lambda entry: entry[0])
+        if b < a:
+            a, b = b, a
+        (ax, ay), (bx, by) = a, b
+        dx, dy = bx - ax, by - ay
+        lo, hi = (ay, by) if ay <= by else (by, ay)
+        records.append((ax, bx, lo, hi, ay, by, dx, dy, dx * ay - dy * ax))
+    records.sort(key=itemgetter(0))
     crossings = 0
-    for i, (_, maxx, miny, maxy, seg) in enumerate(boxes):
-        for j in range(i + 1, len(boxes)):
-            other = boxes[j]
-            if other[0] > maxx:
+    # A shared endpoint, a touch or a collinear overlap puts an endpoint on
+    # the other segment's line, so one orientation is zero and the strict
+    # test fails; no separate shared-endpoint check is needed.
+    for i, (ax, bx, lo, hi, ay, by, dx, dy, c) in enumerate(records, 1):
+        for qx, rx, olo, ohi, qy, ry, odx, ody, oc in islice(records, i, None):
+            if qx > bx:
                 break
-            if other[3] < miny or other[2] > maxy:
+            if ohi < lo or olo > hi:
                 continue
-            if _properly_cross(seg, other[4]):
-                crossings += 1
+            if (dx * qy - dy * qx - c) * (dx * ry - dy * rx - c) < 0:
+                if (odx * ay - ody * ax - oc) * (odx * by - ody * bx - oc) < 0:
+                    crossings += 1
     return crossings
 
 
@@ -545,19 +539,19 @@ def proof_graph_edges(
     if index is None:
         index = DotProductIndex(points, right, include_zero=include_zero)
     _require_index_of(index, points, right)
-    # Lexicographic order is monotone along any line, so walking the second
-    # set in that order lists each line's points in order along it.
-    order = sorted(range(len(right)), key=right.points.__getitem__)
-    edges: Counter[tuple[Point, Point]] = Counter()
+    # Lexicographic order, which scaling keeps, is monotone along any line.
+    # A stable sort of the second set's indices, in that order, by the row's
+    # value ids makes each line's points contiguous and in order along it.
+    order = sorted(range(len(right)), key=_scaled(right.points)[0].__getitem__)
+    skip = index.skip
+    edges: Counter[tuple[int, int]] = Counter()
     for row in index.rows:
-        lines: dict[int, list[Point]] = {}
-        for j in order:
-            if row[j] != index.skip:
-                lines.setdefault(row[j], []).append(right.points[j])
-        for line_pts in lines.values():
-            for r, s in zip(line_pts, line_pts[1:]):
-                edges[(r, s)] += 1
-    return dict(edges)
+        kept = compress(order, map(ne, map(row.__getitem__, order), repeat(skip)))
+        line = sorted(kept, key=row.__getitem__)
+        ids = list(map(row.__getitem__, line))
+        edges.update(compress(zip(line, line[1:]), map(eq, ids, ids[1:])))
+    pts = right.points
+    return {(pts[i], pts[j]): k for (i, j), k in edges.items()}
 
 
 @dataclass(frozen=True)
@@ -589,7 +583,8 @@ def proof_multigraph(
 
     Reports v, e, the maximum edge multiplicity m, the maximum pinned-set
     cardinality t, the number of proper crossings in the straight-line
-    drawing, and whether crossings <= |E|^2 * t^2.
+    drawing, and whether crossings <= n^2 * t^2 with n the size of the
+    first set.
     """
     right = second if second is not None else points
     _require_planar(points, right)

@@ -114,6 +114,30 @@ def naive_crossings(segments) -> int:
     return count
 
 
+def reference_proof_graph_edges(
+    points: PointSet, second: PointSet | None = None, include_zero: bool = False
+) -> dict[tuple, int]:
+    """Consecutive-point edges and their multiplicities, from ``dot`` per pin.
+
+    Each pin's points of the second set are grouped by their exact dot
+    product with it, zero left out unless ``include_zero``; each group is
+    sorted, and consecutive points in it pair up as one edge.
+    """
+    right = second if second is not None else points
+    edges: dict[tuple, int] = {}
+    for p in points.points:
+        groups: dict[Fraction, list] = {}
+        for q in right.points:
+            value = dot(p, q)
+            if value != 0 or include_zero:
+                groups.setdefault(value, []).append(q)
+        for group in groups.values():
+            group.sort()
+            for pair in zip(group, group[1:]):
+                edges[pair] = edges.get(pair, 0) + 1
+    return edges
+
+
 def grid(side: int, dim: int = 2, start: int = 1) -> PointSet:
     axis = range(start, start + side)
     return point_set(list(product(axis, repeat=dim)))

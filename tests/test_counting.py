@@ -42,6 +42,7 @@ from oracles import (
     naive_crossings,
     naive_pinned_weight_tuples,
     naive_weight_tuples,
+    reference_proof_graph_edges,
     scale_points,
 )
 
@@ -586,6 +587,21 @@ class TestSegmentCrossings:
         segs = [(pt(0, 0), pt(1, 0)), (pt(2, 0), pt(3, 0))]
         assert count_segment_crossings(segs) == 0
 
+    @pytest.mark.parametrize(
+        "segs",
+        [
+            # In the plane these cross at (1, 1), but their z values there
+            # are 2.5 and -1: the segments do not meet.
+            [(pt(0, 0, 0), pt(2, 2, 5)), (pt(0, 2, -3), pt(2, 0, 1))],
+            [(pt(0, 0), pt(2, 2)), (pt(0, 2), pt(2, 0, 1))],
+            [(pt(0, 0), pt(2, 2)), ((Q(1),), pt(2, 0))],
+        ],
+        ids=["3d", "one-3d-endpoint", "one-coordinate"],
+    )
+    def test_non_planar_endpoints_raise(self, segs):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            count_segment_crossings(segs)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive(self, seed):
         rng = random.Random(seed)
@@ -609,20 +625,39 @@ def rational_segments(draw):
     """A pool of rational points and segments between them, as index pairs.
 
     Segments drawn from a small pool share endpoints often; the points placed
-    on the line through the first two pool points give collinear overlaps.
+    on the line through the first two pool points give collinear overlaps,
+    and may be chained into consecutive collinear segments.  Crosses of a
+    vertical and a horizontal segment centred on the first pool point tie on
+    the sweep's sort key, and some segments are drawn again, as they are or
+    reversed.
     """
     pool = draw(
         st.lists(st.tuples(RATIONALS, RATIONALS), min_size=4, max_size=8, unique=True)
     )
     a, b = pool[0], pool[1]
     steps = st.sampled_from((Q(-1), Q(1, 3), Q(1, 2), Q(2, 3), Q(2)))
+    line = {a, b}
     for t in draw(st.lists(steps, max_size=3)):
         on_line = tuple(x + t * (y - x) for x, y in zip(a, b))
+        line.add(on_line)
         if on_line not in pool:
             pool.append(on_line)
+    crosses = []
+    for t in draw(st.lists(NONZERO_FACTORS.map(abs), max_size=2, unique=True)):
+        ends = [(a[0], a[1] - t), (a[0], a[1] + t), (a[0] - t, a[1]), (a[0] + t, a[1])]
+        for q in ends:
+            if q not in pool:
+                pool.append(q)
+        ends = [pool.index(q) for q in ends]
+        crosses += [(ends[0], ends[1]), (ends[2], ends[3])]
     index = st.integers(0, len(pool) - 1)
     pair = st.tuples(index, index).filter(lambda ij: ij[0] != ij[1])
-    pairs = draw(st.lists(pair, min_size=4, max_size=14))
+    pairs = draw(st.lists(pair, min_size=4, max_size=14)) + crosses
+    if draw(st.booleans()):
+        chain = sorted(map(pool.index, line), key=pool.__getitem__)
+        pairs += zip(chain, chain[1:])
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        pairs.append((j, i) if draw(st.booleans()) else (i, j))
     return PointSet(2, tuple(pool)), pairs
 
 
@@ -647,6 +682,63 @@ class TestRationalSegmentCrossings:
         assert count_segment_crossings(_segments(scaled, pairs)) == count
         rotated = apply_matrix(ROTATION_2D, points)
         assert count_segment_crossings(_segments(rotated, pairs)) == count
+
+
+PLANAR_POINTS = st.lists(
+    st.tuples(RATIONALS, RATIONALS).filter(any), min_size=1, max_size=8, unique=True
+)
+
+
+@st.composite
+def proof_graph_cases(draw):
+    """Planar inputs of the proof multigraph, mixed denominators, no origin.
+
+    Returns (points, second or None, include_zero, prebuilt).  The second set
+    is absent, its own set, or one sharing points with the first.  Points put
+    on the perpendicular of the first pin through a target share that pin's
+    line, and multiples of the pin on its radial line see the same lines, so
+    multiplicities above 1 occur.
+    """
+    form = draw(st.sampled_from(("one", "two", "overlap")))
+    left = draw(PLANAR_POINTS)
+    pin = left[0]
+    for k in draw(st.lists(st.sampled_from((Q(2), Q(-1), Q(1, 2), Q(3, 2))), max_size=2)):
+        multiple = (k * pin[0], k * pin[1])
+        if multiple not in left:
+            left.append(multiple)
+    right = left if form == "one" else draw(PLANAR_POINTS)
+    if form == "overlap":
+        for p in draw(st.lists(st.sampled_from(left), max_size=3, unique=True)):
+            if p not in right:
+                right.append(p)
+    # Through the origin, the perpendicular is the pin's zero line.
+    base = (Q(0), Q(0)) if draw(st.booleans()) else draw(st.sampled_from(right))
+    steps = st.sampled_from((Q(1), Q(-1, 2), Q(2, 3), Q(3)))
+    for t in draw(st.lists(steps, min_size=2, max_size=3, unique=True)):
+        q = (base[0] - t * pin[1], base[1] + t * pin[0])
+        if any(q) and q not in right:
+            right.append(q)
+    second = None if form == "one" else PointSet(2, tuple(right))
+    return PointSet(2, tuple(left)), second, draw(st.booleans()), draw(st.booleans())
+
+
+class TestProofGraphReference:
+    @given(proof_graph_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_reference(self, case):
+        points, second, include_zero, prebuilt = case
+        if prebuilt:
+            index = DotProductIndex(points, second, include_zero=include_zero)
+            edges = proof_graph_edges(points, second, index=index)
+        else:
+            edges = proof_graph_edges(points, second, include_zero=include_zero)
+        assert edges == reference_proof_graph_edges(points, second, include_zero)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_crossings_match_naive(self, seed):
+        ps = random_point_set(40, seed=seed)
+        segs = list(proof_graph_edges(ps))
+        assert proof_multigraph(ps).drawing_crossings == naive_crossings(segs)
 
 
 class TestMaxPinned:
