@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, default=None)
     add_shared(p, _cmd_pinned, *counting)
 
-    p = sub.add_parser("incidence", help="exact point-line incidence count")
+    p = sub.add_parser("incidence", help="exact point-hyperplane incidence count")
     p.add_argument("--points", required=True)
     p.add_argument("--lines", default=None, help="file of normal coords + value rows")
     p.add_argument("--pins", default=None, help="points whose alpha-lines to use")

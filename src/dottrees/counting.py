@@ -1,10 +1,10 @@
 """Exact counting engines over point sets.
 
 Pinned dot-product sets, distinct dot products, weighted-tree embedding and
-homomorphism counts, distinct weight tuples, point-line incidences, radial
-histograms, the consecutive-points proof multigraph, and the hyperplane
-pigeonhole descent.  Everything here compares exact rationals; no tolerance
-appears anywhere.
+homomorphism counts, distinct weight tuples, point-hyperplane incidences,
+radial histograms, the consecutive-points proof multigraph, and the
+hyperplane pigeonhole descent.  Everything here compares exact rationals; no
+tolerance appears anywhere.
 
 Zero dot products are excluded by default in every operation and can be
 admitted with ``include_zero=True``.
@@ -417,13 +417,16 @@ def pinned_weight_tuples(
 
 
 def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:
-    """Exact number of (point, line) pairs with the point on the line."""
-    if points.dim != 2:
-        raise ValueError("incidence counting is planar; need dimension 2")
+    """Exact number of point-hyperplane incidences, in any dimension: each
+    hyperplane counts the id of its value, zero included, on its normal's row
+    of one ``DotProductIndex`` of the distinct normals against ``points``."""
     for line in lines:
-        if line.dim != 2:
-            raise ValueError("incidence counting is planar; line has wrong dimension")
-    return sum(1 for line in lines for p in points.points if line.contains(p))
+        if line.dim != points.dim:
+            raise ValueError(f"dimension mismatch: hyperplane {line.dim}, points {points.dim}")
+    normals = dict.fromkeys(line.normal for line in lines)
+    index = DotProductIndex(PointSet(points.dim, tuple(normals)), points)
+    rows = dict(zip(normals, index.rows))
+    return sum(rows[line.normal].count(index.id_of(line.value)) for line in lines)
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,14 @@ from .constructions import (
     build_perp_lines_3d,
     build_unit_lattice,
 )
-from .counting import DotProductIndex, count_embeddings
-from .geometry import PointSet
+from .counting import count_embeddings, incidences
 from .trees import Tree
 
 __all__ = [
-    "unit_pair_count",
     "columns_report",
     "perplines_report",
     "lattice_report",
 ]
-
-
-def unit_pair_count(e_points: PointSet, f_points: PointSet) -> int:
-    """Ordered pairs (e, f) with e.f exactly 1, over all pairs."""
-    index = DotProductIndex(e_points, f_points)
-    one = index.id_of(1)
-    return sum(row.count(one) for row in index.rows)
 
 
 def columns_report(
@@ -111,13 +102,14 @@ def lattice_report(
 ) -> dict:
     """Unit-pair counts of the lattice/dual pair against N^(2d/(d+1)).
 
-    N is the size of each side (q^(d+1)); for the plane the exponent is 4/3,
-    the tight point-line incidence shape.
+    A unit pair (e, f) is a point-hyperplane incidence of e with the
+    hyperplane f.x = 1.  N is the size of each side (q^(d+1)); for the plane
+    the exponent is 4/3, the tight point-line incidence shape.
     """
     runs = []
     for q in qs:
         result = build_unit_lattice(LatticeSpec(d, q, mode=mode))
-        pairs = unit_pair_count(result.e_points, result.f_points)
+        pairs = incidences(result.e_points, result.hyperplanes)
         runs.append(
             {
                 "params": {"n": len(result.e_points), "d": d, "q": q, "mode": mode},

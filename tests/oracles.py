@@ -93,6 +93,12 @@ def naive_pinned_weight_tuples(
     return tuples
 
 
+def reference_incidences(ps: PointSet, hyperplanes) -> int:
+    """(point, hyperplane) pairs with the point on the hyperplane, one
+    ``Fraction`` dot product per pair; a repeated hyperplane counts again."""
+    return sum(1 for plane in hyperplanes for p in ps.points if plane.contains(p))
+
+
 def naive_crossings(segments) -> int:
     """O(n^2) proper-crossing count by solving each pair exactly."""
 

@@ -339,6 +339,23 @@ class TestIncidence:
         assert code == 0
         assert out.strip() == "3"
 
+    def test_spatial_lines_file(self, tmp_path):
+        pts = tmp_path / "p.pts"
+        pts.write_text("d 3\n1 0 0\n2 0 0\n1 1 0\n0 0 1\n")
+        lines = tmp_path / "l.lines"
+        lines.write_text("1 0 0 1\n0 0 1 1\n")  # the planes x = 1 and z = 1
+        code, out, _ = run_cli("incidence", "--points", str(pts), "--lines", str(lines))
+        assert (code, out) == (0, "3\n")
+
+    def test_pins_of_another_dimension(self, tmp_path, columns_pts):
+        pins = tmp_path / "pins.pts"
+        pins.write_text("d 3\n1 0 0\n")
+        code, out, err = run_cli(
+            "incidence", "--points", str(columns_pts), "--pins", str(pins), "--alpha", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dimension mismatch: hyperplane 3, points 2\n"
+
     def test_zero_normal_names_file_and_line(self, tmp_path, columns_pts):
         lines = tmp_path / "l.lines"
         lines.write_text("# a valid line, then one with no normal\n0 1 0\n0 0 1\n")

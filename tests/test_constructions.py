@@ -10,12 +10,12 @@ from dottrees import (
     build_unit_lattice,
     count_embeddings,
     dot,
+    incidences,
     make_path,
     make_perfect_binary,
     make_star,
     point,
 )
-from dottrees.experiments import unit_pair_count
 from dottrees.trees import Tree, bipartition
 from oracles import naive_count_embeddings, reference_unit_identity
 
@@ -282,15 +282,21 @@ class TestUnitLattice:
         # With the ranges exactly as printed, no lattice point reaches any
         # hyperplane in the plane; calibrated mode exists for this reason.
         result = build_unit_lattice(LatticeSpec(2, 3, mode="paper"))
-        assert unit_pair_count(result.e_points, result.f_points) == 0
+        assert incidences(result.e_points, result.hyperplanes) == 0
 
-    def test_calibrated_richness_q4(self):
+    @pytest.mark.parametrize("d,q,pairs", [
+        (2, 2, 9), (2, 3, 43), (2, 4, 130), (2, 5, 320), (2, 6, 660), (2, 7, 1233),
+        (2, 8, 2105), (3, 2, 26), (3, 3, 283), (3, 4, 1582),
+    ])
+    def test_calibrated_unit_pairs_match_prediction(self, d, q, pairs):
+        # The prediction comes from the window search, not from any dot
+        # product; the frozen counts pin this deterministic construction.
+        result = build_unit_lattice(LatticeSpec(d, q, mode="calibrated"))
+        counted = incidences(result.e_points, result.hyperplanes)
+        assert counted == result.metadata["expected_unit_pairs"] == pairs
+
+    def test_calibrated_q4_rich_hyperplanes(self):
         result = build_unit_lattice(LatticeSpec(2, 4, mode="calibrated"))
-        pairs = unit_pair_count(result.e_points, result.f_points)
-        assert pairs == result.metadata["expected_unit_pairs"]
-        assert 16 * pairs >= 4**4
-        # Frozen brute-force value for this deterministic construction.
-        assert pairs == 130
         rich = 0
         for plane in result.hyperplanes:
             on_plane = sum(1 for e in result.e_points.points if plane.contains(e))

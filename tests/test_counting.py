@@ -409,10 +409,10 @@ class TestIncidences:
     def test_empty_lines(self):
         assert incidences(COLLINEAR, []) == 0
 
-    def test_dimension_guard(self):
+    def test_hyperplane_of_another_dimension_raises(self):
         ps = point_set([(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(ValueError):
-            incidences(ps, [])
+        with pytest.raises(ValueError, match="hyperplane 2, points 3"):
+            incidences(ps, [alpha_hyperplane(pt(1, 0), 1)])
 
 
 class TestRadialHistogram:

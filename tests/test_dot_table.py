@@ -19,11 +19,13 @@ from dottrees import (
     DotProductIndex,
     PointSet,
     WeightedTree,
+    alpha_hyperplane,
     count_embeddings,
     count_homomorphisms,
     distinct_dot_products,
     distinct_weight_tuples,
     dot,
+    incidences,
     integer_grid,
     make_path,
     make_star,
@@ -37,10 +39,16 @@ from dottrees import (
 )
 from dottrees import acceptance, counting
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
-from dottrees.experiments import unit_pair_count
+from dottrees.geometry import is_origin
+from oracles import reference_incidences
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
 SCALARS = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
+def unit_planes(points):
+    """The hyperplane f.x = 1 of every f in ``points`` but the origin."""
+    return [alpha_hyperplane(f, 1) for f in points.points if not is_origin(f)]
 
 
 def _points(dim, min_size=1):
@@ -80,6 +88,36 @@ def set_pairs(draw, dims=(2, 3)):
             if unit not in side:
                 side.append(unit)
     return PointSet(dim, tuple(left)), PointSet(dim, tuple(right))
+
+
+@st.composite
+def incidence_instances(draw):
+    """Points and hyperplanes of one dimension.  Normals come from a small
+    pool, so several hyperplanes share one with different values; they have
+    zero coordinates often.  Values are zero, a product with a point, or any
+    scalar, which mostly meets no point; some hyperplanes repeat."""
+    dim = draw(st.sampled_from((2, 3, 4)))
+    pts = draw(_points(dim, min_size=0))
+    origin = (Q(0),) * dim
+    if draw(st.booleans()) and origin not in pts:
+        pts.append(origin)
+    coordinate = st.one_of(st.just(Q(0)), SCALARS)
+    normal = st.tuples(*[coordinate] * dim).filter(any)
+    pool = draw(st.lists(normal, min_size=1, max_size=3))
+    planes = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.sampled_from(pool))
+        products = st.sampled_from([dot(n, p) for p in pts]) if pts else SCALARS
+        planes.append(alpha_hyperplane(n, draw(st.one_of(st.just(0), products, SCALARS))))
+    planes += draw(st.lists(st.sampled_from(planes), max_size=3)) if planes else []
+    return PointSet(dim, tuple(pts)), planes
+
+
+@given(incidence_instances())
+@settings(max_examples=120, deadline=None)
+def test_incidences_match_reference(instance):
+    points, planes = instance
+    assert incidences(points, planes) == reference_incidences(points, planes)
 
 
 def reference_index(left, right, include_zero):
@@ -165,7 +203,7 @@ def test_single_set_matches_reference(points, include_zero):
         points, include_zero
     )
     ones = sum(1 for p in points.points for q in points.points if dot(p, q) == 1)
-    assert unit_pair_count(points, points) == ones
+    assert incidences(points, unit_planes(points)) == ones
 
 
 @given(set_pairs(), st.booleans())
@@ -177,7 +215,7 @@ def test_two_sets_match_reference(sets, include_zero):
         reference_distinct(left, right, include_zero)
     )
     ones = sum(1 for e in left.points for f in right.points if dot(e, f) == 1)
-    assert unit_pair_count(left, right) == ones
+    assert incidences(left, unit_planes(right)) == ones
 
 
 @given(
@@ -208,9 +246,9 @@ def test_mismatched_dimensions_raise():
     with pytest.raises(ValueError):
         distinct_dot_products(planar, spatial)
     with pytest.raises(ValueError):
-        unit_pair_count(planar, spatial)
+        incidences(planar, unit_planes(spatial))
     with pytest.raises(ValueError):
-        unit_pair_count(spatial, planar)
+        incidences(spatial, unit_planes(planar))
 
 
 @given(st.one_of(single_sets().map(lambda s: (s, None)), set_pairs()))
@@ -270,7 +308,7 @@ ONE_TABLE_CALLS = {
     ),
     "max_pinned": lambda: max_pinned(_GRID),
     "proof_multigraph": lambda: proof_multigraph(_RANDOM),
-    "unit_pair_count": lambda: unit_pair_count(_LATTICE.e_points, _LATTICE.f_points),
+    "incidences": lambda: incidences(_LATTICE.e_points, _LATTICE.hyperplanes),
 }
 
 

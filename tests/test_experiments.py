@@ -1,9 +1,8 @@
-from dottrees import make_path, make_star
+from dottrees import alpha_hyperplane, incidences, make_path, make_star
 from dottrees.experiments import (
     columns_report,
     lattice_report,
     perplines_report,
-    unit_pair_count,
 )
 from dottrees.reports import CountReport, digest_inputs, point_set_digest
 from dottrees import point_set
@@ -44,11 +43,11 @@ class TestLatticeReport:
         assert counts == {64: 130, 125: 320}
 
 
-class TestUnitPairCount:
+class TestUnitPairs:
     def test_small(self):
         e = point_set([(1, 0), (1, 1)])
         f = point_set([(1, 0), (0, 1)])
-        assert unit_pair_count(e, f) == 3
+        assert incidences(e, [alpha_hyperplane(p, 1) for p in f.points]) == 3
 
 
 class TestCountReport:
