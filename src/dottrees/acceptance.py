@@ -42,7 +42,7 @@ from .counting import (
     radial_histogram,
 )
 from .experiments import perplines_report
-from .geometry import PointSet, _scaled, dot, integer_grid, point_set, random_point_set
+from .geometry import PointSet, _scaled, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -235,11 +235,13 @@ def _recount_edges(points: PointSet) -> int:
 
     For a pin p and a value a, the ``count`` points q with p.q = a lie on one
     line and give ``count - 1`` consecutive pairs.  Zero is excluded, as the
-    engine does by default.
+    engine does by default.  Products are grouped on ``_scaled``'s integers,
+    not on the cached ``PointSet.scaled``, so no code is shared with the table.
     """
+    ints, _ = _scaled(points.points)
     total = 0
-    for p in points.points:
-        on_line = Counter(dot(p, q) for q in points.points)
+    for p in ints:
+        on_line = Counter(sum(map(mul, p, q)) for q in ints)
         on_line.pop(0, None)
         total += sum(count - 1 for count in on_line.values())
     return total

@@ -111,11 +111,25 @@ def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} rationals", line_no)
         values = [parse_scalar(f, line_no) for f in fields]
-        try:
-            hyperplanes.append(alpha_hyperplane(tuple(values[:-1]), values[-1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
+        hyperplanes.append(_hyperplane(tuple(values[:-1]), values[-1], line_no))
     return hyperplanes
+
+
+def _read_pins(stream, alpha: Fraction) -> list[AlphaHyperplane]:
+    """A --pins .pts file: the alpha-hyperplane of each point, on its line."""
+    lines = list(stream)
+    pins = read_point_set(lines)
+    # The lines neither blank nor comments: the header, then one per point.
+    rows = [n for n, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#")]
+    return [_hyperplane(p, alpha, n) for n, p in zip(rows[1:], pins.points)]
+
+
+def _hyperplane(normal, value, line_no: int) -> AlphaHyperplane:
+    """``alpha_hyperplane(normal, value)``; its error names ``line_no``."""
+    try:
+        return alpha_hyperplane(normal, value)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
 
 
 def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
@@ -401,9 +415,8 @@ def _cmd_incidence(args) -> int:
     else:
         if args.alpha is None:
             raise UsageError("--pins needs --alpha")
-        pins = _read_file(args.pins, read_point_set)
         alpha = _parse_fraction(args.alpha, "--alpha")
-        hyperplanes = [alpha_hyperplane(p, alpha) for p in pins.points]
+        hyperplanes = _read_file(args.pins, lambda fh: _read_pins(fh, alpha))
     count = incidences(points, hyperplanes)
     return _report(
         args, start, [str(count)], "incidences", {"lines": len(hyperplanes)},

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, filterfalse, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from operator import add, eq, itemgetter, mul, ne
 from typing import NamedTuple, Sequence
 
@@ -56,14 +56,17 @@ __all__ = [
 class DotProductIndex:
     """All dot products between two point sets, as one table of value ids.
 
-    Each set is scaled once by the lcm of its coordinate denominators, so
-    every product is a Python int at the scale ``L_left * L_right``.
-    ``rows[i][j]`` is the id of ``left[i] . right[j]``, ids numbering the
-    products in row-major order of first appearance; ``ids`` maps each
-    scaled product to its id.  A row is built in C-level iterators: the
-    right set is transposed into coordinate columns once, the row's
-    products are summed column by column, and the products not yet in
-    ``ids`` take the next ids in order.  A weight resolves to an id by scaling
+    Each set's cached scaled form (``PointSet.scaled``) makes every product
+    a Python int at the scale ``L_left * L_right``.  ``rows[i][j]`` is the
+    id of ``left[i] . right[j]``, ids numbering the products in row-major
+    order of first appearance; ``ids`` maps each scaled product to its id.
+    A row is built in C-level iterators: the right set is transposed into
+    coordinate columns once, the row's products are summed column by
+    column, and each takes its id, or the next, in one ``dict.setdefault``.
+    For one set (``right is left``) row i copies its first i ids from column
+    i of the rows above, as p.q = q.p, and computes only the products from
+    position i on; those first i products appeared in earlier rows, so the
+    numbering is unchanged.  A weight resolves to an id by scaling
     (``id_of``), and a ``Fraction`` is built only for output (``value``).
     ``skip`` is the id of zero, which the counters leave out, or -1 under
     ``include_zero``.  Every all-pairs counter reads this table.
@@ -80,21 +83,22 @@ class DotProductIndex:
         self.right = right if right is not None else left
         if self.right.dim != left.dim:
             raise ValueError(f"dimension mismatch: {left.dim} != {self.right.dim}")
-        left_ints, left_scale = _scaled(left.points)
-        right_ints, right_scale = _scaled(self.right.points)
+        left_ints, left_scale = left.scaled
+        right_ints, right_scale = self.right.scaled
         columns = list(zip(*right_ints)) or [()] * left.dim
         self.ids: dict[int, int] = {}
         self.rows: list[list[int]] = []
-        ids = self.ids
-        for p in left_ints:
-            acc = map(mul, repeat(p[0]), columns[0])
-            for c, column in zip(p[1:], columns[1:]):
+        ids, rows, one_set = self.ids, self.rows, self.right is left
+        for i, p in enumerate(left_ints):
+            row = list(map(itemgetter(i), rows)) if one_set else []
+            tail = [column[len(row):] for column in columns]
+            acc = map(mul, repeat(p[0]), tail[0])
+            for c, column in zip(p[1:], tail[1:]):
                 acc = map(add, acc, map(mul, repeat(c), column))
-            products = list(acc)
-            # dict.update inserts each pair before it pulls the next, so a
-            # product repeated within the row is filtered out and gets one id.
-            ids.update(zip(filterfalse(ids.__contains__, products), count(len(ids))))
-            self.rows.append(list(map(ids.__getitem__, products)))
+            # setdefault inserts each product before the next length is read,
+            # so a product repeated within the row gets one id.
+            row += map(ids.setdefault, acc, map(len, repeat(ids)))
+            rows.append(row)
         self.scale = left_scale * right_scale
         self.skip = -1 if include_zero else self.ids.get(0, -1)
         self._products: list[int] = []
@@ -510,10 +514,8 @@ def count_segment_crossings(segments: Sequence[tuple[Point, Point]]) -> int:
 def _require_planar(points: PointSet, right: PointSet) -> None:
     if points.dim != 2 or right.dim != 2:
         raise ValueError("the proof multigraph is planar; need dimension 2")
-    for ps in (points, right):
-        for p in ps.points:
-            if is_origin(p):
-                raise ValueError("point sets must not contain the origin")
+    if not all(map(any, points.scaled[0] + right.scaled[0])):
+        raise ValueError("point sets must not contain the origin")
 
 
 def proof_graph_edges(
@@ -545,7 +547,7 @@ def proof_graph_edges(
     # Lexicographic order, which scaling keeps, is monotone along any line.
     # A stable sort of the second set's indices, in that order, by the row's
     # value ids makes each line's points contiguous and in order along it.
-    order = sorted(range(len(right)), key=_scaled(right.points)[0].__getitem__)
+    order = sorted(range(len(right)), key=right.scaled[0].__getitem__)
     skip = index.skip
     edges: Counter[tuple[int, int]] = Counter()
     for row in index.rows:
@@ -620,43 +622,24 @@ def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, 
 
 def _best_pin(index: DotProductIndex) -> tuple[int, int]:
     """Position in ``index.left`` and pinned-set size of ``max_pinned``'s pin."""
-    best: tuple[int, int] | None = None
-    for i, (p, size) in enumerate(zip(index.left.points, _pinned_sizes(index))):
-        if is_origin(p):
-            continue
-        if best is None or size > best[1]:
-            best = (i, size)
-    assert best is not None
-    return best
+    sizes = _pinned_sizes(index)
+    # max keeps the first of equal sizes, so ties go to the earliest point.
+    pins = (i for i, p in enumerate(index.left.scaled[0]) if any(p))
+    i = max(pins, key=sizes.__getitem__)
+    return i, sizes[i]
 
 
 def _affine_rank(pts: Sequence[Point]) -> int:
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
+    """Dimension of the affine span of ``pts``, by exact Gaussian elimination
+    of the differences from the first point."""
+    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
     rank = 0
-    cols = len(base)
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        prow = rows[pivot_row]
-        inv = prow[col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col] / inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
+    for col in range(len(pts[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+                    for r in rows if r is not pivot]
+            rank += 1
     return rank
 
 

@@ -4,8 +4,9 @@ Every coordinate, dot product, and hyperplane membership test in this package
 is exact: coordinates are arbitrary-precision rationals (`fractions.Fraction`),
 and the counters' all-pairs table and the lattice identity checks multiply
 Python ints after scaling each set by the lcm of its denominators (`_scaled`),
-so each product converts back to its exact `Fraction`.  Counts downstream
-hash and compare these values for equality, so floating point never enters a
+so each product converts back to its exact `Fraction`; a `PointSet` caches
+its scaled form on first use (`PointSet.scaled`).  Counts downstream hash
+and compare these values for equality, so floating point never enters a
 geometric computation.
 """
 
@@ -16,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 __all__ = [
@@ -108,10 +110,10 @@ def dot(p: Point, q: Point) -> Fraction:
 _IntPoint = tuple[int, ...]
 
 
-def _scaled(points: Sequence[Point]) -> tuple[list[_IntPoint], int]:
+def _scaled(points: Sequence[Point]) -> tuple[tuple[_IntPoint, ...], int]:
     """The points times the lcm of their coordinate denominators, and that lcm."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    ints = tuple([tuple(c.numerator * (scale // c.denominator) for c in p) for p in points])
     return ints, scale
 
 
@@ -132,6 +134,11 @@ class PointSet:
                 )
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[_IntPoint, ...], int]:
+        """``_scaled(self.points)``, computed on first use and kept."""
+        return _scaled(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -235,38 +242,43 @@ def radial_direction(p: Point) -> Direction:
 
 
 def read_point_set(stream: IO[str]) -> PointSet:
-    """Parse a .pts stream; raises ParseError with a line number on bad input."""
+    """Parse a .pts stream; raises ParseError with a line number on bad input.
+
+    ``PointSet`` alone hashes the points.  On any error, a duplicate among
+    the points read so far is the first error in the file, and is raised."""
     dim: int | None = None
     pts: list[Point] = []
-    seen: set[Point] = set()
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if dim is None:
+    rows: list[tuple[int, str]] = []
+    try:
+        for line_no, raw in enumerate(stream, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             fields = line.split()
-            if len(fields) != 2 or fields[0] != "d":
-                raise ParseError(f"expected header 'd <dim>', got {line!r}", line_no)
-            try:
-                dim = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {fields[1]!r}", line_no) from None
-            if dim < 2:
-                raise ParseError(f"dimension must be at least 2, got {dim}", line_no)
-            continue
-        fields = line.split()
-        if len(fields) != dim:
-            raise ParseError(
-                f"expected {dim} coordinates, got {len(fields)}", line_no
-            )
-        p = tuple(parse_scalar(f, line_no) for f in fields)
-        if p in seen:
-            raise ParseError(f"duplicate point {line!r}", line_no)
-        seen.add(p)
-        pts.append(p)
-    if dim is None:
-        raise ParseError("missing 'd <dim>' header")
-    return PointSet(dim, tuple(pts))
+            if dim is None:
+                if len(fields) != 2 or fields[0] != "d":
+                    raise ParseError(f"expected header 'd <dim>', got {line!r}", line_no)
+                try:
+                    dim = int(fields[1])
+                except ValueError:
+                    raise ParseError(f"bad dimension {fields[1]!r}", line_no) from None
+                if dim < 2:
+                    raise ParseError(f"dimension must be at least 2, got {dim}", line_no)
+                continue
+            if len(fields) != dim:
+                raise ParseError(f"expected {dim} coordinates, got {len(fields)}", line_no)
+            pts.append(tuple(parse_scalar(f, line_no) for f in fields))
+            rows.append((line_no, line))
+        if dim is None:
+            raise ParseError("missing 'd <dim>' header")
+        return PointSet(dim, tuple(pts))
+    except ValueError:
+        seen: set[Point] = set()
+        for p, (line_no, line) in zip(pts, rows):
+            if p in seen:
+                raise ParseError(f"duplicate point {line!r}", line_no) from None
+            seen.add(p)
+        raise
 
 
 def format_point_set(ps: PointSet) -> str:

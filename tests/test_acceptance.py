@@ -5,6 +5,7 @@ Criteria 1-9 run through the library; criterion 10 runs the self-contained
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -149,6 +150,11 @@ def test_criterion_09_exponent_consistency():
     assert result.passed, result.details
 
 
+# The bytes of the full ``verify`` output and its --json report.
+VERIFY_STDOUT_SHA256 = "09ba62e0c2aae26271a0f5c1270024eec652f72e2e909584c7c8fe7840504975"
+VERIFY_JSON_SHA256 = "6229b16fb2968fb588db8d6672065f0f2d916d578d732d13962faaedda8bee16"
+
+
 def test_criterion_10_verify_determinism(tmp_path):
     outputs = []
     for threads in ("1", "4"):
@@ -162,6 +168,8 @@ def test_criterion_10_verify_determinism(tmp_path):
     stdout_4, json_4 = outputs[1]
     assert stdout_1 == stdout_4
     assert json_1 == json_4
+    assert hashlib.sha256(stdout_1).hexdigest() == VERIFY_STDOUT_SHA256
+    assert hashlib.sha256(json_1).hexdigest() == VERIFY_JSON_SHA256
     payload = json.loads(json_1)
     assert len(payload) == 9 and all(entry["passed"] for entry in payload)
     print("PASS 10 verify-determinism: byte-identical across thread counts 1 and 4")

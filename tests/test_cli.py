@@ -363,6 +363,15 @@ class TestIncidence:
         assert (code, out) == (2, "")
         assert err == f"error: {lines}: line 3: hyperplane normal must not be the origin\n"
 
+    def test_origin_pin_names_file_and_line(self, tmp_path, columns_pts):
+        pins = tmp_path / "pins.pts"
+        pins.write_text("d 2\n1 0\n0 0\n")
+        code, out, err = run_cli(
+            "incidence", "--points", str(columns_pts), "--pins", str(pins), "--alpha", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {pins}: line 3: hyperplane normal must not be the origin\n"
+
     def test_needs_some_lines(self, columns_pts):
         code, _, _ = run_cli("incidence", "--points", str(columns_pts))
         assert code == 2

@@ -4,7 +4,8 @@ Each all-pairs counter reads one integer table, a ``DotProductIndex``.
 The differential tests compare the table and the counters with
 references built on ``geometry.dot`` over random rational sets with mixed
 denominators and negative coordinates; the call-count tests check that each
-counter builds the table exactly once.
+counter builds the table exactly once, and scales each point set at most
+once.
 """
 
 import threading
@@ -35,11 +36,12 @@ from dottrees import (
     pinned_weight_tuples,
     proof_graph_edges,
     proof_multigraph,
+    radial_histogram,
     random_point_set,
 )
-from dottrees import acceptance, counting
+from dottrees import acceptance, counting, geometry
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
-from dottrees.geometry import is_origin
+from dottrees.geometry import _scaled, format_point_set, is_origin, parse_point_set
 from oracles import reference_incidences
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
@@ -227,6 +229,24 @@ def test_numbering_matches_reference(sets, include_zero):
     assert_numbering_matches(*sets, include_zero)
 
 
+def _table(index):
+    return list(index.ids.items()), index.rows, index.skip
+
+
+@given(single_sets(dims=(2, 3, 4)), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_set_table_matches_general_path(points, include_zero):
+    # An equal set that is not the same object takes the general path.
+    twin = PointSet(points.dim, points.points)
+    assert twin == points and twin is not points
+    one, same, general = (
+        DotProductIndex(points, right, include_zero=include_zero) for right in (None, points, twin)
+    )
+    assert _table(one) == _table(same) == _table(general)
+    assert points.scaled == twin.scaled == _scaled(points.points)
+    assert points.scaled is points.scaled
+
+
 @pytest.mark.parametrize("include_zero", [False, True])
 @pytest.mark.parametrize("dim", [2, 4])
 def test_numbering_of_empty_and_one_point_sets(dim, include_zero):
@@ -339,6 +359,50 @@ def test_pinned_sizes_match_pinned_set():
     for points, include_zero in cases:
         sizes = counting._pinned_sizes(DotProductIndex(points, include_zero=include_zero))
         assert sizes == [len(pinned_set(p, points, include_zero)) for p in points.points]
+
+
+@pytest.fixture
+def scalings(monkeypatch):
+    """Record the argument of every ``_scaled`` call, in the cache and the sweep."""
+    calls = []
+    original = geometry._scaled
+
+    def recording(points):
+        calls.append(points)
+        return original(points)
+
+    for module in (geometry, counting):
+        monkeypatch.setattr(module, "_scaled", recording)
+    return calls
+
+
+def test_count_embeddings_scales_its_set_once(scalings):
+    points = PointSet(2, _COLUMNS.points.points)
+    assert count_embeddings(_COLUMNS.weighted_tree, points) == _COLUMNS.predicted_count
+    assert len(scalings) == 1 and scalings[0] is points.points
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_proof_multigraph_scales_each_set_once(scalings, pair):
+    first = PointSet(2, (_LATTICE.e_points if pair else _RANDOM).points)
+    second = PointSet(2, _LATTICE.f_points.points) if pair else None
+    proof_multigraph(first, second)
+    sets = [first] if second is None else [first, second]
+    for ps in sets:
+        assert sum(points is ps.points for points in scalings) == 1
+    # The one other call scales the crossing sweep's segment endpoints.
+    assert len(scalings) == len(sets) + 1
+
+
+def test_scaling_waits_for_a_table(monkeypatch):
+    def refuse(points):
+        raise AssertionError("scaled a set that no table reads")
+
+    monkeypatch.setattr(geometry, "_scaled", refuse)
+    text = "d 2\n1/2 3\n-2/7 5/11\n3 0\n-1/13 -4\n"
+    points = parse_point_set(text)
+    assert radial_histogram(points).total == 4
+    assert format_point_set(points) == text
 
 
 def test_count_embeddings_starts_no_thread(monkeypatch):

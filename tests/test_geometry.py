@@ -199,6 +199,28 @@ class TestPtsFormat:
             parse_point_set("d 2\n1 0\n1 0\n")
         assert exc.value.line_no == 3
 
+    def test_duplicate_before_bad_rational_reported_first(self):
+        with pytest.raises(ParseError) as exc:
+            parse_point_set("d 2\n1 2\n1 2\n1/2 x\n")
+        assert str(exc.value) == "line 3: duplicate point '1 2'"
+
+    def test_unreduced_duplicate_reports_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_point_set("d 2\n# halves\n1/2 1\n\n2/4 1\n3 1\n")
+        assert str(exc.value) == "line 5: duplicate point '2/4 1'"
+
+    def test_points_hashed_once(self, monkeypatch):
+        hashed = []
+        original = Q.__hash__
+
+        def recording(value):
+            hashed.append(value)
+            return original(value)
+
+        monkeypatch.setattr(Q, "__hash__", recording)
+        ps = parse_point_set("d 3\n1 2 3\n1/2 -1 4/6\n0 0 5\n")
+        assert len(hashed) == len(ps) * ps.dim
+
     def test_unreduced_input_reduced_on_load(self):
         ps = parse_point_set("d 2\n2/4 6/8\n")
         assert ps.points == (pt(Q(1, 2), Q(3, 4)),)
