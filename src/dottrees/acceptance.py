@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, ne, or_
 
 from .bounds import (
     column_exponent,
@@ -42,7 +42,7 @@ from .counting import (
     radial_histogram,
 )
 from .experiments import perplines_report
-from .geometry import PointSet, _scaled, integer_grid, point_set, random_point_set
+from .geometry import PointSet, _dots, _scaled, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -122,7 +122,10 @@ def criterion_2() -> CriterionResult:
 def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
     """(checks, failures) of f.x = 1 and plane.normal.x = plane.value, with
     (c, b) from the recorded numerator ranges in the builder's order, not
-    from f.  Every x is X/L for integers X and L = lcm(da^2, db)."""
+    from f.  Every x is X/L for integers X and L = lcm(da^2, db).  One prefix
+    x' at a time, every dual point is checked at once over columns: the last
+    coordinates c . x' + b, then F . X and N . X; a pair fails when either
+    identity does."""
     meta = result.metadata
     a_lo, a_hi = meta["a_numerators"]
     b_lo, b_hi = meta["f_b_numerators"]
@@ -132,17 +135,22 @@ def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
     params = itertools.product(prefixes, range(b_lo, b_hi + 1))
     f_ints, f_scale = _scaled(result.f_points.points)
     n_ints, n_scale = _scaled([plane.normal for plane in result.hyperplanes])
-    heads = [tuple(v * (scale // da) for v in xi) for xi in prefixes]
+    f_ints, n_ints, planes, params = zip(*zip(f_ints, n_ints, result.hyperplanes, params))
+    *f_cols, f_last = zip(*f_ints)
+    *n_cols, n_last = zip(*n_ints)
+    gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
+    dens = [plane.value.denominator for plane in planes]
+    values = [plane.value.numerator * n_scale * scale for plane in planes]
     kc, kb = scale // (da * da), scale // db
-    checks = failures = 0
-    for f, n, plane, (gamma, beta) in zip(f_ints, n_ints, result.hyperplanes, params):
-        value, den = plane.value.numerator * n_scale * scale, plane.value.denominator
-        for xi, head in zip(prefixes, heads):
-            x = head + (sum(map(mul, gamma, xi)) * kc + beta * kb,)
-            checks += 1
-            if sum(map(mul, f, x)) != f_scale * scale or sum(map(mul, n, x)) * den != value:
-                failures += 1
-    return checks, failures
+    failures = 0
+    for xi in prefixes:
+        head = tuple(v * (scale // da) for v in xi)
+        lasts = list(_dots(tuple(v * kc for v in xi) + (kb,), gamma_beta))
+        fx = map(add, _dots(head, f_cols), map(mul, f_last, lasts))
+        nx = map(add, _dots(head, n_cols), map(mul, n_last, lasts))
+        failures += sum(map(or_, map(ne, fx, itertools.repeat(f_scale * scale)),
+                            map(ne, map(mul, nx, dens), values)))
+    return len(planes) * len(prefixes), failures
 
 
 def criterion_3() -> CriterionResult:

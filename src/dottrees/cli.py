@@ -5,8 +5,8 @@ proofgraph, verify, report.  Each subcommand takes only the shared flags it
 reads: ``--threads`` on all of them (checked to be at least 1, no other
 effect), ``--json`` on all but generate (which always writes a sidecar next
 to ``-o``), ``--include-zero`` on count, distinct, pinned and proofgraph,
-``--timings`` on count, distinct, pinned, incidence, radial and proofgraph,
-and ``--seed`` on generate.
+``--timings`` on count, distinct, pinned, incidence, radial, proofgraph and
+verify (each criterion's ``elapsed_ms``), and ``--seed`` on generate.
 
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
@@ -479,18 +479,14 @@ def _cmd_verify(args) -> int:
     results = run_criteria(numbers)
     passed = sum(1 for r in results if r.passed)
     print(*(r.line() for r in results), f"{passed}/{len(results)} criteria passed", sep="\n")
-    _write_json(
-        args.json,
-        [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "details": r.details,
-            }
-            for r in results
-        ],
-    )
+    entries = [
+        {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
+        for r in results
+    ]
+    if args.timings:
+        for entry, r in zip(entries, results):
+            entry["elapsed_ms"] = round(r.elapsed_s * 1000.0, 3)
+    _write_json(args.json, entries)
     return 0 if passed == len(results) else CHECK_FAILURE
 
 
@@ -609,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-contained acceptance checks")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    add_shared(p, _cmd_verify, "--json")
+    add_shared(p, _cmd_verify, "--json", "--timings")
 
     p = sub.add_parser("report", help="experiment series with comparison report")
     p.add_argument(

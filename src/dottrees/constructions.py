@@ -26,9 +26,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, ne
 
-from .geometry import AlphaHyperplane, Point, PointSet, _scaled, dot
+from .geometry import AlphaHyperplane, Point, PointSet, _dots, _scaled, dot
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -387,15 +387,26 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
 
     # The displayed identity: any x on h_f has f . x = 1, exactly.  Here
     # x = X/D for the integers X = (xi dq, gamma . xi + beta); F scaled by
-    # L_F gives f . x = 1 exactly when F . X = L_F D.
+    # L_F gives f . x = 1 exactly when F . X = L_F D.  One prefix xi at a
+    # time, every dual point is checked at once over columns: the last
+    # coordinates gamma . xi + beta, then F . X.  A failure names the first
+    # failing f, and the first failing xi for that f.
     f_ints, f_scale = _scaled(f_pts)
-    heads = [tuple(v * denom_a for v in xi) for xi in prefixes]
-    for f, f_int, (gamma, beta) in zip(f_pts, f_ints, params):
-        for xi, head in zip(prefixes, heads):
-            x = head + (sum(map(mul, gamma, xi)) + beta,)
-            if sum(map(mul, f_int, x)) != f_scale * denom_b:
-                x = tuple(Fraction(v, denom_b) for v in x)
-                raise ValueError(f"unit identity failed for f={f}, x={x}")
+    *f_cols, f_last = zip(*f_ints)
+    gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
+    bad = []
+    for k, xi in enumerate(prefixes):
+        lasts = _dots(xi + (1,), gamma_beta)
+        fx = map(add, _dots(tuple(v * denom_a for v in xi), f_cols), map(mul, f_last, lasts))
+        fails = list(map(ne, fx, itertools.repeat(f_scale * denom_b)))
+        if True in fails:
+            bad.append((fails.index(True), k))
+    if bad:
+        i, k = min(bad)
+        (gamma, beta), xi = params[i], prefixes[k]
+        x = tuple(v * denom_a for v in xi) + (sum(map(mul, gamma, xi)) + beta,)
+        x = tuple(Fraction(v, denom_b) for v in x)
+        raise ValueError(f"unit identity failed for f={f_pts[i]}, x={x}")
 
     e_set = PointSet(d, e_pts)
     f_set = PointSet(d, f_pts)

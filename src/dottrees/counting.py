@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice, product, repeat
-from operator import add, eq, itemgetter, mul, ne
+from operator import eq, itemgetter, ne
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -25,6 +25,7 @@ from .geometry import (
     Direction,
     Point,
     PointSet,
+    _dots,
     _scaled,
     is_origin,
     radial_direction,
@@ -61,8 +62,8 @@ class DotProductIndex:
     id of ``left[i] . right[j]``, ids numbering the products in row-major
     order of first appearance; ``ids`` maps each scaled product to its id.
     A row is built in C-level iterators: the right set is transposed into
-    coordinate columns once, the row's products are summed column by
-    column, and each takes its id, or the next, in one ``dict.setdefault``.
+    coordinate columns once, the row's products come from ``_dots``, and
+    each takes its id, or the next, in one ``dict.setdefault``.
     For one set (``right is left``) row i copies its first i ids from column
     i of the rows above, as p.q = q.p, and computes only the products from
     position i on; those first i products appeared in earlier rows, so the
@@ -91,10 +92,7 @@ class DotProductIndex:
         ids, rows, one_set = self.ids, self.rows, self.right is left
         for i, p in enumerate(left_ints):
             row = list(map(itemgetter(i), rows)) if one_set else []
-            tail = [column[len(row):] for column in columns]
-            acc = map(mul, repeat(p[0]), tail[0])
-            for c, column in zip(p[1:], tail[1:]):
-                acc = map(add, acc, map(mul, repeat(c), column))
+            acc = _dots(p, [column[len(row):] for column in columns])
             # setdefault inserts each product before the next length is read,
             # so a product repeated within the row gets one id.
             row += map(ids.setdefault, acc, map(len, repeat(ids)))

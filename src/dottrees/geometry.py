@@ -5,9 +5,11 @@ is exact: coordinates are arbitrary-precision rationals (`fractions.Fraction`),
 and the counters' all-pairs table and the lattice identity checks multiply
 Python ints after scaling each set by the lcm of its denominators (`_scaled`),
 so each product converts back to its exact `Fraction`; a `PointSet` caches
-its scaled form on first use (`PointSet.scaled`).  Counts downstream hash
-and compare these values for equality, so floating point never enters a
-geometric computation.
+its scaled form on first use (`PointSet.scaled`).  `_dots` is the one
+integer dot kernel: the table's rows and both lattice identity checks take
+their products from it, one point against columns of points.  Counts
+downstream hash and compare these values for equality, so floating point
+never enters a geometric computation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from itertools import chain, repeat
+from operator import add, attrgetter, mul
+from typing import IO, Iterable, Iterator, Sequence
 
 __all__ = [
     "Point",
@@ -67,13 +71,16 @@ def parse_scalar(text: str, line_no: int | None = None) -> Fraction:
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ParseError(f"bad rational {text!r}", line_no)
-    num = int(m.group(1))
-    den = m.group(2)
+    try:
+        num = int(m.group(1))
+        den = m.group(2) and int(m.group(2))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"bad rational: {exc}", line_no) from None
     if den is None:
         return Fraction(num)
-    if int(den) == 0:
+    if den == 0:
         raise ParseError(f"zero denominator in {text!r}", line_no)
-    return Fraction(num, int(den))
+    return Fraction(num, den)
 
 
 def format_scalar(value: Fraction) -> str:
@@ -111,10 +118,30 @@ _IntPoint = tuple[int, ...]
 
 
 def _scaled(points: Sequence[Point]) -> tuple[tuple[_IntPoint, ...], int]:
-    """The points times the lcm of their coordinate denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    ints = tuple([tuple(c.numerator * (scale // c.denominator) for c in p) for p in points])
-    return ints, scale
+    """The points, all of one dimension, times the lcm of their coordinate
+    denominators, and that lcm.
+
+    One flat C-level pass over the coordinates: each distinct denominator's
+    multiplier is computed once, and the scaled coordinates are cut back
+    into points by zipping one iterator with itself."""
+    coords = list(chain.from_iterable(points))
+    dens = list(map(attrgetter("denominator"), coords))
+    distinct = set(dens)
+    scale = math.lcm(*distinct)
+    factor = {den: scale // den for den in distinct}
+    flat = map(mul, map(attrgetter("numerator"), coords), map(factor.__getitem__, dens))
+    return tuple(zip(*[flat] * len(points[0]))) if points else (), scale
+
+
+def _dots(p: _IntPoint, columns: Sequence[Iterable[int]]) -> Iterator[int]:
+    """``p . q`` for every integer point q, given as coordinate columns.
+
+    The one integer dot kernel: a chain of C-level ``map`` iterators, one
+    multiply per coordinate and one add per coordinate after the first."""
+    acc = map(mul, repeat(p[0]), columns[0])
+    for c, column in zip(p[1:], columns[1:]):
+        acc = map(add, acc, map(mul, repeat(c), column))
+    return acc
 
 
 @dataclass(frozen=True)

@@ -48,24 +48,25 @@ def test_criterion_03_lattice_unit_identity():
     assert result.passed, result.details
 
 
-def _perturbed(result, part):
-    """The lattice with its first dual point, hyperplane normal or value moved.
+def _perturbed(result, part, at=0):
+    """The lattice with the dual point, hyperplane normal or value at
+    position ``at`` moved.
 
     ``"point"`` moves the F point and rebuilds its hyperplane from it, as the
     builder does, so the two still agree with each other.
     """
-    f = result.f_points.points[0]
+    points, planes = list(result.f_points.points), list(result.hyperplanes)
+    f, plane = points[at], planes[at]
     moved = f[:-1] + (f[-1] + Fraction(1, 10**6),)
-    plane = result.hyperplanes[0]
-    f_points = result.f_points
     if part == "point":
-        f_points = PointSet(f_points.dim, (moved,) + f_points.points[1:])
-        plane = AlphaHyperplane(moved, plane.value)
+        points[at] = moved
+        planes[at] = AlphaHyperplane(moved, plane.value)
     elif part == "normal":
-        plane = AlphaHyperplane(moved, plane.value)
+        planes[at] = AlphaHyperplane(moved, plane.value)
     else:
-        plane = AlphaHyperplane(plane.normal, plane.value + 1)
-    return replace(result, f_points=f_points, hyperplanes=(plane,) + result.hyperplanes[1:])
+        planes[at] = AlphaHyperplane(plane.normal, plane.value + 1)
+    f_points = PointSet(result.f_points.dim, tuple(points))
+    return replace(result, f_points=f_points, hyperplanes=tuple(planes))
 
 
 @pytest.mark.parametrize("part", ["point", "normal", "value"])
@@ -87,13 +88,15 @@ def test_unit_identity_integer_check_matches_fraction_reference(d, q, mode, part
         spec = LatticeSpec(d, q, a_numerators=(1, q))
     else:
         spec = LatticeSpec(d, q, mode=mode)
-    result = build_unit_lattice(spec)
-    if part is not None:
-        result = _perturbed(result, part)
-    checks, failures = _unit_identity_failures(result)
-    assert (checks, failures) == reference_unit_identity(result)
-    assert checks == len(result.f_points) * q ** (d - 1)
-    assert failures == (0 if part is None else q ** (d - 1))
+    lattice = build_unit_lattice(spec)
+    # The first, a middle and the last dual point, so every column position
+    # of the check is reached.
+    for at in (0, len(lattice.f_points) // 2, -1):
+        result = lattice if part is None else _perturbed(lattice, part, at)
+        checks, failures = _unit_identity_failures(result)
+        assert (checks, failures) == reference_unit_identity(result)
+        assert checks == len(result.f_points) * q ** (d - 1)
+        assert failures == (0 if part is None else q ** (d - 1))
 
 
 def test_criterion_04_lattice_unit_richness():

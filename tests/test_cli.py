@@ -394,6 +394,15 @@ class TestRadial:
         assert code == 1
         assert "FAIL" in out
 
+    def test_overlong_coordinate_names_file_and_line(self, tmp_path):
+        # int() refuses more than 4,300 digits; the refusal is a parse error.
+        pts = tmp_path / "big.pts"
+        pts.write_text("d 2\n" + "1" * 5000 + " 1\n")
+        code, out, err = run_cli("radial", "--points", str(pts))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {pts}: line 2: bad rational: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("cap", ["0", "-1", "-1/2"])
     def test_cap_constant_must_be_positive(self, tmp_path, cap):
         pts = tmp_path / "p.pts"
@@ -452,6 +461,16 @@ class TestVerifySubset:
         assert code == 0
         assert "PASS  9" in out
         assert "1/1 criteria passed" in out
+
+    def test_timings_add_elapsed_ms_only(self, tmp_path):
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        runs = [run_cli("verify", "--criteria", "3,9", "--json", str(plain)),
+                run_cli("verify", "--criteria", "3,9", "--timings", "--json", str(timed))]
+        assert runs[0] == runs[1]
+        entries = json.loads(timed.read_text())
+        assert [e.pop("elapsed_ms") >= 0 for e in entries] == [True, True]
+        assert entries == json.loads(plain.read_text())
+        assert "elapsed_ms" not in plain.read_text()
 
     def test_unknown_criterion(self):
         code, _, _ = run_cli("verify", "--criteria", "77")
@@ -799,7 +818,7 @@ DECLARED_FLAGS = {
     "incidence": {"--threads", "--json", "--timings"},
     "radial": {"--threads", "--json", "--timings"},
     "proofgraph": {"--threads", "--include-zero", "--json", "--timings"},
-    "verify": {"--threads", "--json"},
+    "verify": {"--threads", "--json", "--timings"},
     "report": {"--threads", "--json"},
 }
 UNDECLARED = [

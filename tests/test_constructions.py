@@ -247,6 +247,28 @@ class TestUnitLattice:
                 with pytest.raises(ValueError, match="unit identity failed"):
                     build_unit_lattice(spec)
 
+    def test_identity_failure_names_first_failing_dual_point(self, monkeypatch):
+        # Dual point 2 is moved along the first x of its hyperplane, so it
+        # fails from the second prefix on; the last dual point fails at every
+        # prefix.  The report is f-major: point 2, at the second prefix.
+        spec = LatticeSpec(2, 3, mode="paper")
+        f_pts = build_unit_lattice(spec).f_points.points
+        early, late = f_pts[2], f_pts[-1]
+        first, second = Q(4, 6), Q(5, 6)  # the first two x' = a/(dq), a = q+1, q+2
+        on_plane = [(x0, (1 - early[0] * x0) / early[1]) for x0 in (first, second)]
+        eps = Q(1, 10**6)
+        x0, x1 = on_plane[0]
+        moved = {2: (early[0] + x1 * eps, early[1] - x0 * eps),
+                 len(f_pts) - 1: late[:-1] + (late[-1] + eps,)}
+
+        def scaled_with_moved_points(points):
+            return geometry._scaled([moved.get(i, f) for i, f in enumerate(points)])
+
+        monkeypatch.setattr(constructions, "_scaled", scaled_with_moved_points)
+        with pytest.raises(ValueError) as failure:
+            build_unit_lattice(spec)
+        assert str(failure.value) == f"unit identity failed for f={early}, x={on_plane[1]}"
+
     def test_paper_mode_d2_q2_sets(self):
         result = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))
         a_coords = sorted({p[0] for p in result.e_points.points})

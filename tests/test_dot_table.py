@@ -8,6 +8,7 @@ counter builds the table exactly once, and scales each point set at most
 once.
 """
 
+import math
 import threading
 from collections import Counter
 from fractions import Fraction as Q
@@ -41,7 +42,7 @@ from dottrees import (
 )
 from dottrees import acceptance, counting, geometry
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
-from dottrees.geometry import _scaled, format_point_set, is_origin, parse_point_set
+from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, parse_point_set
 from oracles import reference_incidences
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
@@ -245,6 +246,23 @@ def test_one_set_table_matches_general_path(points, include_zero):
     assert _table(one) == _table(same) == _table(general)
     assert points.scaled == twin.scaled == _scaled(points.points)
     assert points.scaled is points.scaled
+
+
+@given(single_sets(dims=(2, 3, 4)))
+@settings(max_examples=80, deadline=None)
+def test_scaled_and_dots_match_fraction_reference(points):
+    ints, scale = _scaled(points.points)
+    assert type(ints) is tuple and all(type(p) is tuple for p in ints)
+    assert all(type(v) is int for p in ints for v in p)
+    assert scale == math.lcm(*(c.denominator for p in points for c in p))
+    assert tuple(tuple(Q(v, scale) for v in p) for p in ints) == points.points
+    columns = list(zip(*ints))
+    for p, p_int in zip(points, ints):
+        products = [Q(v, scale * scale) for v in _dots(p_int, columns)]
+        assert products == [dot(p, q) for q in points]
+    empty = PointSet(points.dim, ())
+    assert _scaled(empty.points) == ((), 1)
+    assert list(_dots(ints[0], [()] * points.dim)) == []
 
 
 @pytest.mark.parametrize("include_zero", [False, True])
