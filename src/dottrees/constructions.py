@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, ne
 
-from .geometry import AlphaHyperplane, Point, PointSet, _dots, _scaled, dot
+from .geometry import AlphaHyperplane, Point, PointSet, _dots, _exact, _scaled
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -54,7 +54,7 @@ class ConstructionResult:
 
     points: PointSet
     tree: Tree
-    weights: tuple[Fraction, ...]
+    weights: tuple[int, ...]
     predicted_count: int
     vertex_assignment: dict[int, tuple[Point, ...]]
     metadata: dict = field(default_factory=dict)
@@ -97,8 +97,8 @@ def _choose_abscissas(t: Tree, start: int) -> tuple[dict[int, int], str]:
     raise AssertionError("prime abscissas cannot collide")
 
 
-def _edge_weights(t: Tree, abscissa: dict[int, int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(abscissa[a] * abscissa[b]) for a, b in t.edges)
+def _edge_weights(t: Tree, abscissa: dict[int, int]) -> tuple[int, ...]:
+    return tuple(abscissa[a] * abscissa[b] for a, b in t.edges)
 
 
 def _filler_abscissas(count: int, weight_set: set[int]) -> list[int]:
@@ -114,17 +114,24 @@ def _filler_abscissas(count: int, weight_set: set[int]) -> list[int]:
 
 def _check_constant_edge_weights(
     t: Tree,
-    weights: tuple[Fraction, ...],
+    weights: tuple[int, ...],
     assignment: dict[int, tuple[Point, ...]],
 ) -> None:
+    """Every assigned pair of every edge has the edge's weight, checked on
+    integers: each vertex's points are scaled once, and each point of an
+    edge's first vertex is dotted with the second vertex's points, given as
+    columns, against the weight at the product of the two scales.  A failure
+    names the first drifting pair."""
+    scaled = {v: _scaled(points) for v, points in assignment.items()}
     for (a, b), w in zip(t.edges, weights):
-        for x in assignment[a]:
-            for y in assignment[b]:
-                got = dot(x, y)
-                if got != w:
-                    raise ValueError(
-                        f"edge ({a},{b}) weight drifted: {got} != {w}"
-                    )
+        (xs, la), (ys, lb) = scaled[a], scaled[b]
+        columns = list(zip(*ys))
+        target = w * la * lb
+        for x in xs:
+            products = list(_dots(x, columns))
+            if products.count(target) != len(products):
+                got = Fraction(next(p for p in products if p != target), la * lb)
+                raise ValueError(f"edge ({a},{b}) weight drifted: {got} != {w}")
 
 
 def build_column_construction(t: Tree, n: int) -> ConstructionResult:
@@ -148,26 +155,21 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
     u1 = min(bip.u)
     abscissa, scheme = _choose_abscissas(t, u1)
     weights = _edge_weights(t, abscissa)
-    max_weight = max(int(w) for w in weights)
-    free_start = math.isqrt(max_weight) + 1
+    free_start = math.isqrt(max(weights)) + 1
 
     assignment: dict[int, tuple[Point, ...]] = {}
     pts: list[Point] = []
     for v in sorted(t.vertices):
-        c = Fraction(abscissa[v])
+        c = abscissa[v]
         if v in bip.u:
-            column = tuple(
-                (c, Fraction(free_start + i)) for i in range(m)
-            )
-            assignment[v] = column
+            assignment[v] = tuple((c, free_start + i) for i in range(m))
         else:
-            assignment[v] = ((c, Fraction(0)),)
+            assignment[v] = ((c, 0),)
         pts.extend(assignment[v])
 
     filler_count = n - len(pts)
-    fillers = _filler_abscissas(filler_count, {int(w) for w in weights})
-    filler_pts = tuple((Fraction(a), Fraction(0)) for a in fillers)
-    pts.extend(filler_pts)
+    fillers = _filler_abscissas(filler_count, set(weights))
+    pts.extend((a, 0) for a in fillers)
     points = PointSet(2, tuple(pts))
     _check_constant_edge_weights(t, weights, assignment)
 
@@ -222,24 +224,22 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
         if not identity_ok(abscissa):
             raise AssertionError("prime abscissas cannot collide")
     weights = _edge_weights(t, abscissa)
-    max_weight = max(int(w) for w in weights)
-    free_start = math.isqrt(max_weight) + 1
+    free_start = math.isqrt(max(weights)) + 1
 
     assignment: dict[int, tuple[Point, ...]] = {}
     pts: list[Point] = []
-    zero = Fraction(0)
     for v in sorted(t.vertices):
-        c = Fraction(abscissa[v])
+        c = abscissa[v]
         if v in bip.u:
-            line = tuple((c, Fraction(free_start + i), zero) for i in range(m))
+            line = tuple((c, free_start + i, 0) for i in range(m))
         else:
-            line = tuple((c, zero, Fraction(free_start + i)) for i in range(m))
+            line = tuple((c, 0, free_start + i) for i in range(m))
         assignment[v] = line
         pts.extend(line)
 
     filler_count = n - len(pts)
-    fillers = _filler_abscissas(filler_count, {int(w) for w in weights})
-    pts.extend((Fraction(a), zero, zero) for a in fillers)
+    fillers = _filler_abscissas(filler_count, set(weights))
+    pts.extend((a, 0, 0) for a in fillers)
     points = PointSet(3, tuple(pts))
     _check_constant_edge_weights(t, weights, assignment)
 
@@ -367,8 +367,8 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     else:
         e_last_lo, e_last_hi, covered = _calibrated_window(spec, a_nums, b_nums_f)
 
-    a_vals = [Fraction(i, denom_a) for i in a_nums]
-    e_last_vals = [Fraction(j, denom_b) for j in range(e_last_lo, e_last_hi + 1)]
+    a_vals = [_exact(Fraction(i, denom_a)) for i in a_nums]
+    e_last_vals = [_exact(Fraction(j, denom_b)) for j in range(e_last_lo, e_last_hi + 1)]
 
     e_pts = tuple(
         prefix + (last,)
@@ -380,8 +380,8 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     prefixes = list(itertools.product(a_nums, repeat=d - 1))
     params = list(itertools.product(prefixes, b_nums_f))
     f_pts = tuple(
-        tuple(Fraction(-g * denom_b, denom_a * beta) for g in gamma)
-        + (Fraction(denom_b, beta),)
+        tuple(_exact(Fraction(-g * denom_b, denom_a * beta)) for g in gamma)
+        + (_exact(Fraction(denom_b, beta)),)
         for gamma, beta in params
     )
 
@@ -410,7 +410,7 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
 
     e_set = PointSet(d, e_pts)
     f_set = PointSet(d, f_pts)
-    hyperplanes = tuple(AlphaHyperplane(f, Fraction(1)) for f in f_pts)
+    hyperplanes = tuple(AlphaHyperplane(f, 1) for f in f_pts)
     metadata = {
         "construction": "unit-lattice",
         "dim": d,

@@ -25,7 +25,9 @@ from .geometry import (
     Direction,
     Point,
     PointSet,
+    Scalar,
     _dots,
+    _exact,
     _scaled,
     is_origin,
     radial_direction,
@@ -68,7 +70,8 @@ class DotProductIndex:
     i of the rows above, as p.q = q.p, and computes only the products from
     position i on; those first i products appeared in earlier rows, so the
     numbering is unchanged.  A weight resolves to an id by scaling
-    (``id_of``), and a ``Fraction`` is built only for output (``value``).
+    (``id_of``), and a scalar is built only for output (``value``): an int
+    when the product is integral, else a ``Fraction``.
     ``skip`` is the id of zero, which the counters leave out, or -1 under
     ``include_zero``.  Every all-pairs counter reads this table.
     """
@@ -106,11 +109,12 @@ class DotProductIndex:
         scaled = Fraction(value) * self.scale
         return self.ids.get(scaled.numerator, -1) if scaled.denominator == 1 else -1
 
-    def value(self, a: int) -> Fraction:
+    def value(self, a: int) -> Scalar:
         """The dot product with id ``a``."""
         if len(self._products) < len(self.ids):
             self._products = list(self.ids)
-        return Fraction(self._products[a], self.scale)
+        whole, rest = divmod(self._products[a], self.scale)
+        return Fraction(self._products[a], self.scale) if rest else whole
 
     def pair_counts(self) -> Counter[int]:
         """Ordered pairs of distinct points per value id, ``skip`` left out."""
@@ -409,7 +413,7 @@ def pinned_weight_tuples(
     """Distinct weight tuples over injective maps sending ``vertex`` to ``pin``."""
     if vertex not in tree.vertices:
         raise ValueError(f"no vertex {vertex}")
-    pin = tuple(Fraction(c) for c in pin)
+    pin = tuple(_exact(Fraction(c)) for c in pin)
     try:
         pin_index = points.points.index(pin)
     except ValueError:
@@ -604,7 +608,8 @@ def proof_multigraph(
 
 def _pinned_sizes(index: DotProductIndex) -> list[int]:
     """``len(pinned_set(p, index.right))`` for every point p of ``index.left``."""
-    return [len(set(row) - {index.skip}) for row in index.rows]
+    skip = index.skip
+    return [len(values) - (skip in values) for values in map(set, index.rows)]
 
 
 def max_pinned(points: PointSet, *, include_zero: bool = False) -> tuple[Point, int]:
@@ -628,14 +633,17 @@ def _best_pin(index: DotProductIndex) -> tuple[int, int]:
 
 
 def _affine_rank(pts: Sequence[Point]) -> int:
-    """Dimension of the affine span of ``pts``, by exact Gaussian elimination
-    of the differences from the first point."""
-    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+    """Dimension of the affine span of ``pts``, by fraction-free Gaussian
+    elimination of the differences from the first point, on ``_scaled``
+    integers: a row r leaves pivot column c as ``p_c r - r_c p``."""
+    ints, _ = _scaled(pts)
+    rows = [[c - b for c, b in zip(p, ints[0])] for p in ints[1:]]
     rank = 0
-    for col in range(len(pts[0]) if rows else 0):
+    for col in range(len(ints[0]) if rows else 0):
         pivot = next((r for r in rows if r[col]), None)
         if pivot is not None:
-            rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+            pc = pivot[col]
+            rows = [[x * pc - r[col] * y for x, y in zip(r, pivot)]
                     for r in rows if r is not pivot]
             rank += 1
     return rank

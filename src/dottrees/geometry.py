@@ -1,15 +1,18 @@
 """Exact rational geometry: scalars, points, alpha-hyperplanes, radial directions.
 
 Every coordinate, dot product, and hyperplane membership test in this package
-is exact: coordinates are arbitrary-precision rationals (`fractions.Fraction`),
-and the counters' all-pairs table and the lattice identity checks multiply
+is exact.  A scalar is a Python ``int`` when it is integral and a reduced
+``fractions.Fraction`` otherwise (``_exact``), so integer point sets, the
+paper's extremal configurations among them, never build a ``Fraction``; both
+types hash and compare alike, so ``2`` and ``Fraction(2)`` are one value.
+The counters' all-pairs table and the lattice identity checks multiply
 Python ints after scaling each set by the lcm of its denominators (`_scaled`),
-so each product converts back to its exact `Fraction`; a `PointSet` caches
-its scaled form on first use (`PointSet.scaled`).  `_dots` is the one
-integer dot kernel: the table's rows and both lattice identity checks take
-their products from it, one point against columns of points.  Counts
-downstream hash and compare these values for equality, so floating point
-never enters a geometric computation.
+so each product converts back to its exact scalar; a `PointSet` caches its
+scaled form on first use (`PointSet.scaled`).  `_dots` is the one integer
+dot kernel: the table's rows, the builders' edge-weight checks and both
+lattice identity checks take their products from it, one point against
+columns of points.  Counts downstream hash and compare these values for
+equality, so floating point never enters a geometric computation.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ __all__ = [
     "random_point_set",
 ]
 
-# A point is a fixed-length tuple of exact scalars.  Fractions are always in
-# lowest terms with a positive denominator, so equality and hashing agree
-# with the canonical form.
-Point = tuple[Fraction, ...]
+# A scalar is an int when integral, else a Fraction, always in lowest terms
+# with a positive denominator; a point is a fixed-length tuple of scalars.
+# An int and the equal Fraction hash and compare alike, so equality and
+# hashing agree with the canonical form whichever type a caller passes.
+Scalar = int | Fraction
+Point = tuple[Scalar, ...]
 
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -63,10 +68,16 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def parse_scalar(text: str, line_no: int | None = None) -> Fraction:
+def _exact(value: Scalar) -> Scalar:
+    """``value`` as an int when it is integral, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def parse_scalar(text: str, line_no: int | None = None) -> Scalar:
     """Parse an optionally signed integer or ``a/b`` fraction.
 
-    The input need not be reduced; the result always is.
+    The input need not be reduced; the result always is, and is an int
+    when integral (``4/2`` parses as ``2``).
     """
     m = _SCALAR_RE.match(text)
     if m is None:
@@ -77,24 +88,29 @@ def parse_scalar(text: str, line_no: int | None = None) -> Fraction:
     except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"bad rational: {exc}", line_no) from None
     if den is None:
-        return Fraction(num)
+        return num
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", line_no)
-    return Fraction(num, den)
+    return _exact(Fraction(num, den))
 
 
-def format_scalar(value: Fraction) -> str:
-    """Canonical text form: ``n`` or ``n/d`` in lowest terms, ``d`` positive."""
-    return str(Fraction(value))
+def format_scalar(value: Scalar) -> str:
+    """Canonical text form: ``n`` or ``n/d`` in lowest terms, ``d`` positive.
+
+    An int or a Fraction is already canonical; anything else, a ``bool``
+    included, goes through ``Fraction`` first."""
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
-def _coerce(value) -> Fraction:
+def _coerce(value) -> Scalar:
+    if type(value) is int:
+        return value
     # Floats carry binary rounding noise; exactness demands explicit input.
     if isinstance(value, float):
         raise TypeError(
             f"float coordinate {value!r} is not exact; pass Fraction, int, or string"
         )
-    return Fraction(value)
+    return _exact(Fraction(value))
 
 
 def point(*coords) -> Point:
@@ -106,11 +122,11 @@ def is_origin(p: Point) -> bool:
     return all(c == 0 for c in p)
 
 
-def dot(p: Point, q: Point) -> Fraction:
+def dot(p: Point, q: Point) -> Scalar:
     """Exact dot product; the edge weight used by every counting operation."""
     if len(p) != len(q):
         raise ValueError(f"dimension mismatch: {len(p)} != {len(q)}")
-    return sum((a * b for a, b in zip(p, q)), Fraction(0))
+    return _exact(sum(map(mul, p, q)))
 
 
 # A point scaled to integer coordinates by ``_scaled``.
@@ -196,7 +212,7 @@ class AlphaHyperplane:
     """
 
     normal: Point
-    value: Fraction
+    value: Scalar
 
     def __post_init__(self):
         if is_origin(self.normal):
@@ -212,7 +228,9 @@ class AlphaHyperplane:
 
 def alpha_hyperplane(p: Point, alpha) -> AlphaHyperplane:
     """The hyperplane of points whose dot product with pin ``p`` is ``alpha``."""
-    return AlphaHyperplane(tuple(Fraction(c) for c in p), Fraction(alpha))
+    return AlphaHyperplane(
+        tuple(_exact(Fraction(c)) for c in p), _exact(Fraction(alpha))
+    )
 
 
 @dataclass(frozen=True)
@@ -243,11 +261,10 @@ class Direction:
 
 def radial_direction(p: Point) -> Direction:
     """Canonical direction of the line through ``p`` and the origin."""
-    coords = [Fraction(c) for c in p]
-    if all(c == 0 for c in coords):
+    if is_origin(p):
         raise ValueError("the origin has no radial direction")
-    scale = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * scale) for c in coords]
+    scale = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (scale // c.denominator) for c in p]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     for c in ints:
@@ -329,9 +346,8 @@ def integer_grid(side: int, dim: int = 2, start: int = 1) -> PointSet:
         raise ValueError("side must be positive")
     import itertools
 
-    axis = [Fraction(start + i) for i in range(side)]
-    pts = tuple(tuple(row) for row in itertools.product(axis, repeat=dim))
-    return PointSet(dim, pts)
+    axis = range(start, start + side)
+    return PointSet(dim, tuple(itertools.product(axis, repeat=dim)))
 
 
 def random_point_set(
@@ -357,7 +373,7 @@ def random_point_set(
     pts: list[Point] = []
     seen: set[Point] = set()
     while len(pts) < n:
-        p = tuple(Fraction(rng.randint(low, high)) for _ in range(dim))
+        p = tuple(rng.randint(low, high) for _ in range(dim))
         if p in seen or (exclude_origin and is_origin(p)):
             continue
         seen.add(p)

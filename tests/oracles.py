@@ -99,6 +99,20 @@ def reference_incidences(ps: PointSet, hyperplanes) -> int:
     return sum(1 for plane in hyperplanes for p in ps.points if plane.contains(p))
 
 
+def reference_affine_rank(pts) -> int:
+    """Dimension of the affine span of ``pts``: Gaussian elimination of the
+    differences from the first point, in ``Fraction`` arithmetic."""
+    rows = [[Fraction(c) - Fraction(b) for c, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+                    for r in rows if r is not pivot]
+            rank += 1
+    return rank
+
+
 def naive_crossings(segments) -> int:
     """O(n^2) proper-crossing count by solving each pair exactly."""
 

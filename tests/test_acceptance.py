@@ -17,6 +17,7 @@ import pytest
 from dottrees import AlphaHyperplane, PointSet, dot, pinned_set, point_set, random_point_set
 from dottrees import acceptance
 from dottrees.acceptance import _recount_edges, _unit_identity_failures, run_criteria
+from dottrees.bounds import meets_power_bound
 from dottrees.cli import cli_main
 from dottrees.constructions import LatticeSpec, build_unit_lattice
 from oracles import reference_unit_identity
@@ -113,6 +114,26 @@ def test_criterion_05_distinct_dot_products():
 def test_criterion_06_pinned_grid_check():
     result = _run(6)
     assert result.passed, result.details
+
+
+def test_criterion_06_counts_match_one_bound_check_per_pin(monkeypatch):
+    # Criterion 6 bisects for the least passing size once per grid; checking
+    # the bound on every pin's own pinned set must count the same pins.  The
+    # grid pins all pass with room to spare, so one more set puts four pins
+    # at exactly the least passing size, 4 at n=64, and one pin below it.
+    at_threshold = point_set([(1, 0), (2, 0), (3, 0), (4, 0), (0, 1)])
+    sets = acceptance._grid_sets() + [(64, at_threshold)]
+    monkeypatch.setattr(acceptance, "_grid_sets", lambda: sets)
+    rows = []
+    for n, points in sets:
+        good = sum(
+            meets_power_bound(len(pinned_set(p, points)), n, Fraction(2, 3), Fraction(1, 4))
+            for p in points.points
+        )
+        rows.append(f"n={n}:{good}")
+    assert rows[-1] == "n=64:4"
+    result = acceptance.criterion_6()
+    assert result.details == "good pins " + " ".join(rows) + " (fewer than n/2)"
 
 
 def test_criterion_07_distinct_tuple_growth():

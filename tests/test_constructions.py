@@ -30,7 +30,9 @@ class TestColumnConstruction:
         assert sum(1 for p in result.points if p[0] == 1) == 4
         assert sum(1 for p in result.points if p[0] == 3) == 4
         assert pt(2, 0) in result.points
-        assert result.weights == (Q(2), Q(6))
+        assert result.weights == (2, 6)
+        assert all(type(w) is int for w in result.weights)
+        assert all(type(c) is int for p in result.points for c in p)
         assert result.predicted_count == 16
         assert naive_count_embeddings(result.weighted_tree, result.points) == 16
 
@@ -156,7 +158,9 @@ class TestPerpLines:
         assert all(p[2] == 0 for p in by_x[1])
         assert all(p[1] == 0 for p in by_x[2])
         assert all(p[2] == 0 for p in by_x[3])
-        assert result.weights == (Q(2), Q(6))
+        assert result.weights == (2, 6)
+        assert all(type(w) is int for w in result.weights)
+        assert all(type(c) is int for p in result.points for c in p)
         assert result.predicted_count == 27
         assert naive_count_embeddings(result.weighted_tree, result.points) == 27
 
@@ -226,9 +230,28 @@ class TestPerpLines:
     "build", [build_column_construction, build_perp_lines_3d], ids=["columns", "perp-lines"]
 )
 def test_edge_weight_drift_is_value_error(monkeypatch, build):
-    monkeypatch.setattr(constructions, "dot", lambda p, q: Q(-1))
-    with pytest.raises(ValueError, match="weight drifted"):
+    # Every integer product the check reads comes out one low, so the first
+    # pair of the first edge drifts.
+    w = build(make_path(2), 12).weights[0]
+
+    def drifting_dots(p, columns):
+        return (v - 1 for v in geometry._dots(p, columns))
+
+    monkeypatch.setattr(constructions, "_dots", drifting_dots)
+    with pytest.raises(ValueError) as failure:
         build(make_path(2), 12)
+    assert str(failure.value) == f"edge (1,2) weight drifted: {w - 1} != {w}"
+
+
+def test_edge_weight_check_names_first_drifting_pair_on_rationals():
+    # Vertex 1 sits at (1/2, 0) and vertex 2 owns three points: products
+    # 1, 1 and then 3/2, so the third partner is the first to drift.
+    tree = make_path(1)
+    assignment = {1: (pt(Q(1, 2), 0),), 2: (pt(2, 1), pt(2, 5), pt(3, Q(1, 3)))}
+    constructions._check_constant_edge_weights(tree, (1,), {1: assignment[1], 2: assignment[2][:2]})
+    with pytest.raises(ValueError) as failure:
+        constructions._check_constant_edge_weights(tree, (1,), assignment)
+    assert str(failure.value) == "edge (1,2) weight drifted: 3/2 != 1"
 
 
 class TestUnitLattice:

@@ -34,6 +34,7 @@ from dottrees import (
     random_point_set,
 )
 from dottrees.constructions import build_column_construction
+from dottrees.counting import _affine_rank
 from oracles import (
     ROTATION_2D,
     apply_matrix,
@@ -42,6 +43,7 @@ from oracles import (
     naive_crossings,
     naive_pinned_weight_tuples,
     naive_weight_tuples,
+    reference_affine_rank,
     reference_proof_graph_edges,
     scale_points,
 )
@@ -867,6 +869,42 @@ class TestHyperplaneDescent:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             hyperplane_descent(COLLINEAR)
+
+    def test_huge_integer_coordinate(self):
+        # A 400-digit coordinate is past any float; the rank check and the
+        # descent stay on integers, and agree with the Fraction spelling.
+        huge = 10**400 + 7
+        rows = [p for p in integer_grid(3, dim=3).points] + [(huge, 1, 2)]
+        ints = point_set(rows)
+        fractions = PointSet(3, tuple(tuple(map(Q, p)) for p in rows))
+        assert _affine_rank(ints.points) == reference_affine_rank(rows) == 3
+        trace = hyperplane_descent(ints)
+        assert trace == hyperplane_descent(fractions)
+        assert trace.levels and trace.levels[0].distinct_count >= 10
+
+
+SCALARS = st.one_of(st.integers(-6, 6), RATIONALS)
+
+
+@st.composite
+def affine_configurations(draw):
+    """Points o + t_1 v_1 + ... + t_k v_k of a random flat of dimension at
+    most k <= d, in d = 2..4, int and Fraction coordinates mixed."""
+    d = draw(st.integers(2, 4))
+    vector = st.tuples(*[SCALARS] * d)
+    origin = draw(vector)
+    basis = draw(st.lists(vector, max_size=d))
+    pts = [origin]
+    for ts in draw(st.lists(st.tuples(*[SCALARS] * len(basis)), min_size=1, max_size=7)):
+        pts.append(tuple(
+            o + sum((t * v[i] for t, v in zip(ts, basis)), 0) for i, o in enumerate(origin)
+        ))
+    return pts
+
+
+@given(affine_configurations())
+def test_affine_rank_matches_fraction_elimination(pts):
+    assert _affine_rank(pts) == reference_affine_rank(pts)
 
 
 class TestRotationAndScaling:

@@ -14,6 +14,7 @@ from dottrees import (
     dot,
     format_point_set,
     format_scalar,
+    integer_grid,
     parse_point_set,
     parse_scalar,
     point,
@@ -49,6 +50,25 @@ class TestScalar:
     @given(rationals)
     def test_roundtrip(self, q):
         assert parse_scalar(format_scalar(q)) == q
+
+    @pytest.mark.parametrize(
+        "build", [parse_scalar, lambda text: point(text)[0], lambda text: point(Q(text))[0]]
+    )
+    def test_integral_scalar_is_int(self, build):
+        for text, value in (("4/2", 2), ("-6/3", -2), ("0/5", 0), ("7", 7), ("3/6", Q(1, 2))):
+            scalar = build(text)
+            assert scalar == value and type(scalar) is type(value)
+
+    def test_format_int_and_bool(self):
+        assert format_scalar(12) == "12"
+        assert format_scalar(True) == "1" and format_scalar(False) == "0"
+        assert point(True, False) == (1, 0)
+        assert all(type(c) is int for c in point(True, False))
+
+    def test_dot_of_ints_is_int(self):
+        assert type(dot(pt(2, 3), pt(4, 5))) is int
+        assert type(dot(pt(Q(1, 2), 3), pt(4, Q(1, 3)))) is int
+        assert dot(pt(Q(1, 2), 0), pt(1, 1)) == Q(1, 2)
 
 
 class TestDot:
@@ -210,6 +230,8 @@ class TestPtsFormat:
         assert str(exc.value) == "line 5: duplicate point '2/4 1'"
 
     def test_points_hashed_once(self, monkeypatch):
+        # Integral coordinates parse as ints, so only the two non-integral
+        # ones are Fractions, each hashed once when the set is checked.
         hashed = []
         original = Q.__hash__
 
@@ -219,7 +241,8 @@ class TestPtsFormat:
 
         monkeypatch.setattr(Q, "__hash__", recording)
         ps = parse_point_set("d 3\n1 2 3\n1/2 -1 4/6\n0 0 5\n")
-        assert len(hashed) == len(ps) * ps.dim
+        assert hashed == [Q(1, 2), Q(2, 3)]
+        assert sum(type(c) is Q for p in ps for c in p) == 2
 
     def test_unreduced_input_reduced_on_load(self):
         ps = parse_point_set("d 2\n2/4 6/8\n")
@@ -274,6 +297,10 @@ class TestRandomPointSet:
         a = random_point_set(25, seed=7)
         b = random_point_set(25, seed=7)
         assert a == b
+
+    def test_coordinates_are_ints(self):
+        for ps in (random_point_set(25, dim=3, seed=7), integer_grid(3, dim=3)):
+            assert all(type(c) is int for p in ps for c in p)
 
     def test_excludes_origin(self):
         ps = random_point_set(24, seed=1, low=-2, high=2)
