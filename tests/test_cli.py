@@ -598,7 +598,8 @@ def test_python_m_runs_the_cli(tmp_path, module):
 
 # Fixed inputs for the pinned-output test, written under the test's working
 # directory.  cols.pts is the columns construction of builtin:path:2 at n=9;
-# lat.pts and lat_F.pts are the q=2 unit lattice pair.
+# lat.pts and lat_F.pts are the q=2 unit lattice pair.  k2.tree is a path
+# whose breadth-first order from vertex 1 (1, 3, 2) is not its labels.
 PINNED_INPUTS = {
     "cols.pts": "d 2\n1 3\n1 4\n1 5\n1 6\n2 0\n3 3\n3 4\n3 5\n3 6\n",
     "g3.pts": "d 3\n" + "".join(
@@ -611,6 +612,7 @@ PINNED_INPUTS = {
     "diag.pts": "d 2\n" + "".join(f"{i} {i}\n" for i in range(1, 28)),
     "pins.pts": "d 2\n1 0\n0 1\n",
     "x.lines": "# the x-axis and the line x = 3\n0 1 0\n1 0 3\n",
+    "k2.tree": "k 2\n1 3\n2 3\n",
 }
 
 # argv, exit code, SHA-256 of stdout, and SHA-256 of every file the call
@@ -640,6 +642,64 @@ PINNED_OUTPUTS = {
         {
             "out.json": "9f31091e0e128d63957a5080cb29930f7252392e9b383ebf6b8fc78833e30926",
             "out.pts": "6f826d3e603c2442879a6b652f98989ea286da73da89c73121a294bbd451ca88",
+        },
+    ),
+    "generate-perplines": (
+        ["generate", "--construction", "perplines", "--tree", "builtin:path:2", "--n", "9", "-o", "out.pts"],
+        0, "1c0c785ee741993c5b84affe9bd548c53274676ad66fec2ffd74e672060245f1",
+        {
+            "out.json": "4ee216472d6fadf0dba537c19bcfbd5226170dff3a8bae7a7d097a48ba98eefa",
+            "out.pts": "7dbc55311148b9b2e1a03a694b475a8f5fc4aba2c27b7a22fc4bda83df8e5569",
+        },
+    ),
+    "generate-columns-primes": (
+        ["generate", "--construction", "columns", "--tree", "builtin:star:5", "--n", "12", "-o", "out.pts"],
+        0, "70dd0983d2b1509ba9fc5b540751580d97c7a4cb0b906e71c8e698a75c6e8677",
+        {
+            "out.json": "1bf74cef115c4b8c8ec0b70e4132610c4b911fba0cc940452711899f41757a86",
+            "out.pts": "d9bb87fc78da427724b320b6863293c38f69fac296d75729161b424e794b0afa",
+        },
+    ),
+    "generate-perplines-primes": (
+        ["generate", "--construction", "perplines", "--tree", "builtin:star:5", "--n", "14", "-o", "out.pts"],
+        0, "c992603144592b83c96b9d0920a987bf4d7da9000db5868d3eac23216211fba6",
+        {
+            "out.json": "63c50459f75c1564b8526fa8fdec036e8270342315f89c6db3de0c08b5146bde",
+            "out.pts": "100debd491dedf6b1cc5d7c200f0289217f66f162efe6f448ef96095003f5037",
+        },
+    ),
+    "generate-columns-bfs": (
+        ["generate", "--construction", "columns", "--tree", "k2.tree", "--n", "9", "-o", "out.pts"],
+        0, "012cea1ff56c24ba7159f64057fcbaa4ac431a0ba92fac83a80d406c242be87b",
+        {
+            "out.json": "f8e1d92bc1c8423ca5155aca6df3c5dbea4587b256313db4b05a718b88ed2643",
+            "out.pts": "a414f2111c6f1547e10e58728d0960191492fa8a519cf7893433a87c8779ae6c",
+        },
+    ),
+    "generate-perplines-bfs": (
+        ["generate", "--construction", "perplines", "--tree", "k2.tree", "--n", "9", "-o", "out.pts"],
+        0, "1c0c785ee741993c5b84affe9bd548c53274676ad66fec2ffd74e672060245f1",
+        {
+            "out.json": "f61fa355f0018f67a0920245c92a71a11af22c2028b662c126b4c30537243f21",
+            "out.pts": "15abf6e51608232ef288719168b7ebc2ae31a9fc83eccbee464af1592c7681ed",
+        },
+    ),
+    "generate-lattice-paper-3d": (
+        ["generate", "--construction", "lattice", "--d", "3", "--q", "2", "--mode", "paper", "-o", "out.pts"],
+        0, "6a0c08f57a5938152c093877f585f72bca5ab6781e78690adcd6c43c0b7ca6d0",
+        {
+            "out.json": "e40477cb1eddd820bc7dc5fc45b056f8c123b70cd96ba0366c73fc9ab502a8e3",
+            "out.pts": "e3bac9fc69595f4e3a1ba655ee8cd7f635654e7a0f06a45dc19a4d4ae8eac1cc",
+            "out_F.pts": "2e42d586e2e7fbdc0f4652af9417d879fa11ca4ff5c9cc647606bb71bfd4cb77",
+        },
+    ),
+    "generate-lattice-3d": (
+        ["generate", "--construction", "lattice", "--d", "3", "--q", "3", "-o", "out.pts"],
+        0, "a387b8bc30125c3a25f21ea06d7ddac5b743d1f42d0b2113fccdbd05e291a3b2",
+        {
+            "out.json": "8685eac031a8fda0d948a8ebdf573dacf78b4ae5919250f7d8276d86c7c41896",
+            "out.pts": "a6a283f6e73dbeca270375f0ec3d1b32a28b27b5bfaf42ebb7cb979c5bef918f",
+            "out_F.pts": "f2bc4ea38ee75bffda58fe97261f5c5820b4caef409d10e543200ea50c46015f",
         },
     ),
     "count": (
@@ -759,6 +819,13 @@ PINNED_OUTPUTS = {
         0, "f8ae311456a0f7363c6d6201fbb85a21b47f4c882be30e5a82bfd7e640227527",
         {
             "r.json": "f3c0c39fc3e24446dc7702e4ce12c95654c9ea6bc934c6f823dd3e64e7fa3e0d",
+        },
+    ),
+    "report-perplines": (
+        ["report", "--experiment", "perplines", "--tree", "builtin:path:2", "--n", "9,12", "--json", "r.json"],
+        0, "145d18e82422ec8bc4f495b18013dec4ff792b929de963b25ea0076dfdda08cd",
+        {
+            "r.json": "1432c65852178470f835976e7174d8958bd410ceef9f9615647b7525c7c5a6c3",
         },
     ),
     "report-lattice": (
