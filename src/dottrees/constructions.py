@@ -21,9 +21,9 @@ against the weight set.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, ne
@@ -64,19 +64,6 @@ class ConstructionResult:
         return WeightedTree(self.tree, self.weights)
 
 
-def _bfs_abscissas(t: Tree, start: int, scheme: str) -> dict[int, int]:
-    order = t.bfs_order(start)
-    if scheme == "sequential":
-        return {v: i + 1 for i, v in enumerate(order)}
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < len(order):
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return {v: primes[i] for i, v in enumerate(order)}
-
-
 def _abscissas_identify_edges(t: Tree, abscissa: dict[int, int]) -> bool:
     """True when a product of two abscissas equals an edge weight only for
     that edge's own endpoints."""
@@ -89,12 +76,24 @@ def _abscissas_identify_edges(t: Tree, abscissa: dict[int, int]) -> bool:
     return True
 
 
-def _choose_abscissas(t: Tree, start: int) -> tuple[dict[int, int], str]:
-    for scheme in ("sequential", "primes"):
-        abscissa = _bfs_abscissas(t, start, scheme)
-        if _abscissas_identify_edges(t, abscissa):
-            return abscissa, scheme
-    raise AssertionError("prime abscissas cannot collide")
+def _choose_abscissas(
+    t: Tree, sequential: dict[int, int], start: int
+) -> tuple[dict[int, int], str]:
+    """``sequential`` when its products identify the edges, else the first
+    primes in breadth-first order from ``start``; with the scheme's name."""
+    if _abscissas_identify_edges(t, sequential):
+        return sequential, "sequential"
+    order = t.bfs_order(start)
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < len(order):
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    abscissa = dict(zip(order, primes))
+    if not _abscissas_identify_edges(t, abscissa):
+        raise AssertionError("prime abscissas cannot collide")
+    return abscissa, "primes"
 
 
 def _edge_weights(t: Tree, abscissa: dict[int, int]) -> tuple[int, ...]:
@@ -134,6 +133,24 @@ def _check_constant_edge_weights(
                 raise ValueError(f"edge ({a},{b}) weight drifted: {got} != {w}")
 
 
+def _place(
+    t: Tree,
+    n: int,
+    weights: tuple[int, ...],
+    lines: dict[int, tuple[Point, ...]],
+) -> tuple[PointSet, list[int]]:
+    """Every vertex's points in vertex order, then negative-x-axis fillers up
+    to ``n`` points; returns the set and the filler abscissas once every
+    edge weight is checked."""
+    pts = [p for v in t.vertices for p in lines[v]]
+    fillers = _filler_abscissas(n - len(pts), set(weights))
+    dim = len(pts[0])
+    pts.extend((a,) + (0,) * (dim - 1) for a in fillers)
+    points = PointSet(dim, tuple(pts))
+    _check_constant_edge_weights(t, weights, lines)
+    return points, fillers
+
+
 def build_column_construction(t: Tree, n: int) -> ConstructionResult:
     """Columns for the larger color class, axis points for the smaller one.
 
@@ -153,29 +170,16 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
         raise ValueError(f"n too small: need at least {k1 + k2} points")
     m = (n - k2) // k1
     u1 = min(bip.u)
-    abscissa, scheme = _choose_abscissas(t, u1)
+    sequential = {v: i for i, v in enumerate(t.bfs_order(u1), 1)}
+    abscissa, scheme = _choose_abscissas(t, sequential, u1)
     weights = _edge_weights(t, abscissa)
     free_start = math.isqrt(max(weights)) + 1
-
-    assignment: dict[int, tuple[Point, ...]] = {}
-    pts: list[Point] = []
-    for v in sorted(t.vertices):
-        c = abscissa[v]
-        if v in bip.u:
-            assignment[v] = tuple((c, free_start + i) for i in range(m))
-        else:
-            assignment[v] = ((c, 0),)
-        pts.extend(assignment[v])
-
-    filler_count = n - len(pts)
-    fillers = _filler_abscissas(filler_count, set(weights))
-    pts.extend((a, 0) for a in fillers)
-    points = PointSet(2, tuple(pts))
-    _check_constant_edge_weights(t, weights, assignment)
-
-    predicted = 1
-    for v in t.vertices:
-        predicted *= len(assignment[v])
+    column = range(free_start, free_start + m)
+    lines = {
+        v: tuple((abscissa[v], y) for y in column) if v in bip.u else ((abscissa[v], 0),)
+        for v in t.vertices
+    }
+    points, fillers = _place(t, n, weights, lines)
     metadata = {
         "construction": "columns",
         "n": n,
@@ -189,7 +193,7 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
         "filler_abscissas": fillers,
         "exponent": k1,
     }
-    return ConstructionResult(points, t, weights, predicted, assignment, metadata)
+    return ConstructionResult(points, t, weights, m**k1, lines, metadata)
 
 
 def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
@@ -212,38 +216,15 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
         raise ValueError(f"n too small: need at least {2 * (k + 1)} points")
     m = n // (k + 1)
     bip = bipartition(t)
-
-    def identity_ok(abscissa: dict[int, int]) -> bool:
-        return _abscissas_identify_edges(t, abscissa)
-
-    abscissa = {v: v for v in t.vertices}
-    scheme = "sequential"
-    if not identity_ok(abscissa):
-        abscissa = _bfs_abscissas(t, 1, "primes")
-        scheme = "primes"
-        if not identity_ok(abscissa):
-            raise AssertionError("prime abscissas cannot collide")
+    abscissa, scheme = _choose_abscissas(t, {v: v for v in t.vertices}, 1)
     weights = _edge_weights(t, abscissa)
     free_start = math.isqrt(max(weights)) + 1
-
-    assignment: dict[int, tuple[Point, ...]] = {}
-    pts: list[Point] = []
-    for v in sorted(t.vertices):
-        c = abscissa[v]
-        if v in bip.u:
-            line = tuple((c, free_start + i, 0) for i in range(m))
-        else:
-            line = tuple((c, 0, free_start + i) for i in range(m))
-        assignment[v] = line
-        pts.extend(line)
-
-    filler_count = n - len(pts)
-    fillers = _filler_abscissas(filler_count, set(weights))
-    pts.extend((a, 0, 0) for a in fillers)
-    points = PointSet(3, tuple(pts))
-    _check_constant_edge_weights(t, weights, assignment)
-
-    predicted = m ** (k + 1)
+    free = range(free_start, free_start + m)
+    lines = {
+        v: tuple((abscissa[v], y, 0) if v in bip.u else (abscissa[v], 0, y) for y in free)
+        for v in t.vertices
+    }
+    points, fillers = _place(t, n, weights, lines)
     metadata = {
         "construction": "perp-lines-3d",
         "n": n,
@@ -260,7 +241,7 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
             "exceeding the nominal n^k for this arrangement"
         ),
     }
-    return ConstructionResult(points, t, weights, predicted, assignment, metadata)
+    return ConstructionResult(points, t, weights, m ** (k + 1), lines, metadata)
 
 
 @dataclass(frozen=True)
@@ -271,15 +252,12 @@ class LatticeSpec:
     numerators q+1..2q over dq, the B-set numerators q^2+1..2q^2 over
     d^2 q^2) or ``"calibrated"``, which keeps A and the F-side B but slides
     the last-coordinate numerator window of E so the hyperplanes actually
-    pass through lattice points.  Explicit numerator ranges may override the
-    calibrated defaults.
+    pass through lattice points.
     """
 
     dim: int
     q: int
     mode: str = "calibrated"
-    a_numerators: tuple[int, int] | None = None
-    b_numerators: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.dim < 2:
@@ -288,16 +266,6 @@ class LatticeSpec:
             raise ValueError("q must be at least 2")
         if self.mode not in ("paper", "calibrated"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "paper" and (self.a_numerators or self.b_numerators):
-            raise ValueError("numerator overrides apply to calibrated mode only")
-        if self.a_numerators is not None:
-            lo, hi = self.a_numerators
-            if hi - lo + 1 != self.q:
-                raise ValueError(f"a range must hold exactly q={self.q} values")
-        if self.b_numerators is not None:
-            lo, hi = self.b_numerators
-            if hi - lo + 1 != self.q**2:
-                raise ValueError(f"b range must hold exactly q^2={self.q ** 2} values")
 
 
 @dataclass(frozen=True)
@@ -310,36 +278,27 @@ class LatticeResult:
     metadata: dict
 
 
-def _calibrated_window(spec: LatticeSpec, a_nums: list[int], b_nums: list[int]) -> tuple[int, int, int]:
-    """Slide a q^2-wide numerator window to cover the most values of
-    numerator(c . x' + b); returns (lo, hi, covered_count)."""
-    d, q = spec.dim, spec.q
-    pair_sums: dict[int, int] = {}
-    for c in itertools.product(a_nums, repeat=d - 1):
-        for x in itertools.product(a_nums, repeat=d - 1):
-            s = sum(ci * xi for ci, xi in zip(c, x))
-            pair_sums[s] = pair_sums.get(s, 0) + 1
-    value_counts: dict[int, int] = {}
+def _calibrated_window(
+    width: int, prefixes: list[tuple[int, ...]], b_nums: range
+) -> tuple[int, int, int]:
+    """The first ``width``-wide numerator window covering the most
+    (c, x', b) triples by numerator(c . x' + b), over every pair of
+    ``prefixes``; returns (lo, hi, covered_count)."""
+    columns = list(zip(*prefixes))
+    pair_sums = Counter(itertools.chain.from_iterable(_dots(c, columns) for c in prefixes))
+    lo_all = min(pair_sums) + b_nums[0]
+    hi_all = max(pair_sums) + b_nums[-1]
+    counts = [0] * (hi_all - lo_all + 1)
     for s, mult in pair_sums.items():
         for b in b_nums:
-            v = s + b
-            value_counts[v] = value_counts.get(v, 0) + mult
-    lo_all = min(value_counts)
-    hi_all = max(value_counts)
-    width = q**2
-    best_lo, best_total = lo_all, -1
-    window_values = sorted(value_counts)
-    # Prefix sums over the (sparse) sorted values.
-    prefix = [0]
-    for v in window_values:
-        prefix.append(prefix[-1] + value_counts[v])
-    for lo in range(lo_all, max(lo_all, hi_all - width + 1) + 1):
-        left = bisect.bisect_left(window_values, lo)
-        right = bisect.bisect_right(window_values, lo + width - 1)
-        total = prefix[right] - prefix[left]
-        if total > best_total:
-            best_lo, best_total = lo, total
-    return best_lo, best_lo + width - 1, best_total
+            counts[s + b - lo_all] += mult
+    prefix = list(itertools.accumulate(counts, initial=0))
+
+    def covered(lo: int) -> int:
+        return prefix[min(lo - lo_all + width, len(counts))] - prefix[lo - lo_all]
+
+    best_lo = max(range(lo_all, max(lo_all, hi_all - width + 1) + 1), key=covered)
+    return best_lo, best_lo + width - 1, covered(best_lo)
 
 
 def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
@@ -354,18 +313,15 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     d, q = spec.dim, spec.q
     denom_a = d * q
     denom_b = d * d * q * q
-    a_lo, a_hi = spec.a_numerators or (q + 1, 2 * q)
-    a_nums = list(range(a_lo, a_hi + 1))
-    b_nums_f = list(range(q * q + 1, 2 * q * q + 1))
+    a_nums = range(q + 1, 2 * q + 1)
+    b_nums_f = range(q * q + 1, 2 * q * q + 1)
+    prefixes = list(itertools.product(a_nums, repeat=d - 1))
 
     if spec.mode == "paper":
         e_last_lo, e_last_hi = q * q + 1, 2 * q * q
         covered = None
-    elif spec.b_numerators is not None:
-        e_last_lo, e_last_hi = spec.b_numerators
-        covered = None
     else:
-        e_last_lo, e_last_hi, covered = _calibrated_window(spec, a_nums, b_nums_f)
+        e_last_lo, e_last_hi, covered = _calibrated_window(q * q, prefixes, b_nums_f)
 
     a_vals = [_exact(Fraction(i, denom_a)) for i in a_nums]
     e_last_vals = [_exact(Fraction(j, denom_b)) for j in range(e_last_lo, e_last_hi + 1)]
@@ -377,7 +333,6 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     )
     # With c = gamma/(dq), b = beta/D and D = d^2 q^2, c_j/b is
     # gamma_j D/(dq beta) and 1/b is D/beta.
-    prefixes = list(itertools.product(a_nums, repeat=d - 1))
     params = list(itertools.product(prefixes, b_nums_f))
     f_pts = tuple(
         tuple(_exact(Fraction(-g * denom_b, denom_a * beta)) for g in gamma)
@@ -416,7 +371,7 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
         "dim": d,
         "q": q,
         "mode": spec.mode,
-        "a_numerators": [a_lo, a_hi],
+        "a_numerators": [q + 1, 2 * q],
         "a_denominator": denom_a,
         "f_b_numerators": [q * q + 1, 2 * q * q],
         "e_last_numerators": [e_last_lo, e_last_hi],

@@ -27,9 +27,9 @@ from .geometry import (
     PointSet,
     Scalar,
     _dots,
-    _exact,
     _scaled,
     is_origin,
+    point,
     radial_direction,
 )
 from .trees import Tree, WeightedTree
@@ -413,7 +413,7 @@ def pinned_weight_tuples(
     """Distinct weight tuples over injective maps sending ``vertex`` to ``pin``."""
     if vertex not in tree.vertices:
         raise ValueError(f"no vertex {vertex}")
-    pin = tuple(_exact(Fraction(c)) for c in pin)
+    pin = point(*pin)
     try:
         pin_index = points.points.index(pin)
     except ValueError:

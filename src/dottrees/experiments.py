@@ -97,22 +97,23 @@ def lattice_report(
     d: int,
     qs: Sequence[int],
     *,
-    mode: str = "calibrated",
     threshold_c: Fraction | int = Fraction(1, 16),
 ) -> dict:
     """Unit-pair counts of the lattice/dual pair against N^(2d/(d+1)).
 
     A unit pair (e, f) is a point-hyperplane incidence of e with the
     hyperplane f.x = 1.  N is the size of each side (q^(d+1)); for the plane
-    the exponent is 4/3, the tight point-line incidence shape.
+    the exponent is 4/3, the tight point-line incidence shape.  The lattices
+    are calibrated: the paper's printed ranges put no lattice point of the
+    plane on any hyperplane.
     """
     runs = []
     for q in qs:
-        result = build_unit_lattice(LatticeSpec(d, q, mode=mode))
+        result = build_unit_lattice(LatticeSpec(d, q))
         pairs = incidences(result.e_points, result.hyperplanes)
         runs.append(
             {
-                "params": {"n": len(result.e_points), "d": d, "q": q, "mode": mode},
+                "params": {"n": len(result.e_points), "d": d, "q": q, "mode": "calibrated"},
                 "counts": {"unit_pairs": pairs},
             }
         )

@@ -108,7 +108,7 @@ def _coerce(value) -> Scalar:
     # Floats carry binary rounding noise; exactness demands explicit input.
     if isinstance(value, float):
         raise TypeError(
-            f"float coordinate {value!r} is not exact; pass Fraction, int, or string"
+            f"float {value!r} is not exact; pass Fraction, int, or string"
         )
     return _exact(Fraction(value))
 
@@ -228,9 +228,7 @@ class AlphaHyperplane:
 
 def alpha_hyperplane(p: Point, alpha) -> AlphaHyperplane:
     """The hyperplane of points whose dot product with pin ``p`` is ``alpha``."""
-    return AlphaHyperplane(
-        tuple(_exact(Fraction(c)) for c in p), _exact(Fraction(alpha))
-    )
+    return AlphaHyperplane(point(*p), _coerce(alpha))
 
 
 @dataclass(frozen=True)
@@ -357,16 +355,16 @@ def random_point_set(
     seed: int,
     low: int = -50,
     high: int = 50,
-    exclude_origin: bool = True,
 ) -> PointSet:
-    """Seeded random set of distinct integer-coordinate points in a box.
+    """Seeded random set of distinct integer-coordinate points in a box,
+    the origin excluded.
 
     Uses Python's Mersenne Twister (`random.Random`) so identical seeds give
     identical sets on every platform.
     """
     if low > high:
         raise ValueError("empty coordinate box")
-    capacity = (high - low + 1) ** dim - (1 if exclude_origin and low <= 0 <= high else 0)
+    capacity = (high - low + 1) ** dim - (1 if low <= 0 <= high else 0)
     if n > capacity:
         raise ValueError(f"box holds only {capacity} distinct points, need {n}")
     rng = random.Random(seed)
@@ -374,7 +372,7 @@ def random_point_set(
     seen: set[Point] = set()
     while len(pts) < n:
         p = tuple(rng.randint(low, high) for _ in range(dim))
-        if p in seen or (exclude_origin and is_origin(p)):
+        if p in seen or is_origin(p):
             continue
         seen.add(p)
         pts.append(p)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .geometry import ParseError, format_scalar, parse_scalar
+from .geometry import ParseError, Scalar, _coerce, format_scalar, parse_scalar
 
 __all__ = [
     "Edge",
@@ -28,25 +27,7 @@ __all__ = [
 Edge = tuple[int, int]
 
 # Weights are aligned with the canonical (lexicographically sorted) edge list.
-WeightVector = tuple[Fraction, ...]
-
-
-def _components(num_vertices: int, edges: Sequence[Edge]) -> int:
-    parent = list(range(num_vertices + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = num_vertices
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
+WeightVector = tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
@@ -69,7 +50,8 @@ class Tree:
             if prev is not None and (a, b) <= prev:
                 raise ValueError("edges must be strictly increasing in lexicographic order")
             prev = (a, b)
-        if _components(n, self.edges) != 1:
+        # With n - 1 distinct edges, reaching every vertex means no cycle.
+        if len(self.bfs_parents(1)) != n:
             raise ValueError("edge list is disconnected or contains a cycle")
 
     @classmethod
@@ -129,17 +111,21 @@ class WeightedTree:
     """A tree plus one exact weight per edge, in canonical edge order.
 
     ``weights`` may be None for a bare tree loaded from a file without the
-    optional weight column.
+    optional weight column.  Weights are coerced like coordinates, so a
+    float raises ``TypeError``.
     """
 
     tree: Tree
     weights: WeightVector | None = None
 
     def __post_init__(self):
-        if self.weights is not None and len(self.weights) != self.tree.num_edges:
+        if self.weights is None:
+            return
+        if len(self.weights) != self.tree.num_edges:
             raise ValueError(
                 f"{self.tree.num_edges} edges but {len(self.weights)} weights"
             )
+        object.__setattr__(self, "weights", tuple(map(_coerce, self.weights)))
 
     def require_weights(self) -> WeightVector:
         if self.weights is None:
@@ -223,7 +209,7 @@ def make_perfect_binary(h: int) -> Tree:
 
 def read_tree(stream: IO[str]) -> WeightedTree:
     k: int | None = None
-    rows: list[tuple[Edge, Fraction | None, int]] = []
+    rows: list[tuple[Edge, Scalar | None, int]] = []
     for line_no, raw in enumerate(stream, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

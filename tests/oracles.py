@@ -277,3 +277,24 @@ def reference_unit_identity(result) -> tuple[int, int]:
             if dot(f, x) != 1 or dot(plane.normal, x) != plane.value:
                 failures += 1
     return checks, failures
+
+
+def reference_calibrated_window(d, width, a_nums, b_nums) -> tuple[int, int, int]:
+    """(lo, hi, covered) of the first ``width``-wide numerator window holding
+    the most values c . x' + b, c and x' over ``a_nums``^(d-1), b over
+    ``b_nums``: every triple is counted in every window, least window first.
+    """
+    prefixes = list(product(a_nums, repeat=d - 1))
+    values = [
+        sum(ci * xi for ci, xi in zip(c, x)) + b
+        for c in prefixes
+        for x in prefixes
+        for b in b_nums
+    ]
+    least, most = min(values), max(values)
+    best = None
+    for lo in range(least, max(least, most - width + 1) + 1):
+        covered = sum(1 for v in values if lo <= v <= lo + width - 1)
+        if best is None or covered > best[2]:
+            best = (lo, lo + width - 1, covered)
+    return best

@@ -82,14 +82,10 @@ def test_criterion_03_fails_on_a_perturbed_lattice(monkeypatch, part):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("mode", ["paper", "calibrated", "override"])
+@pytest.mark.parametrize("mode", ["paper", "calibrated"])
 @pytest.mark.parametrize("part", [None, "point", "value"])
 def test_unit_identity_integer_check_matches_fraction_reference(d, q, mode, part):
-    if mode == "override":
-        spec = LatticeSpec(d, q, a_numerators=(1, q))
-    else:
-        spec = LatticeSpec(d, q, mode=mode)
-    lattice = build_unit_lattice(spec)
+    lattice = build_unit_lattice(LatticeSpec(d, q, mode=mode))
     # The first, a middle and the last dual point, so every column position
     # of the check is reached.
     for at in (0, len(lattice.f_points) // 2, -1):

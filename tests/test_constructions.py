@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +18,11 @@ from dottrees import (
     point,
 )
 from dottrees.trees import Tree, bipartition
-from oracles import naive_count_embeddings, reference_unit_identity
+from oracles import (
+    naive_count_embeddings,
+    reference_calibrated_window,
+    reference_unit_identity,
+)
 
 pt = point
 
@@ -363,11 +368,32 @@ class TestUnitLattice:
         lo, hi = result.metadata["e_last_numerators"]
         assert hi - lo + 1 == 16
 
-    def test_override_ranges(self):
-        spec = LatticeSpec(2, 2, mode="calibrated", b_numerators=(30, 33))
-        result = build_unit_lattice(spec)
-        lo, hi = result.metadata["e_last_numerators"]
-        assert (lo, hi) == (30, 33)
+    @pytest.mark.parametrize("d, q", [(2, q) for q in range(2, 7)] + [(3, q) for q in range(2, 5)])
+    def test_calibrated_window_matches_reference(self, d, q):
+        meta = build_unit_lattice(LatticeSpec(d, q)).metadata
+        lo, hi = meta["e_last_numerators"]
+        assert (lo, hi, meta["expected_unit_pairs"]) == reference_calibrated_window(
+            d, q * q, range(q + 1, 2 * q + 1), range(q * q + 1, 2 * q * q + 1)
+        )
+
+    # Small numerator ranges: the first three have tied best windows, the
+    # first two not at the least value; the last window is wider than the
+    # values' span.
+    @pytest.mark.parametrize(
+        "d, width, a_nums, b_nums",
+        [
+            (2, 2, range(-2, 0), range(-2, 1)),
+            (2, 3, range(-2, 0), range(-2, 2)),
+            (2, 2, range(0, 1), range(1, 6)),
+            (3, 4, range(1, 3), range(2, 6)),
+            (2, 20, range(1, 3), range(1, 3)),
+        ],
+    )
+    def test_calibrated_window_keeps_first_best(self, d, width, a_nums, b_nums):
+        prefixes = list(itertools.product(a_nums, repeat=d - 1))
+        assert constructions._calibrated_window(width, prefixes, b_nums) == (
+            reference_calibrated_window(d, width, a_nums, b_nums)
+        )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -376,7 +402,3 @@ class TestUnitLattice:
             LatticeSpec(2, 1)
         with pytest.raises(ValueError):
             LatticeSpec(2, 4, mode="exotic")
-        with pytest.raises(ValueError):
-            LatticeSpec(2, 4, mode="paper", b_numerators=(1, 16))
-        with pytest.raises(ValueError):
-            LatticeSpec(2, 4, mode="calibrated", b_numerators=(1, 10))

@@ -371,6 +371,10 @@ class TestPinnedWeightTuples:
         with pytest.raises(ValueError):
             pinned_weight_tuples(make_path(1), 1, pt(9, 9), COLLINEAR)
 
+    def test_float_pin_rejected(self):
+        with pytest.raises(TypeError):
+            pinned_weight_tuples(make_path(1), 1, (1.0, 0.0), COLLINEAR)
+
     def test_bounded_by_unpinned(self):
         for seed in range(4):
             ps = random_instance(seed, max_points=7)

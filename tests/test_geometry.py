@@ -133,6 +133,12 @@ class TestAlphaHyperplane:
         with pytest.raises(ValueError):
             alpha_hyperplane(pt(0, 0), 1)
 
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            alpha_hyperplane((1, 0), 0.1)
+        with pytest.raises(TypeError):
+            alpha_hyperplane((1.0, 0), 1)
+
     @given(
         st.tuples(rationals, rationals),
         st.tuples(rationals, rationals),

@@ -54,6 +54,32 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             Tree(2, ((1, 3),))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_accepts_exactly_the_connected_edge_lists(self, n):
+        # Every strictly increasing list of n - 1 distinct pairs: Tree accepts
+        # it exactly when it connects all n vertices, Cayley's n^(n-2) lists.
+        def connects(edges):
+            reached = {1}
+            grown = True
+            while grown:
+                grown = False
+                for a, b in edges:
+                    if (a in reached) != (b in reached):
+                        reached |= {a, b}
+                        grown = True
+            return len(reached) == n
+
+        accepted = 0
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        for edges in itertools.combinations(pairs, n - 1):
+            if connects(edges):
+                assert Tree(n, edges).edges == edges
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="disconnected or contains a cycle"):
+                    Tree(n, edges)
+        assert accepted == (n ** (n - 2) if n > 1 else 1)
+
     def test_bfs_root_validated(self):
         with pytest.raises(ValueError):
             make_path(2).bfs_order(9)
@@ -179,3 +205,12 @@ class TestWeightedTree:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             WeightedTree(make_path(2), (Q(1),))
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(TypeError):
+            WeightedTree(make_path(1), (0.1,))
+
+    def test_weights_are_exact_scalars(self):
+        wt = WeightedTree(make_path(2), [Q(4, 2), "3/6"])
+        assert wt.weights == (2, Q(1, 2))
+        assert type(wt.weights[0]) is int
