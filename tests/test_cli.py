@@ -835,6 +835,28 @@ PINNED_OUTPUTS = {
             "r.json": "9766dc164cf3d17ac9c9857beb4e9cbc9593486c9f51ef0bf01b0c6d66a2d787",
         },
     ),
+    # Three or more sizes, so the JSON carries fit_slope at full precision.
+    "report-columns-fit": (
+        ["report", "--experiment", "columns", "--tree", "builtin:path:3", "--n", "16,32,64,128", "--json", "r.json"],
+        0, "d506b32b1e10b34403cf32b821cbfcc3c3250a5408b02e7f97f7a5e111e862ec",
+        {
+            "r.json": "f506827fa6f75c79414406fc1ac2bd2f393e40297b788d98b2f6628ee0323ef1",
+        },
+    ),
+    "report-lattice-fit": (
+        ["report", "--experiment", "lattice", "--d", "2", "--q", "4,5,6", "--json", "r.json"],
+        0, "f318f306ed699015c64e4b0359953f4ad6b6166966624b5e0e4f69560bc0e068",
+        {
+            "r.json": "ee454c5e6c7bd0dbf4a56ac74a856b1023dec6233e5ebbd3d0ef282350fedbd0",
+        },
+    ),
+    "report-perplines-fit": (
+        ["report", "--experiment", "perplines", "--tree", "builtin:path:2", "--n", "9,12,15", "--json", "r.json"],
+        0, "9bf907c75b369118a5262b6ce21d0f8af50616d705edf906f7e809d1f22414f1",
+        {
+            "r.json": "af4c16e4c4ae5c55288bf7635c669ff2beea9ca28e8662f5df5c144269bac764",
+        },
+    ),
 }
 
 
