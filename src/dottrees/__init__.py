@@ -7,7 +7,6 @@ growth bounds at desk scale.
 """
 
 from .bounds import (
-    FitResult,
     binary_tree_upper_exponent,
     column_exponent,
     compare_report,

@@ -7,7 +7,6 @@ package where floating point is allowed, and it stays confined to reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -20,7 +19,6 @@ __all__ = [
     "max_copies_exponent",
     "main_exponents_consistent",
     "meets_power_bound",
-    "FitResult",
     "loglog_fit",
     "compare_report",
     "format_report_table",
@@ -74,16 +72,16 @@ def max_copies_exponent(k: int, d: int) -> Fraction:
     return max(lattice_exponent(k, d), column_exponent(k))
 
 
-def main_exponents_consistent(max_height: int = 6) -> bool:
+def main_exponents_consistent() -> bool:
     """Exact consistency identities between the exponent formulas.
 
     The planar case of the pinned exponent must be 2/3, and the column
-    exponent for a perfect binary tree of height h (k = 2^(h+1) - 2 edges)
-    must equal the binary-tree upper-bound exponent 2^h.
+    exponent for a perfect binary tree of height h = 1..6 (k = 2^(h+1) - 2
+    edges) must equal the binary-tree upper-bound exponent 2^h.
     """
     if pinned_exponent(2) != Fraction(2, 3):
         return False
-    for h in range(1, max_height + 1):
+    for h in range(1, 7):
         k = 2 ** (h + 1) - 2
         if column_exponent(k) != binary_tree_upper_exponent(h):
             return False
@@ -106,22 +104,12 @@ def meets_power_bound(value, n: int, exponent: Fraction, c: Fraction | int = 1) 
     return (value / c) ** b >= Fraction(n) ** exponent.numerator
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares slope of log(count) against log(n)."""
-
-    points: tuple[tuple[int, int], ...]
-    slope: float
-    intercept: float
-    residual: float
-
-
-def loglog_fit(series: Sequence[tuple[int, int]]) -> FitResult:
-    """Fit a power law through (n, count) pairs in log-log coordinates.
+def loglog_fit(series: Sequence[tuple[int, int]]) -> float:
+    """Least-squares slope of log(count) against log(n) over (n, count) pairs.
 
     Needs at least three points with distinct n and positive counts.
     """
-    pts = tuple((int(n), int(c)) for n, c in series)
+    pts = [(int(n), int(c)) for n, c in series]
     if len({n for n, _ in pts}) < 3:
         raise ValueError("need at least three distinct n values")
     for n, c in pts:
@@ -133,81 +121,55 @@ def loglog_fit(series: Sequence[tuple[int, int]]) -> FitResult:
     mean_y = sum(ys) / len(ys)
     sxx = sum((x - mean_x) ** 2 for x in xs)
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    residual = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return FitResult(pts, slope, intercept, residual)
+    return sxy / sxx
 
 
 def compare_report(
     experiment: str,
-    runs: Sequence[Mapping],
-    predicted_exponent: Fraction,
+    params: Mapping,
+    runs: Sequence[tuple[int, Mapping]],
+    exponent: Fraction,
     *,
     count_key: str = "count",
     threshold_c: Fraction | int = Fraction(1, 8),
     expect_equal: tuple[str, str] | None = None,
     notes: Sequence[str] = (),
-    varying: Sequence[str] = ("n",),
 ) -> dict:
     """Side-by-side comparison of empirical counts against a predicted exponent.
 
-    Each run is a mapping with a ``params`` dict (containing ``n`` plus any
-    shared parameters, which must agree across runs except for the declared
-    ``varying`` keys) and a ``counts`` dict.  A run passes when
-    counts[count_key] >= threshold_c * n**predicted_exponent (checked
-    exactly) and, if ``expect_equal`` names two count keys, when those counts
-    coincide.  The log-log fit slope is reported when at least three distinct
-    n are present.
+    ``params`` are the parameters every run shares; each run is an
+    ``(n, counts)`` pair.  A run passes when counts[count_key] >=
+    threshold_c * n**exponent (checked exactly) and, if ``expect_equal``
+    names two count keys, when those counts coincide.  The log-log fit slope
+    is reported when at least three distinct n are present.
     """
     if not runs:
         raise ValueError("no runs to compare")
-    if "n" not in varying:
-        raise ValueError("'n' must be a varying parameter")
     threshold_c = Fraction(threshold_c)
-    predicted_exponent = Fraction(predicted_exponent)
-    shared: dict = {}
-    first = True
-    for run in runs:
-        params = dict(run["params"])
-        if "n" not in params:
-            raise ValueError("every run needs params['n']")
-        for key in varying:
-            params.pop(key, None)
-        if first:
-            shared = params
-            first = False
-        elif params != shared:
-            raise ValueError(f"mismatched run parameters: {params} != {shared}")
+    exponent = Fraction(exponent)
     checks = []
-    series = []
-    all_ok = True
-    for run in runs:
-        n = int(run["params"]["n"])
-        count = int(run["counts"][count_key])
-        bound_ok = meets_power_bound(count, n, predicted_exponent, threshold_c)
+    for n, counts in runs:
+        n, count = int(n), int(counts[count_key])
+        bound_ok = meets_power_bound(count, n, exponent, threshold_c)
         equal_ok = None
         if expect_equal is not None:
             left, right = expect_equal
-            equal_ok = int(run["counts"][left]) == int(run["counts"][right])
-        checks.append(
-            {"n": n, "count": count, "bound_ok": bound_ok, "equal_ok": equal_ok}
-        )
-        series.append((n, count))
-        all_ok = all_ok and bound_ok and (equal_ok is not False)
+            equal_ok = int(counts[left]) == int(counts[right])
+        checks.append({"n": n, "count": count, "bound_ok": bound_ok, "equal_ok": equal_ok})
+    series = [(check["n"], check["count"]) for check in checks]
     fit_slope = None
     if len({n for n, _ in series}) >= 3 and all(c > 0 for _, c in series):
-        fit_slope = loglog_fit(series).slope
+        fit_slope = loglog_fit(series)
     return {
         "experiment": experiment,
-        "params": {**shared, "n": [n for n, _ in series]},
+        "params": {**params, "n": [n for n, _ in series]},
         "empirical": [[n, c] for n, c in series],
-        "predicted_exponent": str(predicted_exponent),
+        "predicted_exponent": str(exponent),
         "fit_slope": fit_slope,
         "threshold_c": str(threshold_c),
         "checks": checks,
         "notes": list(notes),
-        "pass": all_ok,
+        "pass": all(ch["bound_ok"] and ch["equal_ok"] is not False for ch in checks),
     }
 
 

@@ -492,13 +492,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     kwargs = {}
-    if args.threshold_c:
+    if args.threshold_c is not None:
         kwargs["threshold_c"] = _parse_fraction(args.threshold_c, "--threshold-c")
     if args.experiment == "lattice":
+        if args.tree is not None or args.n is not None:
+            raise UsageError("the lattice experiment takes neither --tree nor --n")
         if args.q is None:
             raise UsageError("the lattice experiment needs --q")
-        report = lattice_report(args.d, _parse_int_list(args.q, "--q", "size"), **kwargs)
+        d = 2 if args.d is None else args.d
+        report = lattice_report(d, _parse_int_list(args.q, "--q", "size"), **kwargs)
     else:
+        if args.q is not None or args.d is not None:
+            raise UsageError(f"the {args.experiment} experiment takes neither --q nor --d")
         if args.tree is None or args.n is None:
             raise UsageError("this experiment needs --tree and --n")
         wt = _resolve_tree(args.tree, None)
@@ -613,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tree", default=None)
     p.add_argument("--n", default=None, help="comma-separated sizes")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None, help="lattice dimension (default 2)")
     p.add_argument("--q", default=None, help="comma-separated lattice parameters")
     p.add_argument("--threshold-c", default=None, help="rational threshold constant")
     add_shared(p, _cmd_report, "--json")

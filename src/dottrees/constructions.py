@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+# Why the perpendicular-lines construction outgrows its nominal exponent.
+PERP_LINES_SCALING_NOTE = (
+    "realized count floor(n/(k+1))^(k+1) grows with exponent k+1, "
+    "exceeding the nominal n^k for this arrangement"
+)
+
+
 @dataclass(frozen=True)
 class ConstructionResult:
     """A generated point set with its tree, weights, and exact predicted count.
@@ -236,10 +243,7 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
         "filler_abscissas": fillers,
         "nominal_exponent": k,
         "realized_exponent": k + 1,
-        "scaling_note": (
-            "realized count floor(n/(k+1))^(k+1) grows with exponent k+1, "
-            "exceeding the nominal n^k for this arrangement"
-        ),
+        "scaling_note": PERP_LINES_SCALING_NOTE,
     }
     return ConstructionResult(points, t, weights, m ** (k + 1), lines, metadata)
 

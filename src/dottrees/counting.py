@@ -89,7 +89,7 @@ class DotProductIndex:
             raise ValueError(f"dimension mismatch: {left.dim} != {self.right.dim}")
         left_ints, left_scale = left.scaled
         right_ints, right_scale = self.right.scaled
-        columns = list(zip(*right_ints)) or [()] * left.dim
+        columns = list(zip(*right_ints)) or [()]
         self.ids: dict[int, int] = {}
         self.rows: list[list[int]] = []
         ids, rows, one_set = self.ids, self.rows, self.right is left
@@ -185,7 +185,7 @@ def _search_order(tree: Tree, pinned: int | None):
     u has the most leaf neighbours, ``pinned`` excepted, ties to the smallest
     label.  The search runs from ``pinned`` (else u) to u, then breadth-first.
     """
-    adj = tree.adjacency()
+    adj = tree.adjacency
     leaves = {v for v in adj if len(adj[v]) == 1} - {pinned}
     u = min(adj, key=lambda v: (-len(leaves.intersection(adj[v])), v))
     group = [v for v in adj[u] if v in leaves]
@@ -300,7 +300,7 @@ def count_homomorphisms(
             if a in wanted:
                 groups.setdefault(a, []).append(j)
     parent = tree.bfs_parents(1)
-    adj = tree.adjacency()
+    adj = tree.adjacency
     edge_idx = tree.edge_index()
     table: dict[int, list[int]] = {}
     for v in reversed(parent):

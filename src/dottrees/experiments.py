@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .bounds import column_exponent, compare_report
 from .constructions import (
+    PERP_LINES_SCALING_NOTE,
     LatticeSpec,
     build_column_construction,
     build_perp_lines_3d,
@@ -22,6 +23,28 @@ __all__ = [
 ]
 
 
+def _construction_report(
+    experiment, build, d, tree, ns, exponent, *, tree_label, threshold_c, notes=()
+) -> dict:
+    """Build each size, count its embeddings, and check them against the
+    construction's exact predicted count and the power bound n^exponent."""
+    runs = []
+    for n in ns:
+        result = build(tree, n)
+        counted = count_embeddings(result.weighted_tree, result.points)
+        runs.append((n, {"embeddings": counted, "predicted": result.predicted_count}))
+    return compare_report(
+        experiment,
+        {"k": tree.num_edges, "d": d, "tree": tree_label},
+        runs,
+        exponent,
+        count_key="embeddings",
+        threshold_c=threshold_c,
+        expect_equal=("embeddings", "predicted"),
+        notes=notes,
+    )
+
+
 def columns_report(
     tree: Tree,
     ns: Sequence[int],
@@ -34,23 +57,9 @@ def columns_report(
     Each run must also count exactly its predicted product, which is the
     construction's oracle-equivalence check.
     """
-    runs = []
-    for n in ns:
-        result = build_column_construction(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points)
-        runs.append(
-            {
-                "params": {"n": n, "k": tree.num_edges, "d": 2, "tree": tree_label},
-                "counts": {"embeddings": counted, "predicted": result.predicted_count},
-            }
-        )
-    return compare_report(
-        "columns",
-        runs,
-        column_exponent(tree.num_edges),
-        count_key="embeddings",
-        threshold_c=threshold_c,
-        expect_equal=("embeddings", "predicted"),
+    return _construction_report(
+        "columns", build_column_construction, 2, tree, ns,
+        column_exponent(tree.num_edges), tree_label=tree_label, threshold_c=threshold_c,
     )
 
 
@@ -66,30 +75,11 @@ def perplines_report(
     The construction genuinely realizes exponent k+1; the notes carry that
     discrepancy so it is surfaced, not silently resolved.
     """
-    runs = []
-    notes: list[str] = []
-    for n in ns:
-        result = build_perp_lines_3d(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points)
-        runs.append(
-            {
-                "params": {"n": n, "k": tree.num_edges, "d": 3, "tree": tree_label},
-                "counts": {"embeddings": counted, "predicted": result.predicted_count},
-            }
-        )
-        note = result.metadata["scaling_note"]
-        if note not in notes:
-            notes.append(note)
     k = tree.num_edges
-    notes.append(f"nominal exponent {k}, realized exponent {k + 1}")
-    return compare_report(
-        "perp-lines-3d",
-        runs,
-        Fraction(k),
-        count_key="embeddings",
-        threshold_c=threshold_c,
-        expect_equal=("embeddings", "predicted"),
-        notes=notes,
+    return _construction_report(
+        "perp-lines-3d", build_perp_lines_3d, 3, tree, ns, Fraction(k),
+        tree_label=tree_label, threshold_c=threshold_c,
+        notes=(PERP_LINES_SCALING_NOTE, f"nominal exponent {k}, realized exponent {k + 1}"),
     )
 
 
@@ -111,17 +101,12 @@ def lattice_report(
     for q in qs:
         result = build_unit_lattice(LatticeSpec(d, q))
         pairs = incidences(result.e_points, result.hyperplanes)
-        runs.append(
-            {
-                "params": {"n": len(result.e_points), "d": d, "q": q, "mode": "calibrated"},
-                "counts": {"unit_pairs": pairs},
-            }
-        )
+        runs.append((len(result.e_points), {"unit_pairs": pairs}))
     return compare_report(
         "unit-lattice",
+        {"d": d, "mode": "calibrated"},
         runs,
         Fraction(2 * d, d + 1),
         count_key="unit_pairs",
         threshold_c=threshold_c,
-        varying=("n", "q"),
     )

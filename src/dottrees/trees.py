@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 from .geometry import ParseError, Scalar, _coerce, format_scalar, parse_scalar
@@ -73,7 +74,9 @@ class Tree:
     def vertices(self) -> range:
         return range(1, self.num_vertices + 1)
 
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours, ascending; built once per tree."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
@@ -90,7 +93,7 @@ class Tree:
         """
         if root not in self.vertices:
             raise ValueError(f"no vertex {root}")
-        adj = self.adjacency()
+        adj = self.adjacency
         parents = {root: 0}
         queue = deque([root])
         while queue:

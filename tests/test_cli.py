@@ -454,6 +454,22 @@ class TestReport:
         code, _, _ = run_cli("report", "--experiment", "columns")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["columns", "--tree", "builtin:path:2", "--n", "9,12", "--d", "3"],
+            ["perplines", "--tree", "builtin:path:2", "--n", "9", "--q", "4"],
+            ["lattice", "--q", "4,5", "--tree", "builtin:path:2", "--n", "9"],
+            ["lattice", "--q", "4,5", "--n", "9"],
+            ["columns", "--tree", "builtin:path:2", "--n", "8,12", "--threshold-c", ""],
+        ],
+        ids=["columns-d", "perplines-q", "lattice-tree-n", "lattice-n", "empty-threshold"],
+    )
+    def test_unread_or_empty_flag_exits_2(self, argv):
+        code, out, err = run_cli("report", "--experiment", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerifySubset:
     def test_single_criterion(self):

@@ -10,6 +10,7 @@ once.
 
 import math
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -276,6 +277,18 @@ def test_numbering_of_empty_and_one_point_sets(dim, include_zero):
         assert_numbering_matches(left, right, include_zero)
     assert DotProductIndex(empty, many).rows == []
     assert DotProductIndex(many, empty).rows == [[]] * len(many)
+
+
+def test_empty_set_of_high_dimension_allocates_no_columns():
+    empty = PointSet(10**6, ())
+    tracemalloc.start()
+    try:
+        summary = distinct_dot_products(empty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.distinct == 0
+    assert peak < 2**20
 
 
 def test_mismatched_dimensions_raise():
