@@ -2,13 +2,18 @@
 
 Each criterion generates its own inputs, performs exact-oracle or explicit
 constant-threshold checks at desk scale, and reports a deterministic result
-line.  ``run_criteria`` drives them all; the CLI ``verify`` subcommand and the
-test suite both call into this module.
+line.  Each check body returns ``(passed, details)``; one decorator,
+``_criterion``, times it, applies its time limit and builds the result.
+Criteria 2 and 4 read their counts from the report drivers
+``perplines_report`` and ``lattice_report``.  ``run_criteria`` drives them
+all; the CLI ``verify`` subcommand and the test suite both call into this
+module.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import time
@@ -36,11 +41,10 @@ from .counting import (
     count_embeddings,
     distinct_dot_products,
     distinct_weight_tuples,
-    incidences,
     proof_multigraph,
     radial_histogram,
 )
-from .experiments import perplines_report
+from .experiments import lattice_report, perplines_report
 from .geometry import PointSet, _dots, _scaled, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
@@ -60,48 +64,47 @@ class CriterionResult:
         return f"{status} {self.number:>2} {self.name}: {self.details}"
 
 
+def _criterion(number: int, name: str, limit_s: float = math.inf):
+    """Decorate a check body, which returns ``(passed, details)``, into
+    criterion ``number``: the wrapper times the body, fails it when it takes
+    ``limit_s`` seconds or more, and builds the ``CriterionResult``."""
+    def wrap(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            start = time.perf_counter()
+            passed, details = body()
+            elapsed = time.perf_counter() - start
+            return CriterionResult(number, name, passed and elapsed < limit_s, details, elapsed)
+        return criterion
+    return wrap
+
+
 def _grid_sets() -> list[tuple[int, PointSet]]:
     return [(side * side, integer_grid(side)) for side in (8, 10, 12, 14)]
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "column-construction-oracle", limit_s=60.0)
+def criterion_1():
     """Column construction: engine count equals the predicted product exactly."""
-    start = time.perf_counter()
     cases = []
-    trees = [
-        ("path-2", make_path(2)),
-        ("path-3", make_path(3)),
-        ("star-3", make_star(3)),
-        ("binary-1", make_perfect_binary(1)),
-    ]
-    good = 0
-    for label, tree in trees:
+    for tree in (make_path(2), make_path(3), make_star(3), make_perfect_binary(1)):
         bip = bipartition(tree)
         for n in (8, 12, 16, 20):
             result = build_column_construction(tree, n)
             counted = count_embeddings(result.weighted_tree, result.points)
             formula = ((n - bip.k2) // bip.k1) ** bip.k1
-            ok = counted == result.predicted_count == formula
-            good += ok
-            cases.append(ok)
-    elapsed = time.perf_counter() - start
-    passed = all(cases) and elapsed < 60.0
-    details = f"{good}/{len(cases)} construction counts exact"
-    return CriterionResult(1, "column-construction-oracle", passed, details, elapsed)
+            cases.append(counted == result.predicted_count == formula)
+    return all(cases), f"{sum(cases)}/{len(cases)} construction counts exact"
 
 
-def criterion_2() -> CriterionResult:
-    """Perpendicular-lines construction counts, plus the scaling-note flag."""
-    start = time.perf_counter()
+@_criterion(2, "perp-lines-oracle")
+def criterion_2():
+    """Perpendicular-lines counts, read from ``perplines_report``, plus the
+    scaling-note flag on each build's metadata."""
     tree = make_path(2)
-    ok_counts = []
     flagged = True
-    for n, expected in ((9, 27), (12, 64)):
-        result = build_perp_lines_3d(tree, n)
-        counted = count_embeddings(result.weighted_tree, result.points)
-        formula = (n // 3) ** 3
-        ok_counts.append(counted == expected == formula == result.predicted_count)
-        meta = result.metadata
+    for n in (9, 12):
+        meta = build_perp_lines_3d(tree, n).metadata
         flagged = flagged and (
             meta.get("nominal_exponent") == 2
             and meta.get("realized_exponent") == 3
@@ -109,13 +112,16 @@ def criterion_2() -> CriterionResult:
         )
     report = perplines_report(tree, (9, 12), tree_label="path-2")
     flagged = flagged and any("realized exponent" in note for note in report["notes"])
-    elapsed = time.perf_counter() - start
-    passed = all(ok_counts) and flagged and report["pass"]
+    # Each count equals 27, 64, floor(n/3)^3 and, by equal_ok, the prediction.
+    exact = all(
+        check["count"] == expected == (check["n"] // 3) ** 3 and check["equal_ok"]
+        for check, expected in zip(report["checks"], (27, 64))
+    )
     details = (
-        f"counts {'exact' if all(ok_counts) else 'WRONG'} for n=9,12; "
+        f"counts {'exact' if exact else 'WRONG'} for n=9,12; "
         f"exponent discrepancy {'flagged' if flagged else 'MISSING'}"
     )
-    return CriterionResult(2, "perp-lines-oracle", passed, details, elapsed)
+    return exact and flagged and report["pass"], details
 
 
 def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
@@ -152,41 +158,33 @@ def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
     return len(planes) * len(prefixes), failures
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "lattice-unit-identity")
+def criterion_3():
     """Unit identity f.x = 1 exactly, for every hyperplane and lattice slice."""
-    start = time.perf_counter()
     checks, failures = map(sum, zip(*(
         _unit_identity_failures(build_unit_lattice(LatticeSpec(d, q, mode="paper")))
         for d in (2, 3) for q in (2, 3, 4)
     )))
-    elapsed = time.perf_counter() - start
-    passed = failures == 0
-    details = f"{checks} exact identity checks, {failures} failures"
-    return CriterionResult(3, "lattice-unit-identity", passed, details, elapsed)
+    return failures == 0, f"{checks} exact identity checks, {failures} failures"
 
 
-def criterion_4() -> CriterionResult:
-    """Calibrated lattice richness: unit pairs >= q^4/16, counted as incidences."""
-    start = time.perf_counter()
-    rows = []
-    all_ok = True
-    for q in (4, 5, 6, 7, 8):
-        result = build_unit_lattice(LatticeSpec(2, q, mode="calibrated"))
-        pairs = incidences(result.e_points, result.hyperplanes)
-        ok = 16 * pairs >= q**4
-        all_ok = all_ok and ok
-        rows.append(f"q={q}:{pairs}")
-    elapsed = time.perf_counter() - start
-    passed = all_ok and elapsed < 60.0
-    details = "unit pairs " + " ".join(rows) + " all >= q^4/16" if all_ok else (
-        "unit pairs below threshold: " + " ".join(rows)
-    )
-    return CriterionResult(4, "lattice-unit-richness", passed, details, elapsed)
+@_criterion(4, "lattice-unit-richness", limit_s=60.0)
+def criterion_4():
+    """Calibrated lattice richness: unit pairs >= q^4/16, counted as incidences.
+
+    With N = q^3 points a side, ``lattice_report``'s bound N^(4/3)/16 is
+    exactly q^4/16; the constant is passed, not left to the default."""
+    qs = (4, 5, 6, 7, 8)
+    report = lattice_report(2, qs, threshold_c=Fraction(1, 16))
+    rows = " ".join(f"q={q}:{check['count']}" for q, check in zip(qs, report["checks"]))
+    if report["pass"]:
+        return True, f"unit pairs {rows} all >= q^4/16"
+    return False, f"unit pairs below threshold: {rows}"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "distinct-dot-products")
+def criterion_5():
     """Distinct nonzero dot products on shifted grids: >= n^(2/3)/4."""
-    start = time.perf_counter()
     rows = []
     all_ok = True
     for n, grid in _grid_sets():
@@ -194,16 +192,15 @@ def criterion_5() -> CriterionResult:
         ok = meets_power_bound(summary.distinct, n, Fraction(2, 3), Fraction(1, 4))
         all_ok = all_ok and ok
         rows.append(f"n={n}:{summary.distinct}")
-    elapsed = time.perf_counter() - start
     details = "distinct " + " ".join(rows)
     if not all_ok:
         details += " (below n^(2/3)/4)"
-    return CriterionResult(5, "distinct-dot-products", all_ok, details, elapsed)
+    return all_ok, details
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "pinned-grid-check")
+def criterion_6():
     """At least half the grid points pin n^(2/3)/4 distinct dot products."""
-    start = time.perf_counter()
     rows = []
     all_ok = True
     for n, grid in _grid_sets():
@@ -217,26 +214,21 @@ def criterion_6() -> CriterionResult:
         ok = good >= math.ceil(n / 2)
         all_ok = all_ok and ok
         rows.append(f"n={n}:{good}")
-    elapsed = time.perf_counter() - start
     details = "good pins " + " ".join(rows)
     if not all_ok:
         details += " (fewer than n/2)"
-    return CriterionResult(6, "pinned-grid-check", all_ok, details, elapsed)
+    return all_ok, details
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "distinct-tuple-growth", limit_s=120.0)
+def criterion_7():
     """Distinct weight 2-tuples of the 2-path on the n=100 grid."""
-    start = time.perf_counter()
-    grid = integer_grid(10)
-    n = 100
-    count = distinct_weight_tuples(make_path(2), grid)
-    ok = meets_power_bound(count, n, distinct_tuples_exponent(2), Fraction(1, 8))
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < 120.0
+    count = distinct_weight_tuples(make_path(2), integer_grid(10))
+    ok = meets_power_bound(count, 100, distinct_tuples_exponent(2), Fraction(1, 8))
     details = f"{count} distinct 2-tuples on the n=100 grid"
     if not ok:
         details += " (below n^(4/3)/8)"
-    return CriterionResult(7, "distinct-tuple-growth", passed, details, elapsed)
+    return ok, details
 
 
 def _recount_edges(points: PointSet) -> int:
@@ -256,21 +248,12 @@ def _recount_edges(points: PointSet) -> int:
     return total
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "proof-multigraph-invariants")
+def criterion_8():
     """Proof multigraph invariants on the worked example and 20 seeded sets."""
-    start = time.perf_counter()
-    problems: list[str] = []
-
-    worked = point_set([(1, 0), (2, 0), (1, 1)])
-    stats = proof_multigraph(worked)
-    if (stats.vertices, stats.edges, stats.max_multiplicity, stats.drawing_crossings) != (
-        3,
-        3,
-        2,
-        0,
-    ):
-        problems.append("worked-example")
-
+    stats = proof_multigraph(point_set([(1, 0), (2, 0), (1, 1)]))
+    worked = (stats.vertices, stats.edges, stats.max_multiplicity, stats.drawing_crossings)
+    problems = [] if worked == (3, 3, 2, 0) else ["worked-example"]
     for i in range(20):
         n = 14 + 2 * i
         ps = random_point_set(n, seed=101 + i, low=-25, high=25)
@@ -283,23 +266,16 @@ def criterion_8() -> CriterionResult:
             problems.append(f"seed{101 + i}-crossings")
         if not st.crossing_bound_ok:
             problems.append(f"seed{101 + i}-bound")
-    elapsed = time.perf_counter() - start
-    passed = not problems
-    details = (
-        "worked example and 20 seeded sets consistent"
-        if passed
-        else "failures: " + ",".join(problems)
-    )
-    return CriterionResult(8, "proof-multigraph-invariants", passed, details, elapsed)
+    if problems:
+        return False, "failures: " + ",".join(problems)
+    return True, "worked example and 20 seeded sets consistent"
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "exponent-consistency")
+def criterion_9():
     """Exponent formula consistency, exact."""
-    start = time.perf_counter()
     ok = main_exponents_consistent() and max_copies_exponent(2, 2) == Fraction(2)
-    elapsed = time.perf_counter() - start
-    details = "exponent identities exact" if ok else "exponent identity broken"
-    return CriterionResult(9, "exponent-consistency", ok, details, elapsed)
+    return ok, "exponent identities exact" if ok else "exponent identity broken"
 
 
 CRITERIA = (

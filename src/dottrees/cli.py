@@ -6,7 +6,10 @@ reads: ``--threads`` on all of them (checked to be at least 1, no other
 effect), ``--json`` on all but generate (which always writes a sidecar next
 to ``-o``), ``--include-zero`` on count, distinct, pinned and proofgraph,
 ``--timings`` on count, distinct, pinned, incidence, radial, proofgraph and
-verify (each criterion's ``elapsed_ms``), and ``--seed`` on generate.
+verify (each criterion's ``elapsed_ms``), and ``--seed`` on generate.  Of
+their own flags, generate reads only its construction's (``GENERATE_READS``)
+and report only its experiment's; incidence takes one of --lines and --pins,
+and --alpha only with --pins.  Any other given flag is a usage error.
 
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
@@ -52,6 +55,7 @@ from .geometry import (
     AlphaHyperplane,
     ParseError,
     PointSet,
+    _records,
     alpha_hyperplane,
     format_point_set,
     format_scalar,
@@ -75,6 +79,12 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 BUILTIN_TREES = {"path": make_path, "star": make_star, "binary": make_perfect_binary}
+
+# The construction flags each generate construction reads; it rejects the rest.
+GENERATE_READS = {
+    "columns": ("tree", "n"), "perplines": ("tree", "n"),
+    "random": ("n", "d", "low", "high", "seed"), "lattice": ("d", "q", "mode"),
+}
 
 
 class UsageError(ValueError):
@@ -103,11 +113,7 @@ def _read_file(value: str, reader):
 def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:
     """A --lines file: each non-comment row is dim normal coordinates then the value."""
     hyperplanes = []
-    for line_no, raw in enumerate(stream, 1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
+    for line_no, _, fields in _records(stream):
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} rationals", line_no)
         values = [parse_scalar(f, line_no) for f in fields]
@@ -118,10 +124,10 @@ def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:
 def _read_pins(stream, alpha: Fraction) -> list[AlphaHyperplane]:
     """A --pins .pts file: the alpha-hyperplane of each point, on its line."""
     lines = list(stream)
-    pins = read_point_set(lines)
-    # The lines neither blank nor comments: the header, then one per point.
-    rows = [n for n, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#")]
-    return [_hyperplane(p, alpha, n) for n, p in zip(rows[1:], pins.points)]
+    pins = read_point_set(lines).points
+    # The records are the header, then one per point.
+    rows = [line_no for line_no, _, _ in _records(lines)][1:]
+    return [_hyperplane(p, alpha, n) for n, p in zip(rows, pins)]
 
 
 def _hyperplane(normal, value, line_no: int) -> AlphaHyperplane:
@@ -225,6 +231,15 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 
 
 def _cmd_generate(args) -> int:
+    unread = [
+        f"--{name}" for name in ("tree", "n", "d", "q", "mode", "low", "high", "seed")
+        if getattr(args, name) is not None and name not in GENERATE_READS[args.construction]
+    ]
+    if unread:
+        raise UsageError(f"the {args.construction} construction does not read {', '.join(unread)}")
+    for name, default in (("d", 2), ("mode", "calibrated"), ("low", -50), ("high", 50)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     out = _output_path(args.output)
     sidecar = out.with_suffix(".json")
     if sidecar == out:
@@ -407,14 +422,14 @@ def _cmd_pinned(args) -> int:
 
 def _cmd_incidence(args) -> int:
     points = _read_file(args.points, read_point_set)
-    if args.lines is None and args.pins is None:
-        raise UsageError("give --lines or --pins with --alpha")
+    if (args.lines is None) == (args.pins is None):
+        raise UsageError("give exactly one of --lines and --pins")
+    if (args.alpha is None) == (args.pins is not None):
+        raise UsageError("--alpha is required with --pins and not allowed with --lines")
     start = time.perf_counter()
     if args.lines is not None:
         hyperplanes = _read_file(args.lines, lambda fh: _read_lines(fh, points.dim))
     else:
-        if args.alpha is None:
-            raise UsageError("--pins needs --alpha")
         alpha = _parse_fraction(args.alpha, "--alpha")
         hyperplanes = _read_file(args.pins, lambda fh: _read_pins(fh, alpha))
     count = incidences(points, hyperplanes)
@@ -476,6 +491,8 @@ def _cmd_verify(args) -> int:
     numbers = None
     if args.criteria is not None:
         numbers = _parse_int_list(args.criteria, "--criteria", "criterion")
+        if len(set(numbers)) < len(numbers):
+            raise UsageError(f"--criteria names a criterion twice: {args.criteria!r}")
     results = run_criteria(numbers)
     passed = sum(1 for r in results if r.passed)
     print(*(r.line() for r in results), f"{passed}/{len(results)} criteria passed", sep="\n")
@@ -562,11 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tree", default=None, help="builtin:<kind>:<size> or .tree file")
     p.add_argument("--n", type=int, default=None, help="total points")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension")
+    p.add_argument("--d", type=int, default=None, help="ambient dimension (default 2)")
     p.add_argument("--q", type=int, default=None, help="lattice parameter")
-    p.add_argument("--mode", default="calibrated", choices=["paper", "calibrated"])
-    p.add_argument("--low", type=int, default=-50, help="random box lower bound")
-    p.add_argument("--high", type=int, default=50, help="random box upper bound")
+    p.add_argument("--mode", choices=["paper", "calibrated"], help="default calibrated")
+    p.add_argument("--low", type=int, default=None, help="random box lower bound (default -50)")
+    p.add_argument("--high", type=int, default=None, help="random box upper bound (default 50)")
     p.add_argument("-o", "--output", required=True, help="output .pts path")
     add_shared(p, _cmd_generate, "--seed")
 

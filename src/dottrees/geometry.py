@@ -283,6 +283,16 @@ def radial_direction(p: Point) -> Direction:
 # ---------------------------------------------------------------------------
 
 
+def _records(stream: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line_no, text, fields)`` for each line of ``stream`` that is neither
+    blank nor a ``#`` comment: its 1-based number, its stripped text and its
+    whitespace-separated fields.  Every text format reads its lines here."""
+    for line_no, raw in enumerate(stream, 1):
+        text = raw.strip()
+        if text and not text.startswith("#"):
+            yield line_no, text, text.split()
+
+
 def read_point_set(stream: IO[str]) -> PointSet:
     """Parse a .pts stream; raises ParseError with a line number on bad input.
 
@@ -292,11 +302,7 @@ def read_point_set(stream: IO[str]) -> PointSet:
     pts: list[Point] = []
     rows: list[tuple[int, str]] = []
     try:
-        for line_no, raw in enumerate(stream, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
+        for line_no, line, fields in _records(stream):
             if dim is None:
                 if len(fields) != 2 or fields[0] != "d":
                     raise ParseError(f"expected header 'd <dim>', got {line!r}", line_no)
@@ -362,6 +368,8 @@ def random_point_set(
     Uses Python's Mersenne Twister (`random.Random`) so identical seeds give
     identical sets on every platform.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if low > high:
         raise ValueError("empty coordinate box")
     capacity = (high - low + 1) ** dim - (1 if low <= 0 <= high else 0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .geometry import PointSet, format_point_set
 
@@ -40,15 +40,5 @@ class CountReport:
     histograms: dict = field(default_factory=dict)
     elapsed_ms: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "operation": self.operation,
-            "parameters": self.parameters,
-            "input_digest": self.input_digest,
-            "counts": self.counts,
-            "histograms": self.histograms,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
-from .geometry import ParseError, Scalar, _coerce, format_scalar, parse_scalar
+from .geometry import ParseError, Scalar, _coerce, _records, format_scalar, parse_scalar
 
 __all__ = [
     "Edge",
@@ -213,11 +213,7 @@ def make_perfect_binary(h: int) -> Tree:
 def read_tree(stream: IO[str]) -> WeightedTree:
     k: int | None = None
     rows: list[tuple[Edge, Scalar | None, int]] = []
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in _records(stream):
         if k is None:
             if len(fields) != 2 or fields[0] != "k":
                 raise ParseError(f"expected header 'k <num_edges>', got {line!r}", line_no)

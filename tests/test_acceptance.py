@@ -11,15 +11,18 @@ import json
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from dottrees import AlphaHyperplane, PointSet, dot, pinned_set, point_set, random_point_set
-from dottrees import acceptance
+from dottrees import acceptance, experiments
 from dottrees.acceptance import _recount_edges, _unit_identity_failures, run_criteria
 from dottrees.bounds import meets_power_bound
 from dottrees.cli import cli_main
 from dottrees.constructions import LatticeSpec, build_unit_lattice
+from dottrees.counting import count_embeddings
+from dottrees.experiments import lattice_report
 from oracles import reference_unit_identity
 
 _RESULTS = {}
@@ -39,9 +42,41 @@ def test_criterion_01_column_construction_oracle():
     assert result.elapsed_s < 60.0
 
 
+def test_criterion_over_its_time_limit_fails(monkeypatch):
+    # A clock that reads 0 s at the start and 61 s at the end: criterion 1's
+    # counts are all exact, but it "took" more than its 60 s limit.
+    clock = SimpleNamespace(perf_counter=iter((0.0, 61.0)).__next__)
+    monkeypatch.setattr(acceptance, "time", clock)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.details == "16/16 construction counts exact"
+    assert result.elapsed_s == 61
+
+
+def test_criterion_without_a_time_limit_passes_slowly(monkeypatch):
+    clock = SimpleNamespace(perf_counter=iter((0.0, 1000.0)).__next__)
+    monkeypatch.setattr(acceptance, "time", clock)
+    result = acceptance.criterion_9()
+    assert (result.passed, result.elapsed_s) == (True, 1000.0)
+
+
 def test_criterion_02_perp_lines_oracle():
     result = _run(2)
     assert result.passed, result.details
+
+
+def test_criterion_02_counts_each_size_once(monkeypatch):
+    sizes = []
+
+    def counting(weighted_tree, points, **kwargs):
+        sizes.append(len(points))
+        return count_embeddings(weighted_tree, points, **kwargs)
+
+    for module in (acceptance, experiments):
+        monkeypatch.setattr(module, "count_embeddings", counting)
+    result = acceptance.criterion_2()
+    assert result.passed, result.details
+    assert sizes == [9, 12]
 
 
 def test_criterion_03_lattice_unit_identity():
@@ -100,6 +135,24 @@ def test_criterion_04_lattice_unit_richness():
     result = _run(4)
     assert result.passed, result.details
     assert result.elapsed_s < 60.0
+
+
+def test_criterion_04_reads_lattice_report_at_its_own_constant(monkeypatch):
+    # The criterion passes 1/16 itself; raising the report's constant to 1
+    # (pairs >= q^4) fails q=4..8 and shows every row.
+    calls = []
+
+    def report(d, qs, *, threshold_c):
+        calls.append((d, qs, threshold_c))
+        return lattice_report(d, qs, threshold_c=1)
+
+    monkeypatch.setattr(acceptance, "lattice_report", report)
+    result = acceptance.criterion_4()
+    assert calls == [(2, (4, 5, 6, 7, 8), Fraction(1, 16))]
+    assert not result.passed
+    assert result.details == (
+        "unit pairs below threshold: q=4:130 q=5:320 q=6:660 q=7:1233 q=8:2105"
+    )
 
 
 def test_criterion_05_distinct_dot_products():

@@ -128,6 +128,31 @@ class TestGenerate:
         payload = json.loads((tmp_path / "lat.json").read_text())
         assert payload["parameters"]["e_size"] == 27
 
+    @pytest.mark.parametrize(
+        "construction, unread",
+        [
+            (["columns", "--tree", "builtin:path:2", "--n", "9", "--d", "3"], "--d"),
+            (["perplines", "--tree", "builtin:path:2", "--n", "9", "--mode", "paper"], "--mode"),
+            (["random", "--n", "5", "--seed", "1", "--tree", "builtin:path:2", "--q", "3"],
+             "--tree, --q"),
+            (["lattice", "--q", "2", "--n", "5", "--tree", "builtin:path:2", "--low", "9"],
+             "--tree, --n, --low"),
+            (["columns", "--tree", "builtin:path:2", "--n", "9", "--seed", "1"], "--seed"),
+            (["lattice", "--q", "2", "--seed", "1"], "--seed"),
+            (["columns", "--tree", "builtin:path:2", "--n", "9", "--low", "3", "--high", "1"],
+             "--low, --high"),
+        ],
+        ids=["columns-d", "perplines-mode", "random-tree-q", "lattice-tree-n-low",
+             "columns-seed", "lattice-seed", "columns-empty-box"],
+    )
+    def test_unread_flag_exits_2(self, tmp_path, construction, unread):
+        code, out, err = run_cli(
+            "generate", "--construction", *construction, "-o", str(tmp_path / "c.pts")
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: the {construction[0]} construction does not read {unread}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_construction_rejected(self, tmp_path):
         code, _, _ = run_cli(
             "generate", "--construction", "bogus", "-o", str(tmp_path / "x.pts")
@@ -365,16 +390,37 @@ class TestIncidence:
 
     def test_origin_pin_names_file_and_line(self, tmp_path, columns_pts):
         pins = tmp_path / "pins.pts"
-        pins.write_text("d 2\n1 0\n0 0\n")
+        pins.write_text("d 2\n1 0\n# a comment\n\n   # an indented one\n0 0\n")
         code, out, err = run_cli(
             "incidence", "--points", str(columns_pts), "--pins", str(pins), "--alpha", "1",
         )
         assert (code, out) == (2, "")
-        assert err == f"error: {pins}: line 3: hyperplane normal must not be the origin\n"
+        assert err == f"error: {pins}: line 6: hyperplane normal must not be the origin\n"
 
     def test_needs_some_lines(self, columns_pts):
         code, _, _ = run_cli("incidence", "--points", str(columns_pts))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--lines", "l.lines", "--pins", "pins.pts", "--alpha", "2"],
+             "give exactly one of --lines and --pins"),
+            (["--lines", "l.lines", "--alpha", "zzz"],
+             "--alpha is required with --pins and not allowed with --lines"),
+            (["--lines", "l.lines", "--alpha", "1"],
+             "--alpha is required with --pins and not allowed with --lines"),
+            (["--pins", "pins.pts"],
+             "--alpha is required with --pins and not allowed with --lines"),
+        ],
+        ids=["lines-and-pins", "lines-bad-alpha", "lines-alpha", "pins-no-alpha"],
+    )
+    def test_one_source_of_lines(self, tmp_path, monkeypatch, columns_pts, extra, message):
+        monkeypatch.chdir(tmp_path)
+        Path("l.lines").write_text("0 1 0\n")
+        Path("pins.pts").write_text("d 2\n1 0\n")
+        code, out, err = run_cli("incidence", "--points", str(columns_pts), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestRadial:
@@ -492,6 +538,11 @@ class TestVerifySubset:
         code, _, _ = run_cli("verify", "--criteria", "77")
         assert code == 2
 
+    def test_criterion_named_twice(self):
+        code, out, err = run_cli("verify", "--criteria", "9,9")
+        assert (code, out) == (2, "")
+        assert err == "error: --criteria names a criterion twice: '9,9'\n"
+
     @pytest.mark.parametrize("criteria", [",", ""])
     def test_criteria_must_name_one(self, criteria):
         code, out, err = run_cli("verify", "--criteria", criteria)
@@ -574,6 +625,9 @@ ENGINE_REJECTS = {
     "random_dimension_one": [
         "generate", "--construction", "random", "--n", "5", "--seed", "1",
         "--d", "1", "-o", "out.pts",
+    ],
+    "random_negative_n": [
+        "generate", "--construction", "random", "--n", "-1", "--seed", "1", "-o", "out.pts",
     ],
     "lattice_q_zero": ["generate", "--construction", "lattice", "--q", "0", "-o", "out.pts"],
     "lines_bad_rational": ["incidence", "--points", "a.pts", "--lines", "bad.lines"],

@@ -23,6 +23,7 @@ from dottrees import (
     random_point_set,
     read_point_set,
 )
+from dottrees.geometry import _records
 from oracles import ROTATION_2D, apply_matrix
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -298,6 +299,15 @@ class TestPtsFormat:
         assert read_point_set(io.StringIO(format_point_set(ps))) == ps
 
 
+def test_records_skip_blank_and_comment_lines():
+    lines = ["d 2\n", "\n", "# note\n", "   # indented\n", "  1   3/4 \n", "\t\n", "2 # 5\n"]
+    assert list(_records(lines)) == [
+        (1, "d 2", ["d", "2"]),
+        (5, "1   3/4", ["1", "3/4"]),
+        (7, "2 # 5", ["2", "#", "5"]),
+    ]
+
+
 class TestRandomPointSet:
     def test_deterministic(self):
         a = random_point_set(25, seed=7)
@@ -315,6 +325,10 @@ class TestRandomPointSet:
     def test_box_capacity_check(self):
         with pytest.raises(ValueError):
             random_point_set(30, seed=1, low=0, high=4, dim=1 + 1)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            random_point_set(-1, seed=1)
 
 
 class TestRotationInvariance:
