@@ -208,14 +208,17 @@ def _report(
 
 
 def _parse_int_list(text: str, flag: str, noun: str) -> list[int]:
-    """A comma-separated list of integers naming at least one ``noun``."""
+    """A comma-separated list of integers naming at least one ``noun``, with
+    no empty item."""
+    parts = text.split(",")
+    if not any(parts):
+        raise UsageError(f"{flag} must list at least one {noun}")
+    if "" in parts:
+        raise UsageError(f"bad {flag}: empty item in {text!r}")
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in parts]
     except ValueError:
         raise UsageError(f"bad {flag}: {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} must list at least one {noun}")
-    return values
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -426,12 +429,12 @@ def _cmd_incidence(args) -> int:
         raise UsageError("give exactly one of --lines and --pins")
     if (args.alpha is None) == (args.pins is not None):
         raise UsageError("--alpha is required with --pins and not allowed with --lines")
-    start = time.perf_counter()
     if args.lines is not None:
         hyperplanes = _read_file(args.lines, lambda fh: _read_lines(fh, points.dim))
     else:
         alpha = _parse_fraction(args.alpha, "--alpha")
         hyperplanes = _read_file(args.pins, lambda fh: _read_pins(fh, alpha))
+    start = time.perf_counter()
     count = incidences(points, hyperplanes)
     return _report(
         args, start, [str(count)], "incidences", {"lines": len(hyperplanes)},

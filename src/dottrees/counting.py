@@ -13,10 +13,10 @@ admitted with ``include_zero=True``.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, product, repeat
+from itertools import compress, islice, repeat
 from operator import eq, itemgetter, ne
 from typing import NamedTuple, Sequence
 
@@ -326,10 +326,13 @@ def _weight_tuple_masks(
 
     The vertices outside the leaf group (``_search_order``) are placed on
     points, ``pinned`` = (vertex, point index) fixed.  With the group's
-    vertex at x, its leaves but the last take each value id that the unused
-    points of x's row still hold, and the last leaf a bitmask of the ids
-    left.  Zero components are dropped unless ``include_zero``.  Returns the
-    masks keyed by the other components, the edge index of each key
+    vertex at x, a room table counts the unused points of x's row per value
+    id; an id whose room reaches 0 leaves it, and its bit the last leaf's
+    bitmask.  The other leaves (heads) grow layer by layer in lists, each
+    taking an id of its table and passing on a copy less that point, so no
+    sequence the room cannot hold is built; the last head reads its table
+    uncopied.  Zero components are dropped unless ``include_zero``.  Returns
+    the masks keyed by the other components, the edge index of each key
     position and of the last leaf, and the table the ids index.
     """
     if tree.num_edges == 0:
@@ -337,38 +340,34 @@ def _weight_tuple_masks(
     index = DotProductIndex(points, include_zero=include_zero)
     rows, skip = index.rows, index.skip
     parents, edges, group, at_u = _search_order(tree, pinned and pinned[0])
-    masks: dict[tuple[int, ...], int] = {}
-    x = -1
+    masks: dict[tuple[int, ...], int] = defaultdict(int)
+    x, roots = -1, range(len(points)) if pinned is None else [pinned[1]]
     for placed in _placements(
-        parents,
-        range(len(points)) if pinned is None else [pinned[1]],
-        lambda p, i: [j for j, a in enumerate(rows[i]) if a != skip],
+        parents, roots, lambda p, i: [j for j, a in enumerate(rows[i]) if a != skip]
     ):
         if placed[at_u] != x:
-            x = placed[at_u]
-            row = rows[x]
-            size = Counter(row)
-            size.pop(skip, None)
-            full = sum(1 << a for a in size)
-        taken: dict[int, int] = {}
-        for y in placed:
-            taken[row[y]] = taken.get(row[y], 0) + 1
-        mask = full
-        for a, c in taken.items():
-            if size[a] == c:
-                mask &= ~(1 << a)
+            x, row = placed[at_u], rows[placed[at_u]]
+            size = Counter(compress(row, map(ne, row, repeat(skip))))
+            full = sum(map((1).__lshift__, size))
+        room, mask = dict(size), full
+        for a in map(row.__getitem__, placed):
+            if a in room:
+                room[a] -= 1
+                if not room[a]:
+                    del room[a]
+                    mask ^= 1 << a
         prefix = tuple(rows[placed[parents[p]]][placed[p]] for p in range(1, len(parents)))
-        heads = [a for a in size if size[a] > taken.get(a, 0)] if len(group) > 1 else ()
-        for head in product(heads, repeat=len(group) - 1):
-            left = mask
-            for a in set(head):
-                room = size[a] - taken.get(a, 0) - head.count(a)
-                if room < 0:
-                    break
-                if room == 0:
-                    left &= ~(1 << a)
-            else:
-                masks[prefix + head] = masks.get(prefix + head, 0) | left
+        if len(group) == 1:
+            masks[prefix] |= mask
+            continue
+        layer = [(prefix, mask, room)]
+        for _ in range(len(group) - 2):
+            layer = [(key + (a,), mask if r > 1 else mask ^ (1 << a),
+                      {b: s - (b == a) for b, s in room.items() if s > (b == a)})
+                     for key, mask, room in layer for a, r in room.items()]
+        for key, mask, room in layer:
+            for a, r in room.items():
+                masks[key + (a,)] |= mask if r > 1 else mask ^ (1 << a)
     return masks, edges[1:] + group[:-1], group[-1], index
 
 

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from dottrees import cli
 from dottrees.cli import build_parser, cli_main
 
 
@@ -422,6 +424,29 @@ class TestIncidence:
         code, out, err = run_cli("incidence", "--points", str(columns_pts), *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_timings_leave_out_reading(self, tmp_path, monkeypatch, columns_pts):
+        # A clock that jumps 1000 s while any input file is read: the lines
+        # and pins files are read before the clock starts, so the computation
+        # alone reads 0 ms.
+        now = [0.0]
+        read_file = cli._read_file
+
+        def slow_read(*args):
+            now[0] += 1000.0
+            return read_file(*args)
+
+        monkeypatch.setattr(cli, "_read_file", slow_read)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.chdir(tmp_path)
+        Path("l.lines").write_text("0 1 0\n")
+        Path("pins.pts").write_text("d 2\n1 0\n")
+        for extra in (["--lines", "l.lines"], ["--pins", "pins.pts", "--alpha", "1"]):
+            code, _, _ = run_cli(
+                "incidence", "--points", str(columns_pts), *extra, "--timings", "--json", "r.json"
+            )
+            assert code == 0
+            assert json.loads(Path("r.json").read_text())["elapsed_ms"] == 0.0
+
 
 class TestRadial:
     def test_histogram_and_cap(self, tmp_path):
@@ -508,8 +533,12 @@ class TestReport:
             ["lattice", "--q", "4,5", "--tree", "builtin:path:2", "--n", "9"],
             ["lattice", "--q", "4,5", "--n", "9"],
             ["columns", "--tree", "builtin:path:2", "--n", "8,12", "--threshold-c", ""],
+            ["lattice", "--q", "4,,5,"],
+            ["columns", "--tree", "builtin:path:2", "--n", "8,,12"],
+            ["perplines", "--tree", "builtin:path:2", "--n", ",9"],
         ],
-        ids=["columns-d", "perplines-q", "lattice-tree-n", "lattice-n", "empty-threshold"],
+        ids=["columns-d", "perplines-q", "lattice-tree-n", "lattice-n", "empty-threshold",
+             "q-empty-item", "n-empty-item", "n-leading-empty-item"],
     )
     def test_unread_or_empty_flag_exits_2(self, argv):
         code, out, err = run_cli("report", "--experiment", *argv)
@@ -542,6 +571,12 @@ class TestVerifySubset:
         code, out, err = run_cli("verify", "--criteria", "9,9")
         assert (code, out) == (2, "")
         assert err == "error: --criteria names a criterion twice: '9,9'\n"
+
+    @pytest.mark.parametrize("criteria", [",9,,", "9,", ",9", "3,,9"])
+    def test_criteria_reject_an_empty_item(self, criteria):
+        code, out, err = run_cli("verify", "--criteria", criteria)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --criteria: empty item in {criteria!r}\n"
 
     @pytest.mark.parametrize("criteria", [",", ""])
     def test_criteria_must_name_one(self, criteria):
@@ -670,6 +705,7 @@ def test_python_m_runs_the_cli(tmp_path, module):
 # directory.  cols.pts is the columns construction of builtin:path:2 at n=9;
 # lat.pts and lat_F.pts are the q=2 unit lattice pair.  k2.tree is a path
 # whose breadth-first order from vertex 1 (1, 3, 2) is not its labels.
+# cat.tree is a caterpillar: spine 1-2, leaves 3 and 4 on 1, leaf 5 on 2.
 PINNED_INPUTS = {
     "cols.pts": "d 2\n1 3\n1 4\n1 5\n1 6\n2 0\n3 3\n3 4\n3 5\n3 6\n",
     "g3.pts": "d 3\n" + "".join(
@@ -683,6 +719,7 @@ PINNED_INPUTS = {
     "pins.pts": "d 2\n1 0\n0 1\n",
     "x.lines": "# the x-axis and the line x = 3\n0 1 0\n1 0 3\n",
     "k2.tree": "k 2\n1 3\n2 3\n",
+    "cat.tree": "k 4\n1 2\n1 3\n1 4\n2 5\n",
 }
 
 # argv, exit code, SHA-256 of stdout, and SHA-256 of every file the call
@@ -807,6 +844,22 @@ PINNED_OUTPUTS = {
             "r.json": "1a65c985308779bdb12be80ecee6c789f84df6bedabdd63917d1c724c54637ab",
         },
     ),
+    # Leaf groups of more than one leaf: weight tuples whose heads the
+    # kernel enumerates before the last leaf's mask.
+    "distinct-tree-star": (
+        ["distinct", "--points", "cols.pts", "--tree", "builtin:star:3", "--json", "r.json"],
+        0, "c956810869802e2d7ec2ef93a9e3d982ae79270257c370cdc67a46a4829a1505",
+        {
+            "r.json": "37ccce379fff552c4541c84a6de727a3f436c6f16558594745b755cb8f3acefd",
+        },
+    ),
+    "distinct-tree-caterpillar": (
+        ["distinct", "--points", "cols.pts", "--tree", "cat.tree", "--json", "r.json"],
+        0, "aa94471a968576a8187040d3b5ebd4e15bd8f41f5e36319450cdac57874f720c",
+        {
+            "r.json": "d3f1d38d2b0c35f09440613b91d274d80c07b238bf22dbd54ea6658bcee9aea4",
+        },
+    ),
     "pinned-max": (
         ["pinned", "--points", "cols.pts", "--json", "r.json"],
         0, "2b48fdfd57227001f636ee54d604fae7bee1842ec50cafddd3295739fed774c2",
@@ -826,6 +879,20 @@ PINNED_OUTPUTS = {
         0, "a5331f18877e9e1543361e44b4cb0a1f5f0ed5f8297d850bf1fcc68bd7a3ab5f",
         {
             "r.json": "3ea4da8d2d81120cd5439e066b952276f70cf3fc5c7b39ea9ad03bb7d6c753f7",
+        },
+    ),
+    "pinned-tuples-star": (
+        ["pinned", "--points", "cols.pts", "--tree", "builtin:star:3", "--vertex", "1", "--pin-index", "6", "--json", "r.json"],
+        0, "c942bc47f4c98e6bda9666c229c1dced88eec8ee73383d7c75de3dc21a3941f4",
+        {
+            "r.json": "5fdaf6d163a43ae8b06cf30e651a60ff53f45fa914be4ed13f255bde775bafb2",
+        },
+    ),
+    "pinned-tuples-caterpillar": (
+        ["pinned", "--points", "cols.pts", "--tree", "cat.tree", "--vertex", "2", "--pin-index", "6", "--json", "r.json"],
+        0, "ddc1e295165f07703977c2f7fce6991541486268bccf43578344c31fcb304050",
+        {
+            "r.json": "beaf18e80247642c5fbae2e8aa50d4f09da58b7de0975bc7615c125b6a094ab9",
         },
     ),
     "pinned-descent": (

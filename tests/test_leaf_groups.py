@@ -196,3 +196,32 @@ def test_long_path_tuples_need_no_recursion():
     with shallow_recursion_limit():
         counted = distinct_weight_tuples(make_path(k), PointSet(k + 2, tuple(points)))
     assert counted == 1
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_heads_use_up_a_value_exactly(spare):
+    # The centre (0, 1) has dot product 1 with every (i, 1).  With two such
+    # points the 3-star's two heads take both, and its last leaf must take
+    # another value; a third such point lets all three leaves take 1.
+    tree = make_star(3)
+    level = tuple((Q(i), Q(1)) for i in range(1, 3 + spare))
+    points = PointSet(2, ((Q(0), Q(1)), *level, (Q(1), Q(2)), (Q(2), Q(3))))
+    expected = reference_weight_tuples(tree, points, False)
+    count, tuples = distinct_weight_tuples(tree, points, collect=True)
+    assert (tuples, count) == (expected, len(expected))
+    assert ((1, 1, 1) in tuples) == bool(spare)
+    centre = reference_weight_tuples(tree, points, False, pinned=(1, (Q(0), Q(1))))
+    assert pinned_weight_tuples(tree, 1, (Q(0), Q(1)), points) == len(centre)
+
+
+def test_wide_star_heads_need_no_recursion():
+    # On the unit vectors every dot product between two of them is 0, so
+    # every map of the 150-star gives the all-zero tuple.  Its centre has
+    # 149 heads, more than the recursion limit's margin allows frames.
+    k = 150
+    units = [tuple(Q(int(i == j)) for j in range(k + 1)) for i in range(k + 1)]
+    with shallow_recursion_limit():
+        counted = distinct_weight_tuples(
+            make_star(k), PointSet(k + 1, tuple(units)), include_zero=True
+        )
+    assert counted == 1
