@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -715,6 +716,15 @@ PINNED_INPUTS = {
                "1 17/16\n1 9/8\n1 19/16\n1 5/4\n",
     "lat_F.pts": "d 2\n-12/5 16/5\n-2 8/3\n-12/7 16/7\n-3/2 2\n"
                  "-16/5 16/5\n-8/3 8/3\n-16/7 16/7\n-2 2\n",
+    # The calibrated d=2, q=4 pair, as `generate` writes it: E holds
+    # (a/8, j/64) for a = 5..8 and j = 57..72, F holds (-8g/b, 64/b) for
+    # g = 5..8 and b = 17..32.
+    "lat4.pts": "d 2\n" + "".join(
+        f"{Fraction(a, 8)} {Fraction(j, 64)}\n" for a in range(5, 9) for j in range(57, 73)
+    ),
+    "lat4_F.pts": "d 2\n" + "".join(
+        f"{Fraction(-8 * g, b)} {Fraction(64, b)}\n" for g in range(5, 9) for b in range(17, 33)
+    ),
     "diag.pts": "d 2\n" + "".join(f"{i} {i}\n" for i in range(1, 28)),
     "pins.pts": "d 2\n1 0\n0 1\n",
     "x.lines": "# the x-axis and the line x = 3\n0 1 0\n1 0 3\n",
@@ -798,6 +808,16 @@ PINNED_OUTPUTS = {
             "out.json": "e40477cb1eddd820bc7dc5fc45b056f8c123b70cd96ba0366c73fc9ab502a8e3",
             "out.pts": "e3bac9fc69595f4e3a1ba655ee8cd7f635654e7a0f06a45dc19a4d4ae8eac1cc",
             "out_F.pts": "2e42d586e2e7fbdc0f4652af9417d879fa11ca4ff5c9cc647606bb71bfd4cb77",
+        },
+    ),
+    # Criterion 3's largest lattice pair.
+    "generate-lattice-paper-3d-q4": (
+        ["generate", "--construction", "lattice", "--d", "3", "--q", "4", "--mode", "paper", "-o", "out.pts"],
+        0, "cbf54a152493e83d52086bde21b53ef1c4d7abc2a4a4ec9210562b4df96a7805",
+        {
+            "out.json": "5dd9affb6a20eb17f88add82d33d30da6ca55ba5d8d7aedd806383dfd8e7ceef",
+            "out.pts": "5827c6987620735602130fde1b8aa2af82426184e5ad493c28b69f9790c3177d",
+            "out_F.pts": "894fac8c5a78128f74abab76a5b532ddb2e0cd237d229481978f582f96b8ed6b",
         },
     ),
     "generate-lattice-3d": (
@@ -942,6 +962,13 @@ PINNED_OUTPUTS = {
         0, "7482181f143db714b1204682275d02249d4221ecb1c7ed8db4a9b230a09a9c63",
         {
             "r.json": "80cc3b4e5f2dd81ea89d1610761d2b5ffb557da69af4163410f003830e534943",
+        },
+    ),
+    "proofgraph-second-q4": (
+        ["proofgraph", "--points", "lat4.pts", "--second", "lat4_F.pts", "--json", "r.json"],
+        0, "1314182e452a9a05de3b9ac486d70238d58b420074b51f6ac215859c1629fdce",
+        {
+            "r.json": "8a5d2f4baf1fbdcbc9a091fa599573f5d0fc21c620aade35c726756c9523964c",
         },
     ),
     "verify": (
