@@ -310,8 +310,11 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
 
     Every f = (-c_1/b, ..., -c_(d-1)/b, 1/b) is paired with the hyperplane of
     points x whose last coordinate is c . x' + b; the identity f . x = 1 is
-    verified on scaled integers for one synthesized point per (f, x') choice
-    at build time.  Returned hyperplanes are expressed as the unit-value level
+    verified on F's scaled integers (``PointSet.scaled``) for one synthesized
+    point per (f, x') choice at build time.  F's coordinates come from a
+    table of its q^3 + q^2 values, -gamma dq/beta and d^2 q^2/beta, each a
+    ``Fraction`` made once, so the build makes no ``Fraction`` per point and
+    hashes none.  Returned hyperplanes are expressed as the unit-value level
     sets of the F points, which are the same point sets.
     """
     d, q = spec.dim, spec.q
@@ -335,14 +338,24 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
         for prefix in itertools.product(a_vals, repeat=d - 1)
         for last in e_last_vals
     )
-    # With c = gamma/(dq), b = beta/D and D = d^2 q^2, c_j/b is
-    # gamma_j D/(dq beta) and 1/b is D/beta.
+    # With c = gamma/(dq), b = beta/D and D = d^2 q^2, -c_j/b is
+    # -gamma_j dq/beta and 1/b is D/beta: one value per (g, beta) and one
+    # per beta, each made once and shared by every f that holds it.
     params = list(itertools.product(prefixes, b_nums_f))
+    f_coords = [
+        (
+            {g: _exact(Fraction(-g * denom_a, beta)) for g in a_nums},
+            _exact(Fraction(denom_b, beta)),
+        )
+        for beta in b_nums_f
+    ]
     f_pts = tuple(
-        tuple(_exact(Fraction(-g * denom_b, denom_a * beta)) for g in gamma)
-        + (_exact(Fraction(denom_b, beta)),)
-        for gamma, beta in params
+        tuple(map(row.__getitem__, gamma)) + (last,)
+        for gamma in prefixes
+        for row, last in f_coords
     )
+    e_set = PointSet(d, e_pts)
+    f_set = PointSet(d, f_pts)
 
     # The displayed identity: any x on h_f has f . x = 1, exactly.  Here
     # x = X/D for the integers X = (xi dq, gamma . xi + beta); F scaled by
@@ -350,7 +363,7 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     # time, every dual point is checked at once over columns: the last
     # coordinates gamma . xi + beta, then F . X.  A failure names the first
     # failing f, and the first failing xi for that f.
-    f_ints, f_scale = _scaled(f_pts)
+    f_ints, f_scale = f_set.scaled
     *f_cols, f_last = zip(*f_ints)
     gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
     bad = []
@@ -367,8 +380,6 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
         x = tuple(Fraction(v, denom_b) for v in x)
         raise ValueError(f"unit identity failed for f={f_pts[i]}, x={x}")
 
-    e_set = PointSet(d, e_pts)
-    f_set = PointSet(d, f_pts)
     hyperplanes = tuple(AlphaHyperplane(f, 1) for f in f_pts)
     metadata = {
         "construction": "unit-lattice",

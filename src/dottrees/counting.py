@@ -16,7 +16,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import eq, itemgetter, ne
 from typing import NamedTuple, Sequence
 
@@ -65,7 +65,10 @@ class DotProductIndex:
     order of first appearance; ``ids`` maps each scaled product to its id.
     A row is built in C-level iterators: the right set is transposed into
     coordinate columns once, the row's products come from ``_dots``, and
-    each takes its id, or the next, in one ``dict.setdefault``.
+    each takes its id in one lookup: while the table is built, ``ids`` is a
+    ``defaultdict`` whose factory, ``itertools.count().__next__``, gives a
+    new product the next id.  The factory is cleared once the rows are
+    built, so a later lookup of a missing product raises ``KeyError``.
     For one set (``right is left``) row i copies its first i ids from column
     i of the rows above, as p.q = q.p, and computes only the products from
     position i on; those first i products appeared in earlier rows, so the
@@ -90,16 +93,14 @@ class DotProductIndex:
         left_ints, left_scale = left.scaled
         right_ints, right_scale = self.right.scaled
         columns = list(zip(*right_ints)) or [()]
-        self.ids: dict[int, int] = {}
+        self.ids: defaultdict[int, int] = defaultdict(count().__next__)
         self.rows: list[list[int]] = []
         ids, rows, one_set = self.ids, self.rows, self.right is left
         for i, p in enumerate(left_ints):
             row = list(map(itemgetter(i), rows)) if one_set else []
-            acc = _dots(p, [column[len(row):] for column in columns])
-            # setdefault inserts each product before the next length is read,
-            # so a product repeated within the row gets one id.
-            row += map(ids.setdefault, acc, map(len, repeat(ids)))
+            row += map(ids.__getitem__, _dots(p, [column[len(row):] for column in columns]))
             rows.append(row)
+        ids.default_factory = None
         self.scale = left_scale * right_scale
         self.skip = -1 if include_zero else self.ids.get(0, -1)
         self._products: list[int] = []

@@ -7,12 +7,14 @@ paper's extremal configurations among them, never build a ``Fraction``; both
 types hash and compare alike, so ``2`` and ``Fraction(2)`` are one value.
 The counters' all-pairs table and the lattice identity checks multiply
 Python ints after scaling each set by the lcm of its denominators (`_scaled`),
-so each product converts back to its exact scalar; a `PointSet` caches its
-scaled form on first use (`PointSet.scaled`).  `_dots` is the one integer
-dot kernel: the table's rows, the builders' edge-weight checks and both
-lattice identity checks take their products from it, one point against
-columns of points.  Counts downstream hash and compare these values for
-equality, so floating point never enters a geometric computation.
+so each product converts back to its exact scalar.  A `PointSet` scales its
+points once, at construction (`PointSet.scaled`), and checks them for
+duplicates on those ints, so building or parsing a set hashes no
+``Fraction``.  `_dots` is the one integer dot kernel: the table's rows, the
+builders' edge-weight checks and both lattice identity checks take their
+products from it, one point against columns of points.  Counts downstream
+hash and compare these values for equality, so floating point never enters
+a geometric computation.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, repeat
 from operator import add, attrgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -162,10 +163,17 @@ def _dots(p: _IntPoint, columns: Sequence[Iterable[int]]) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Dimension-tagged ordered collection of pairwise distinct points."""
+    """Dimension-tagged ordered collection of pairwise distinct points.
+
+    ``scaled`` is ``_scaled(self.points)``, computed once at construction.
+    Distinctness is checked on those integer points: scaling by one positive
+    integer is injective, so no ``Fraction`` is hashed.  A coordinate that is
+    not an exact rational, a float say, is a ``ValueError``.
+    """
 
     dim: int
     points: tuple[Point, ...]
+    scaled: tuple[tuple[_IntPoint, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -175,13 +183,16 @@ class PointSet:
                 raise ValueError(
                     f"point {p} has {len(p)} coordinates, expected {self.dim}"
                 )
-        if len(set(self.points)) != len(self.points):
+        try:
+            scaled = _scaled(self.points)
+        except AttributeError:  # a coordinate with no denominator
+            c = next(c for p in self.points for c in p if not hasattr(c, "denominator"))
+            raise ValueError(
+                f"{type(c).__name__} {c!r} is not exact; pass Fraction or int"
+            ) from None
+        if len(set(scaled[0])) != len(self.points):
             raise ValueError("points must be pairwise distinct")
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[_IntPoint, ...], int]:
-        """``_scaled(self.points)``, computed on first use and kept."""
-        return _scaled(self.points)
+        object.__setattr__(self, "scaled", scaled)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -296,8 +307,9 @@ def _records(stream: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
 def read_point_set(stream: IO[str]) -> PointSet:
     """Parse a .pts stream; raises ParseError with a line number on bad input.
 
-    ``PointSet`` alone hashes the points.  On any error, a duplicate among
-    the points read so far is the first error in the file, and is raised."""
+    ``PointSet`` alone checks the points for duplicates.  On any error, a
+    duplicate among the points read so far, found on their scaled ints, is
+    the first error in the file, and is raised."""
     dim: int | None = None
     pts: list[Point] = []
     rows: list[tuple[int, str]] = []
@@ -321,8 +333,8 @@ def read_point_set(stream: IO[str]) -> PointSet:
             raise ParseError("missing 'd <dim>' header")
         return PointSet(dim, tuple(pts))
     except ValueError:
-        seen: set[Point] = set()
-        for p, (line_no, line) in zip(pts, rows):
+        seen: set[_IntPoint] = set()
+        for p, (line_no, line) in zip(_scaled(pts)[0], rows):
             if p in seen:
                 raise ParseError(f"duplicate point {line!r}", line_no) from None
             seen.add(p)

@@ -259,21 +259,33 @@ def test_edge_weight_check_names_first_drifting_pair_on_rationals():
     assert str(failure.value) == "edge (1,2) weight drifted: 3/2 != 1"
 
 
+def _scale_moved_dual_points(monkeypatch, f_pts, moved):
+    """Patch the scaling ``PointSet`` runs at construction so that the F set
+    ``f_pts``, and no other, is scaled with point i replaced by
+    ``moved[i]``: the build check reads the moved ints, while F keeps its
+    points and the error names them."""
+    original = geometry._scaled
+
+    def scaled_with_moved_points(points):
+        if points == f_pts:
+            points = [moved.get(i, f) for i, f in enumerate(points)]
+        return original(points)
+
+    monkeypatch.setattr(geometry, "_scaled", scaled_with_moved_points)
+
+
 class TestUnitLattice:
     def test_identity_violation_is_value_error(self, monkeypatch):
-        # The build check scales the F points once; move the first or last
-        # of them by 1/10^6 in its last coordinate on the way in.
+        # The build check reads F's scaled form; move the first or last dual
+        # point by 1/10^6 in its last coordinate on the way in.
         for spec in (LatticeSpec(2, 2), LatticeSpec(3, 3, mode="paper")):
-            for which in (0, -1):
-                def scaled_with_moved_point(points, which=which):
-                    points = list(points)
-                    f = points[which]
-                    points[which] = f[:-1] + (f[-1] + Q(1, 10**6),)
-                    return geometry._scaled(points)
-
-                monkeypatch.setattr(constructions, "_scaled", scaled_with_moved_point)
+            f_pts = build_unit_lattice(spec).f_points.points
+            for which in (0, len(f_pts) - 1):
+                f = f_pts[which]
+                _scale_moved_dual_points(monkeypatch, f_pts, {which: f[:-1] + (f[-1] + Q(1, 10**6),)})
                 with pytest.raises(ValueError, match="unit identity failed"):
                     build_unit_lattice(spec)
+                monkeypatch.undo()
 
     def test_identity_failure_names_first_failing_dual_point(self, monkeypatch):
         # Dual point 2 is moved along the first x of its hyperplane, so it
@@ -288,14 +300,34 @@ class TestUnitLattice:
         x0, x1 = on_plane[0]
         moved = {2: (early[0] + x1 * eps, early[1] - x0 * eps),
                  len(f_pts) - 1: late[:-1] + (late[-1] + eps,)}
-
-        def scaled_with_moved_points(points):
-            return geometry._scaled([moved.get(i, f) for i, f in enumerate(points)])
-
-        monkeypatch.setattr(constructions, "_scaled", scaled_with_moved_points)
+        _scale_moved_dual_points(monkeypatch, f_pts, moved)
         with pytest.raises(ValueError) as failure:
             build_unit_lattice(spec)
         assert str(failure.value) == f"unit identity failed for f={early}, x={on_plane[1]}"
+
+    def test_build_hashes_no_fraction_and_makes_each_coordinate_once(self, monkeypatch):
+        # d=3, q=4 in paper mode: E's q + q^2 coordinate values and F's
+        # q^3 + q^2 (-gamma dq/beta and d^2 q^2/beta), one Fraction each,
+        # against 3 (q^4 + q^4) coordinates of E and F.
+        q = 4
+        reference = build_unit_lattice(LatticeSpec(3, q, mode="paper"))
+        made = []
+        original = Q.__new__
+
+        def recording(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        def refuse(value):
+            raise AssertionError(f"hashed {value!r}")
+
+        monkeypatch.setattr(Q, "__new__", recording)
+        monkeypatch.setattr(Q, "__hash__", refuse)
+        result = build_unit_lattice(LatticeSpec(3, q, mode="paper"))
+        monkeypatch.undo()
+        assert len(made) == q + q**2 + q**3 + q**2
+        assert len(set(made)) == len(made)
+        assert result.e_points == reference.e_points and result.f_points == reference.f_points
 
     def test_paper_mode_d2_q2_sets(self):
         result = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))

@@ -8,6 +8,7 @@ counter builds the table exactly once, and scales each point set at most
 once.
 """
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -321,6 +322,10 @@ def test_value_ids_round_trip(sets):
     products = {dot(p, q) for p in left.points for q in right.points}
     absent = max(products) + 1
     assert index.id_of(absent) == -1
+    # The table is closed once built: a missing product gets no id.
+    with pytest.raises(KeyError):
+        index.ids[max(index.ids) + 1]
+    assert len(index.ids) == len(set(itertools.chain.from_iterable(index.rows)))
     # A value whose scaled form is not an integer matches no product, even
     # when its numerator is a product's scaled form.
     for value in products - {0}:
@@ -394,7 +399,7 @@ def test_pinned_sizes_match_pinned_set():
 
 @pytest.fixture
 def scalings(monkeypatch):
-    """Record the argument of every ``_scaled`` call, in the cache and the sweep."""
+    """Record the argument of every ``_scaled`` call, in ``PointSet`` and the sweep."""
     calls = []
     original = geometry._scaled
 
@@ -425,13 +430,15 @@ def test_proof_multigraph_scales_each_set_once(scalings, pair):
     assert len(scalings) == len(sets) + 1
 
 
-def test_scaling_waits_for_a_table(monkeypatch):
-    def refuse(points):
-        raise AssertionError("scaled a set that no table reads")
-
-    monkeypatch.setattr(geometry, "_scaled", refuse)
+def test_each_set_scaled_once_at_construction(scalings):
     text = "d 2\n1/2 3\n-2/7 5/11\n3 0\n-1/13 -4\n"
     points = parse_point_set(text)
+    assert len(scalings) == 1 and scalings[0] is points.points
+    # No table scales the set again, for one set or a pair.
+    index = DotProductIndex(points)
+    DotProductIndex(points, points)
+    assert distinct_dot_products(points) == (len(index.pair_counts()), 2)
+    assert len(scalings) == 1
     assert radial_histogram(points).total == 4
     assert format_point_set(points) == text
 

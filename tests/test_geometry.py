@@ -198,6 +198,34 @@ class TestPointSet:
         with pytest.raises(TypeError):
             point_set([(0.1, 2)])
 
+    def test_float_coordinate_is_value_error(self):
+        # PointSet takes coordinates as given, so a float reaches the set's
+        # scaling, which names it rather than failing later in a table.
+        with pytest.raises(ValueError, match=r"^float 0\.5 is not exact; pass Fraction or int$"):
+            PointSet(2, ((0.5, 1),))
+        with pytest.raises(ValueError, match="^float 2.0 is not exact"):
+            PointSet(2, ((Q(1, 3), 1), (1, 2.0)))
+
+    @given(st.data())
+    def test_accepts_exactly_the_distinct_point_lists(self, data):
+        # Equal points spelled as int and as Fraction, over one shared
+        # denominator or several distinct ones, are one point.
+        dim = data.draw(st.integers(2, 4))
+        dens = data.draw(st.sampled_from([(1,), (4,), (2, 3), (6, 10), (1, 5, 7)]))
+        value = st.builds(Q, st.integers(-3, 3), st.sampled_from(dens))
+        spelled = value.flatmap(lambda v: st.sampled_from([v, v.numerator] if v.denominator == 1 else [v]))
+        points = data.draw(st.lists(st.tuples(*[spelled] * dim), max_size=8))
+        if points and data.draw(st.booleans()):
+            # A copy of a drawn point with its int coordinates as Fractions.
+            p = data.draw(st.sampled_from(points))
+            points.insert(data.draw(st.integers(0, len(points))), tuple(map(Q, p)))
+        points = tuple(points)
+        if len(set(points)) == len(points):
+            assert PointSet(dim, points).points == points
+        else:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                PointSet(dim, points)
+
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
             PointSet(1, ((Q(1),),))
@@ -236,20 +264,19 @@ class TestPtsFormat:
             parse_point_set("d 2\n# halves\n1/2 1\n\n2/4 1\n3 1\n")
         assert str(exc.value) == "line 5: duplicate point '2/4 1'"
 
-    def test_points_hashed_once(self, monkeypatch):
-        # Integral coordinates parse as ints, so only the two non-integral
-        # ones are Fractions, each hashed once when the set is checked.
-        hashed = []
-        original = Q.__hash__
+    def test_parsing_hashes_no_fraction(self, monkeypatch):
+        # Duplicates are found on the scaled ints, on success and on error,
+        # so no coordinate is hashed; 4/6 still reduces, and integral
+        # coordinates still parse as ints.
+        def refuse(value):
+            raise AssertionError(f"hashed {value!r}")
 
-        def recording(value):
-            hashed.append(value)
-            return original(value)
-
-        monkeypatch.setattr(Q, "__hash__", recording)
+        monkeypatch.setattr(Q, "__hash__", refuse)
         ps = parse_point_set("d 3\n1 2 3\n1/2 -1 4/6\n0 0 5\n")
-        assert hashed == [Q(1, 2), Q(2, 3)]
+        assert ps.points[1] == (Q(1, 2), -1, Q(2, 3))
         assert sum(type(c) is Q for p in ps for c in p) == 2
+        with pytest.raises(ParseError, match="line 3: duplicate point '2/4 1'"):
+            parse_point_set("d 2\n1/2 1\n2/4 1\n")
 
     def test_unreduced_input_reduced_on_load(self):
         ps = parse_point_set("d 2\n2/4 6/8\n")
