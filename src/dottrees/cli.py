@@ -11,6 +11,11 @@ their own flags, generate reads only its construction's (``GENERATE_READS``)
 and report only its experiment's; incidence takes one of --lines and --pins,
 and --alpha only with --pins.  Any other given flag is a usage error.
 
+``build_parser`` declares only the subcommand ``argv[0]`` names, so a run
+sets up one subcommand's flags, not all nine; any other argv (none, help, a
+typo, a leading flag) gets all nine.  Help, usage errors and exit codes are
+the same either way.
+
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
 prints them and writes the ``CountReport``.  Exit status is 0 on success, 1
@@ -555,26 +560,18 @@ SHARED_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dottrees",
-        description=(
-            "Construct, count, and verify dot-product-weighted tree "
-            "configurations in exact rational point sets."
-        ),
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _add_shared(p: argparse.ArgumentParser, handler, *flags: str) -> None:
+    """--threads and the listed shared flags, in SHARED_FLAGS order."""
+    for flag, options in SHARED_FLAGS.items():
+        if flag == "--threads" or flag in flags:
+            p.add_argument(flag, **options)
+    p.set_defaults(handler=handler)
 
-    def add_shared(p: argparse.ArgumentParser, handler, *flags: str) -> None:
-        """--threads and the listed shared flags, in SHARED_FLAGS order."""
-        for flag, options in SHARED_FLAGS.items():
-            if flag == "--threads" or flag in flags:
-                p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
 
-    counting = ("--include-zero", "--json", "--timings")
+_COUNTING = ("--include-zero", "--json", "--timings")
 
-    p = sub.add_parser("generate", help="generate a construction or random set")
+
+def _declare_generate(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--construction",
         required=True,
@@ -588,51 +585,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", type=int, default=None, help="random box lower bound (default -50)")
     p.add_argument("--high", type=int, default=None, help="random box upper bound (default 50)")
     p.add_argument("-o", "--output", required=True, help="output .pts path")
-    add_shared(p, _cmd_generate, "--seed")
+    _add_shared(p, _cmd_generate, "--seed")
 
-    p = sub.add_parser("count", help="count tree embeddings (or homomorphisms)")
+
+def _declare_count(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True)
     p.add_argument("--weights", default=None, help="comma-separated rationals")
     p.add_argument("--points", required=True)
     p.add_argument("--homomorphisms", action="store_true", help="count maps without injectivity")
-    add_shared(p, _cmd_count, *counting)
+    _add_shared(p, _cmd_count, *_COUNTING)
 
-    p = sub.add_parser("distinct", help="distinct dot products or weight tuples")
+
+def _declare_distinct(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--tree", default=None, help="count distinct weight tuples of this tree")
-    add_shared(p, _cmd_distinct, *counting)
+    _add_shared(p, _cmd_distinct, *_COUNTING)
 
-    p = sub.add_parser("pinned", help="pinned sets, max pin, descent, pinned tuples")
+
+def _declare_pinned(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--pin-index", type=int, default=None, help="1-based point index")
     p.add_argument("--descent", action="store_true", help="run the hyperplane descent")
     p.add_argument("--tree", default=None)
     p.add_argument("--vertex", type=int, default=None)
-    add_shared(p, _cmd_pinned, *counting)
+    _add_shared(p, _cmd_pinned, *_COUNTING)
 
-    p = sub.add_parser("incidence", help="exact point-hyperplane incidence count")
+
+def _declare_incidence(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--lines", default=None, help="file of normal coords + value rows")
     p.add_argument("--pins", default=None, help="points whose alpha-lines to use")
     p.add_argument("--alpha", default=None, help="alpha for --pins")
-    add_shared(p, _cmd_incidence, "--json", "--timings")
+    _add_shared(p, _cmd_incidence, "--json", "--timings")
 
-    p = sub.add_parser("radial", help="radial-line histogram and cap check")
+
+def _declare_radial(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--cap-c", default="1", help="cap constant C in max <= C n^(2/3)")
     p.add_argument("--allow-origin", action="store_true")
-    add_shared(p, _cmd_radial, "--json", "--timings")
+    _add_shared(p, _cmd_radial, "--json", "--timings")
 
-    p = sub.add_parser("proofgraph", help="consecutive-points multigraph statistics")
+
+def _declare_proofgraph(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--second", default=None, help="second point set (defaults to the first)")
-    add_shared(p, _cmd_proofgraph, *counting)
+    _add_shared(p, _cmd_proofgraph, *_COUNTING)
 
-    p = sub.add_parser("verify", help="run the self-contained acceptance checks")
+
+def _declare_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    add_shared(p, _cmd_verify, "--json", "--timings")
+    _add_shared(p, _cmd_verify, "--json", "--timings")
 
-    p = sub.add_parser("report", help="experiment series with comparison report")
+
+def _declare_report(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--experiment", required=True, choices=["columns", "perplines", "lattice"]
     )
@@ -641,13 +646,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="lattice dimension (default 2)")
     p.add_argument("--q", default=None, help="comma-separated lattice parameters")
     p.add_argument("--threshold-c", default=None, help="rational threshold constant")
-    add_shared(p, _cmd_report, "--json")
+    _add_shared(p, _cmd_report, "--json")
 
+
+# Each subcommand's help line and the step that declares its flags, in the
+# order top-level help lists them.
+SUBCOMMANDS = {
+    "generate": ("generate a construction or random set", _declare_generate),
+    "count": ("count tree embeddings (or homomorphisms)", _declare_count),
+    "distinct": ("distinct dot products or weight tuples", _declare_distinct),
+    "pinned": ("pinned sets, max pin, descent, pinned tuples", _declare_pinned),
+    "incidence": ("exact point-hyperplane incidence count", _declare_incidence),
+    "radial": ("radial-line histogram and cap check", _declare_radial),
+    "proofgraph": ("consecutive-points multigraph statistics", _declare_proofgraph),
+    "verify": ("run the self-contained acceptance checks", _declare_verify),
+    "report": ("experiment series with comparison report", _declare_report),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with ``argv[0]`` a subcommand, only that one
+    is declared; otherwise (and with no ``argv``) all of them are.
+
+    A parse of such an ``argv`` never reaches another subcommand's flags, so
+    the reduced parser gives the same namespace, help and errors as the full
+    one.  The one place the top level shows its subcommands for such an
+    ``argv`` is the usage line of an "unrecognized arguments" error, so the
+    reduced parser names all of them there through ``metavar``.  Top-level
+    help, "invalid choice" and a missing subcommand come from the full parser,
+    which sets no ``metavar``: argparse words those two errors differently
+    when one is set.  ``tests/test_cli.py`` compares both parsers' output.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dottrees",
+        description=(
+            "Construct, count, and verify dot-product-weighted tree "
+            "configurations in exact rational point sets."
+        ),
+    )
+    named = bool(argv) and argv[0] in SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if named else None,
+    )
+    for name in [argv[0]] if named else SUBCOMMANDS:
+        help_text, declare = SUBCOMMANDS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
 def cli_main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.threads < 1:
             raise UsageError("--threads must be at least 1")

@@ -123,10 +123,13 @@ class DotProductIndex:
         for row in self.rows:
             counts.update(row)
         # Drop the pair of each point with itself: once per point the two sets
-        # share, so once per point for a single set.
-        position = {q: j for j, q in enumerate(self.right.points)}
-        for p, row in zip(self.left.points, self.rows):
-            j = position.get(p)
+        # share, so once per point for a single set.  Points are matched on
+        # their ints at the scale of the products, so no Fraction is hashed.
+        left_ints, left_scale = self.left.scaled
+        right_ints, right_scale = self.right.scaled
+        position = {tuple(map(left_scale.__mul__, q)): j for j, q in enumerate(right_ints)}
+        for p, row in zip(left_ints, self.rows):
+            j = position.get(tuple(map(right_scale.__mul__, p)))
             if j is not None:
                 counts[row[j]] -= 1
         counts.pop(self.skip, None)
@@ -332,9 +335,12 @@ def _weight_tuple_masks(
     bitmask.  The other leaves (heads) grow layer by layer in lists, each
     taking an id of its table and passing on a copy less that point, so no
     sequence the room cannot hold is built; the last head reads its table
-    uncopied.  Zero components are dropped unless ``include_zero``.  Returns
-    the masks keyed by the other components, the edge index of each key
-    position and of the last leaf, and the table the ids index.
+    uncopied.  A group of one leaf has no head to read the room table, so
+    it starts empty and takes an id's count from x's table only when a
+    placed point uses that id.  Zero components are dropped unless
+    ``include_zero``.  Returns the masks keyed by the other components, the
+    edge index of each key position and of the last leaf, and the table the
+    ids index.
     """
     if tree.num_edges == 0:
         raise ValueError("weight tuples need at least one edge")
@@ -350,10 +356,10 @@ def _weight_tuple_masks(
             x, row = placed[at_u], rows[placed[at_u]]
             size = Counter(compress(row, map(ne, row, repeat(skip))))
             full = sum(map((1).__lshift__, size))
-        room, mask = dict(size), full
+        room, mask = dict(size) if len(group) > 1 else {}, full
         for a in map(row.__getitem__, placed):
-            if a in room:
-                room[a] -= 1
+            if a in size:
+                room[a] = room.get(a, size[a]) - 1
                 if not room[a]:
                     del room[a]
                     mask ^= 1 << a

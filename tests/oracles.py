@@ -93,6 +93,18 @@ def naive_pinned_weight_tuples(
     return tuples
 
 
+def reference_pair_counts(left: PointSet, right: PointSet, include_zero: bool) -> dict:
+    """Ordered pairs (p, q) of distinct points, p in ``left`` and q in
+    ``right``, per ``dot`` product; zero left out unless ``include_zero``."""
+    counts: dict = {}
+    for p in left.points:
+        for q in right.points:
+            value = dot(p, q)
+            if p != q and (include_zero or value != 0):
+                counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
 def reference_incidences(ps: PointSet, hyperplanes) -> int:
     """(point, hyperplane) pairs with the point on the hyperplane, one
     ``Fraction`` dot product per pair; a repeated hyperplane counts again."""

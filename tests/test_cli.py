@@ -1126,3 +1126,63 @@ def test_benchmark_argv_accepted(argv):
     args = build_parser().parse_args(argv)
     assert args.subcommand == argv[0]
     assert args.json == argv[-1]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of one ``parse_args`` call; the
+    code is None and the handler left out when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+# Each subcommand with a required flag left out, or, for verify, which has
+# none, with a value of the wrong type.
+MISSING_REQUIRED = {
+    "generate": ["generate", "--construction", "random"],
+    "count": ["count", "--tree", "builtin:path:1"],
+    "distinct": ["distinct"],
+    "pinned": ["pinned", "--descent"],
+    "incidence": ["incidence", "--lines", "l.lines"],
+    "radial": ["radial", "--allow-origin"],
+    "proofgraph": ["proofgraph", "--second", "a.pts"],
+    "verify": ["verify", "--threads", "x"],
+    "report": ["report", "--q", "4"],
+}
+PARSER_ARGV = [
+    [], ["--help"], ["-h"], ["bogus"], ["-x", "verify"], ["--threads", "2", "count"],
+    ["generate", "--construction", "nope", "-o", "out.pts"],
+    ["report", "--experiment", "nope"],
+    *([sub, "--help"] for sub in SUBCOMMAND_ARGV),
+    *MISSING_REQUIRED.values(),
+    *(argv + ["--bogus"] for argv in SUBCOMMAND_ARGV.values()),
+    *(argv + ["extra"] for argv in SUBCOMMAND_ARGV.values()),
+    *SUBCOMMAND_ARGV.values(),
+    *BENCHMARK_ARGV.values(),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=[" ".join(a) or "[]" for a in PARSER_ARGV])
+def test_parser_for_argv_matches_full_parser(argv):
+    # The parser declaring only argv[0]'s subcommand prints the same help and
+    # errors, exits with the same code and parses to the same namespace.
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def _declared(parser):
+    (action,) = (a for a in parser._actions if isinstance(a.choices, dict))
+    return list(action.choices)
+
+
+def test_parser_declares_only_the_named_subcommand():
+    assert _declared(build_parser(["count"])) == ["count"]
+    assert _declared(build_parser(["count", "--help"])) == ["count"]
+    full = list(cli.SUBCOMMANDS)
+    assert len(full) == 9
+    for argv in ([], None, ["-h"], ["bogus"], ["-x", "verify"], ["--threads", "2", "count"]):
+        assert _declared(build_parser(argv)) == full

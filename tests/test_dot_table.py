@@ -12,7 +12,6 @@ import itertools
 import math
 import threading
 import tracemalloc
-from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -45,7 +44,7 @@ from dottrees import (
 from dottrees import acceptance, counting, geometry
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
 from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, parse_point_set
-from oracles import reference_incidences
+from oracles import reference_incidences, reference_pair_counts
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
 SCALARS = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
@@ -159,12 +158,7 @@ def assert_numbering_matches(left, right, include_zero):
 
 
 def reference_distinct(left, right, include_zero):
-    counts = Counter(
-        dot(p, q)
-        for p in left.points
-        for q in right.points
-        if p != q and (include_zero or dot(p, q) != 0)
-    )
+    counts = reference_pair_counts(left, right, include_zero)
     return (len(counts), max(counts.values())) if counts else (0, 0)
 
 
@@ -441,6 +435,44 @@ def test_each_set_scaled_once_at_construction(scalings):
     assert len(scalings) == 1
     assert radial_histogram(points).total == 4
     assert format_point_set(points) == text
+
+
+@pytest.fixture
+def fraction_hashes(monkeypatch):
+    """Record every ``Fraction`` hashed while the test runs."""
+    calls = []
+    original = Q.__hash__
+
+    def recording(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(Q, "__hash__", recording)
+    return calls
+
+
+# Two rational sets of scales 36 and 90 sharing two points.  At its own
+# scale, (1/5, -6/5) has the ints (18, -108) of (1/2, -3) at scale 36.
+_RATIONAL = PointSet(2, (
+    (Q(1, 2), Q(-3)), (Q(2, 3), Q(1, 4)), (Q(-1), Q(0)), (Q(0), Q(7, 9)), (Q(1, 2), Q(1, 2)),
+))
+_SHARING = PointSet(2, (
+    (Q(0), Q(7, 9)), (Q(3, 5), Q(2)), (Q(1, 2), Q(-3)), (Q(1, 5), Q(-6, 5)), (Q(-1, 6), Q(5)),
+))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(_RATIONAL, None), (_RATIONAL, _SHARING), (_SHARING, _RATIONAL)],
+    ids=["one-set", "pair", "pair-swapped"],
+)
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_pair_counts_hash_no_fraction(fraction_hashes, left, right, include_zero):
+    index = DotProductIndex(left, right, include_zero=include_zero)
+    counts = index.pair_counts()
+    assert fraction_hashes == []
+    got = {index.value(a): n for a, n in counts.items()}
+    assert got == reference_pair_counts(left, right or left, include_zero)
 
 
 def test_count_embeddings_starts_no_thread(monkeypatch):

@@ -225,3 +225,18 @@ def test_wide_star_heads_need_no_recursion():
             make_star(k), PointSet(k + 1, tuple(units)), include_zero=True
         )
     assert counted == 1
+
+
+@pytest.mark.parametrize("edges", [3, 4])
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_one_leaf_group_uses_up_a_value_exactly(edges, spare, include_zero):
+    # A path's leaf group is one leaf.  With its neighbour on (0, 1), the
+    # other path vertices on (1, 1) and (2, 1) take up every point of
+    # product 1 (the centre itself included) unless a spare (3, 1) is left.
+    level = tuple((Q(i), Q(1)) for i in range(1, 3 + spare))
+    points = PointSet(2, ((Q(0), Q(1)), *level, (Q(1), Q(2)), (Q(2), Q(3)), (Q(-1), Q(1, 2))))
+    tree = make_path(edges)
+    expected = reference_weight_tuples(tree, points, include_zero)
+    count, tuples = distinct_weight_tuples(tree, points, include_zero=include_zero, collect=True)
+    assert (tuples, count) == (expected, len(expected))
