@@ -6,6 +6,14 @@ radial histograms, the consecutive-points proof multigraph, and the
 hyperplane pigeonhole descent.  Everything here compares exact rationals; no
 tolerance appears anywhere.
 
+Two kernels serve them.  ``DotProductIndex`` numbers every product of two
+sets, for the questions about all values: distinct products, pinned sets,
+weight tuples, the proof multigraph and the descent.  ``_partner_lists``
+answers the questions about a few fixed values, P(x, w) = {j : x . q_j = w}:
+embedding and homomorphism counts and incidences.  It solves each query by
+projection, or reads it off a row of products when its cost rule says a row
+is cheaper, and never builds the all-pairs table unless a caller lends one.
+
 Zero dot products are excluded by default in every operation and can be
 admitted with ``include_zero=True``.
 """
@@ -17,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
-from operator import eq, itemgetter, ne
+from operator import eq, floordiv, itemgetter, mod, ne, not_, sub
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -229,6 +237,106 @@ def _placements(parents: list[int], roots: Sequence[int], candidates):
             stack.append(iter(candidates(len(placed), placed[parents[len(placed)]])))
 
 
+# One solve step, a fiber of ``_partner_lists``, costs about as much as four
+# products of a table row: the measured crossover, logged in CHANGES.md.
+_SOLVE_STEP_COST = 4
+
+
+def _positions(row: list, key) -> list[int]:
+    """The positions of ``key`` in ``row``, ascending: one C-level ``count``,
+    then one ``index`` per hit, so a key that is absent costs one pass."""
+    found, j = [], -1
+    for _ in range(row.count(key)):
+        j = row.index(key, j + 1)
+        found.append(j)
+    return found
+
+
+def _partner_lists(
+    normals: PointSet,
+    values: Sequence[Sequence[Scalar]],
+    points: PointSet,
+    index: DotProductIndex | None = None,
+) -> list[list[list[int]]]:
+    """Partner lists P(x, w) = [j : x . points[j] == w], in ascending j:
+    ``lists[i][t]`` is P(normals[i], values[i][t]).
+
+    With x = X / L_x, q = Q / L_q and W = w L_x L_q, x . q = w is X . Q = W,
+    so a query is an int, or has no partner when W is not one.  It is
+    solved by projection: X_c Q_c + X' . Q' = W, primes dropping a coordinate
+    c with X_c != 0, the one whose projection Q' takes the fewest distinct
+    values, m.  The points are grouped into fibers by Q', each a dict from
+    Q_c to j, built once per coordinate, when a normal first needs it.  A
+    query takes the fibers' dots X' . Q' from ``_dots``, keeps the fibers
+    where X_c divides W - X' . Q', and looks the quotient up in their dicts.
+    The origin as a normal has every point as partner for w = 0, none else.
+
+    A query costs m steps and a table row n C-level products, so the solve
+    runs when ``_SOLVE_STEP_COST`` m (queries per normal) <= n.  Otherwise
+    each normal's row of scaled products is made by ``_dots`` and its lists
+    are read off it by ``_positions``, as they are from the rows of value
+    ids of a lent ``index`` of ``normals`` against ``points``.
+    """
+    n = len(points)
+    if not n:
+        return [[[] for _ in ws] for ws in values]
+    ints, scale = points.scaled
+    normal_ints, normal_scale = normals.scaled
+    columns = list(zip(*ints))
+
+    def projections(c: int):
+        return zip(*columns[:c], *columns[c + 1:])
+
+    def key_of(w: Scalar) -> int | None:
+        target = Fraction(w) * (normal_scale * scale)
+        return target.numerator if target.denominator == 1 else None
+
+    rows = None
+    if index is not None:
+        rows, key_of = index.rows, index.id_of
+    else:
+        sizes = [len(set(projections(c))) for c in range(points.dim)]
+        order = sorted(range(points.dim), key=sizes.__getitem__)
+        if _SOLVE_STEP_COST * sizes[order[0]] * sum(map(len, values)) > n * len(normals):
+            rows = map(list, map(_dots, normal_ints, repeat(columns)))
+    lists: list[list[list[int]]] = []
+    asked = None  # callers share one list of values between normals
+    if rows is not None:
+        for row, ws in zip(rows, values):
+            if ws is not asked:
+                asked, keys = ws, list(map(key_of, ws))
+            lists.append([_positions(row, key) for key in keys])
+        return lists
+    fibers: dict[int, tuple[list[tuple[int, ...]], list[dict[int, int]]]] = {}
+    for x, ws in zip(normal_ints, values):
+        if ws is not asked:
+            asked, keys = ws, list(map(key_of, ws))
+        c = next((c for c in order if x[c]), None)
+        if c is None or not ws:
+            lists.append([list(range(n)) if key == 0 else [] for key in keys])
+            continue
+        if c not in fibers:
+            by_key: dict[tuple[int, ...], dict[int, int]] = {}
+            for j, projection, q in zip(count(), projections(c), columns[c]):
+                by_key.setdefault(projection, {})[q] = j
+            fibers[c] = list(zip(*by_key)), list(by_key.values())
+        key_columns, dicts = fibers[c]
+        xc = x[c]
+        dots = list(_dots(x[:c] + x[c + 1:], key_columns))
+        found = []
+        for key in keys:
+            if key is None:
+                found.append([])
+                continue
+            rests = list(map(sub, repeat(key), dots))
+            whole = list(map(not_, map(mod, rests, repeat(xc))))
+            hits = sorted(map(dict.get, compress(dicts, whole),
+                              map(floordiv, compress(rests, whole), repeat(xc)), repeat(-1)))
+            found.append(hits[hits.count(-1):])
+        lists.append(found)
+    return lists
+
+
 def count_embeddings(
     wt: WeightedTree,
     points: PointSet,
@@ -240,39 +348,36 @@ def count_embeddings(
     """Number of injective vertex maps realizing every edge weight exactly.
 
     Copies are labeled: maps differing by a tree automorphism count
-    separately.  The leaves of one vertex u (``_search_order``) are counted,
-    not placed: with u at x, the sets P(x, w) = {y : x . y = w} are disjoint,
-    so the m leaves of weight w add a falling factorial of length m from the
-    unused points of P(x, w).  The other vertices are placed from u outward
-    over the dot-product table's rows, which a given ``index`` of ``points``
-    against itself lends; an index of other sets raises ``ValueError``.
+    separately.  The search reads the partner lists P(x, w) of every point
+    for the tree's distinct weights (``_partner_lists``), which a given
+    ``index`` of ``points`` against itself lends its rows to; an index of
+    other sets raises ``ValueError``.  The leaves of one vertex u
+    (``_search_order``) are counted, not placed: with u at x, the lists
+    P(x, w) are disjoint, so the m leaves of weight w add a falling
+    factorial of length m from the unused points of P(x, w).  The other
+    vertices are placed from u outward.
 
     The search runs on the calling thread.  ``threads`` is accepted for
     compatibility and has no effect.
     """
     weights = wt.require_weights()
     _zero_weight_guard(weights, include_zero)
-    if index is None:
-        index = DotProductIndex(points)
-    _require_index_of(index, points, points)
-    rows = index.rows
+    if index is not None:
+        _require_index_of(index, points, points)
     parents, edges, group, _ = _search_order(wt.tree, None)
-    wanted = [index.id_of(weights[j]) for j in edges[1:]]
-    group_ids = Counter(index.id_of(weights[j]) for j in group).items()
-    partners: dict[tuple[int, int], list[int]] = {}
-
-    def candidates(p: int, i: int) -> list[int]:
-        key = i, wanted[p - 1]
-        if key not in partners:
-            partners[key] = [j for j, b in enumerate(rows[i]) if b == key[1]]
-        return partners[key]
-
-    total = 0
-    for placed in _placements(parents, range(len(rows)), candidates):
-        row = rows[placed[0]]
-        total += math.prod(
-            math.perm(row.count(a) - sum(row[y] == a for y in placed), m) for a, m in group_ids
-        )
+    asked = list(dict.fromkeys(weights))
+    lists = _partner_lists(points, [asked] * len(points), points, index)
+    wanted = [asked.index(weights[j]) for j in edges[1:]]
+    group_slots = Counter(asked.index(weights[j]) for j in group).items()
+    total, x = 0, -1
+    for placed in _placements(
+        parents, range(len(points)), lambda p, i: lists[i][wanted[p - 1]]
+    ):
+        if placed[0] != x:
+            x = placed[0]
+            group_sets = [(set(lists[x][t]), m) for t, m in group_slots]
+        total += math.prod(math.perm(len(s) - len(s.intersection(placed)), m)
+                           for s, m in group_sets)
     return total
 
 
@@ -286,7 +391,8 @@ def count_homomorphisms(
 
     Dynamic program over the tree rooted at vertex 1: each vertex's list
     counts, per point index, the partial maps of its subtree with the vertex
-    there, children combining multiplicatively.  Always at least
+    there, children combining multiplicatively over the partner lists of the
+    tree's distinct weights (``_partner_lists``).  Always at least
     ``count_embeddings`` on the same input.
     """
     weights = wt.require_weights()
@@ -294,28 +400,22 @@ def count_homomorphisms(
     _zero_weight_guard(weights, include_zero)
     if not tree.edges:
         return len(points)
-    index = DotProductIndex(points)
-    ids = [index.id_of(w) for w in weights]
-    wanted = set(ids)
-    # Each row's partner indices, grouped by the value ids the tree asks for.
-    partners: list[dict[int, list[int]]] = [{} for _ in index.rows]
-    for groups, row in zip(partners, index.rows):
-        for j, a in enumerate(row):
-            if a in wanted:
-                groups.setdefault(a, []).append(j)
+    asked = list(dict.fromkeys(weights))
+    lists = _partner_lists(points, [asked] * len(points), points)
+    slots = [asked.index(w) for w in weights]
     parent = tree.bfs_parents(1)
     adj = tree.adjacency
     edge_idx = tree.edge_index()
     table: dict[int, list[int]] = {}
     for v in reversed(parent):
         children = [
-            (table.pop(c), ids[edge_idx[(min(v, c), max(v, c))]]) for c in adj[v] if parent[c] == v
+            (table.pop(c), slots[edge_idx[(min(v, c), max(v, c))]]) for c in adj[v] if parent[c] == v
         ]
         counts = []
-        for groups in partners:
+        for partners in lists:
             total = 1
-            for below, a in children:
-                total *= sum(below[y] for y in groups.get(a, ()))
+            for below, t in children:
+                total *= sum(map(below.__getitem__, partners[t]))
                 if total == 0:
                     break
             counts.append(total)
@@ -429,16 +529,20 @@ def pinned_weight_tuples(
 
 
 def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:
-    """Exact number of point-hyperplane incidences, in any dimension: each
-    hyperplane counts the id of its value, zero included, on its normal's row
-    of one ``DotProductIndex`` of the distinct normals against ``points``."""
+    """Exact number of point-hyperplane incidences, in any dimension: the
+    distinct (normal, value) pairs are the queries of ``_partner_lists``,
+    and a repeated hyperplane counts again."""
     for line in lines:
         if line.dim != points.dim:
             raise ValueError(f"dimension mismatch: hyperplane {line.dim}, points {points.dim}")
-    normals = dict.fromkeys(line.normal for line in lines)
-    index = DotProductIndex(PointSet(points.dim, tuple(normals)), points)
-    rows = dict(zip(normals, index.rows))
-    return sum(rows[line.normal].count(index.id_of(line.value)) for line in lines)
+    asked: dict[Point, Counter[Scalar]] = {}
+    for line in lines:
+        asked.setdefault(line.normal, Counter())[line.value] += 1
+    lists = _partner_lists(
+        PointSet(points.dim, tuple(asked)), [list(c) for c in asked.values()], points
+    )
+    return sum(len(found) * c[w] for c, row in zip(asked.values(), lists)
+               for w, found in zip(c, row))
 
 
 @dataclass(frozen=True)

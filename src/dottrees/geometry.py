@@ -107,8 +107,9 @@ def _coerce(value) -> Scalar:
     if type(value) is int:
         return value
     # Floats carry binary rounding noise; exactness demands explicit input.
+    # A ValueError, as from ``PointSet`` and every other bad input.
     if isinstance(value, float):
-        raise TypeError(
+        raise ValueError(
             f"float {value!r} is not exact; pass Fraction, int, or string"
         )
     return _exact(Fraction(value))

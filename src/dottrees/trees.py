@@ -115,7 +115,7 @@ class WeightedTree:
 
     ``weights`` may be None for a bare tree loaded from a file without the
     optional weight column.  Weights are coerced like coordinates, so a
-    float raises ``TypeError``.
+    float raises ``ValueError``.
     """
 
     tree: Tree

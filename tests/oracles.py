@@ -105,6 +105,15 @@ def reference_pair_counts(left: PointSet, right: PointSet, include_zero: bool) -
     return counts
 
 
+def reference_partner_lists(normals: PointSet, values, points: PointSet) -> list:
+    """``[j : x . points[j] == w]`` for each normal x and each w of its
+    values, one ``Fraction`` dot product per pair."""
+    return [
+        [[j for j, q in enumerate(points.points) if dot(x, q) == w] for w in ws]
+        for x, ws in zip(normals.points, values)
+    ]
+
+
 def reference_incidences(ps: PointSet, hyperplanes) -> int:
     """(point, hyperplane) pairs with the point on the hyperplane, one
     ``Fraction`` dot product per pair; a repeated hyperplane counts again."""

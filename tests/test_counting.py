@@ -1,5 +1,7 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,8 @@ from dottrees import (
     radial_histogram,
     random_point_set,
 )
-from dottrees.constructions import build_column_construction
+from dottrees import counting
+from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
 from dottrees.counting import _affine_rank
 from oracles import (
     ROTATION_2D,
@@ -44,6 +47,9 @@ from oracles import (
     naive_pinned_weight_tuples,
     naive_weight_tuples,
     reference_affine_rank,
+    reference_count_embeddings,
+    reference_incidences,
+    reference_partner_lists,
     reference_proof_graph_edges,
     scale_points,
 )
@@ -372,7 +378,7 @@ class TestPinnedWeightTuples:
             pinned_weight_tuples(make_path(1), 1, pt(9, 9), COLLINEAR)
 
     def test_float_pin_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             pinned_weight_tuples(make_path(1), 1, (1.0, 0.0), COLLINEAR)
 
     def test_bounded_by_unpinned(self):
@@ -920,3 +926,229 @@ class TestRotationAndScaling:
         assert radial_histogram(ps).max_count == radial_histogram(rotated).max_count
         tree = make_path(2)
         assert distinct_weight_tuples(tree, ps) == distinct_weight_tuples(tree, rotated)
+
+
+# ---------------------------------------------------------------------------
+# Partner lists P(x, w) = [j : x . q_j = w]: the projection-and-solve kernel
+# against the rows of products, a lent table and the Fraction reference.
+# ---------------------------------------------------------------------------
+
+PATHS = ("solve", "table")
+# A small pool of mixed denominators, so projections of a set repeat.
+POOL = (0, 1, -1, 2, -3, Q(1, 2), Q(-3, 2), Q(2, 3), Q(5, 4), Q(-7, 6))
+
+
+@contextmanager
+def forced(path):
+    """Run ``_partner_lists`` on one path whatever its rule says: the solve,
+    where reading a row of products fails the test, or the rows."""
+    def refuse(row, key):
+        raise AssertionError("a row of products was read on the solve path")
+
+    solve = path == "solve"
+    with mock.patch.object(counting, "_SOLVE_STEP_COST", 0 if solve else 10**9), \
+            mock.patch.object(counting, "_positions", refuse if solve else counting._positions):
+        yield
+
+
+def lattice_pair(q):
+    """The calibrated d=2 lattice E and its dual F as one set."""
+    lattice = build_unit_lattice(LatticeSpec(2, q))
+    return PointSet(2, lattice.e_points.points + lattice.f_points.points)
+
+
+def pool_sets(dims=(2, 3), max_size=12):
+    coordinate = st.sampled_from(POOL)
+    return st.sampled_from(dims).flatmap(lambda dim: st.lists(
+        st.tuples(*[coordinate] * dim), min_size=1, max_size=max_size, unique=True
+    ).map(lambda pts: PointSet(dim, tuple(pts))))
+
+
+@st.composite
+def partner_instances(draw):
+    """Normals from the set or off it, the origin at times, each asking for
+    zero, products with points of the set, or scalars off the pool, which
+    mostly no pair attains or which scale to no int."""
+    points = draw(pool_sets())
+    extra = st.tuples(*[st.sampled_from(POOL)] * points.dim)
+    normals = draw(st.lists(st.one_of(st.sampled_from(points.points), extra),
+                            min_size=1, max_size=5, unique=True))
+    scalar = st.builds(Q, st.integers(-9, 9), st.sampled_from((1, 2, 5, 7, 11)))
+    values = [
+        draw(st.lists(st.one_of(st.just(0), st.sampled_from([dot(x, q) for q in points.points]),
+                                scalar), max_size=4))
+        for x in normals
+    ]
+    return PointSet(points.dim, tuple(normals)), values, points
+
+
+@st.composite
+def weighted_instances(draw, max_size=7):
+    """A tree of up to 3 edges, a pool set and weights taken from its
+    products (zero and repeats included) or, at times, absent."""
+    points = draw(pool_sets(max_size=max_size))
+    k = draw(st.integers(1, 3))
+    tree = Tree.from_edges(k + 1, [(draw(st.integers(1, i)), i + 1) for i in range(1, k + 1)])
+    products = [dot(p, q) for p in points.points for q in points.points]
+    weight = st.one_of(st.sampled_from(products), st.sampled_from(POOL))
+    return WeightedTree(tree, tuple(draw(weight) for _ in range(k))), points
+
+
+class TestPartnerLists:
+    @given(partner_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_table_and_lent_index_match_reference(self, instance):
+        normals, values, points = instance
+        expected = reference_partner_lists(normals, values, points)
+        for path in PATHS:
+            with forced(path):
+                assert counting._partner_lists(normals, values, points) == expected
+        index = DotProductIndex(normals, points)
+        assert counting._partner_lists(normals, values, points, index) == expected
+
+    @pytest.mark.parametrize(
+        "path, steps", [("solve", [5, 2, 2]), ("table", [10, 10, 10])], ids=PATHS
+    )
+    def test_normal_with_a_zero_in_the_preferred_coordinate(self, monkeypatch, path, steps):
+        # Dropping y leaves 2 distinct x values, dropping x leaves 5 distinct
+        # y values, so y is preferred; (3, 0) must be solved for x instead,
+        # over 5 fibers, and (0, 1/2) and (1, 1) for y over 2.  A row has 10
+        # products.
+        points = point_set([(a, b) for a in (1, 2) for b in range(1, 6)])
+        normals = point_set([(3, 0), (0, Q(1, 2)), (1, 1)])
+        values = [[3, 6, 4], [1, Q(5, 2), 3], [3, 7]]
+        dots, lengths = counting._dots, []
+        monkeypatch.setattr(counting, "_dots", lambda p, columns: (
+            lengths.append(len(columns[0])) or dots(p, columns)))
+        with forced(path):
+            lists = counting._partner_lists(normals, values, points)
+        assert lists == [
+            [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], []], [[1, 6], [4, 9], []], [[1, 5], [9]]
+        ]
+        assert lengths == steps
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_origin_and_weight_zero(self, path):
+        points = point_set([(0, 0), (1, 0), (0, 2), (1, 1)])
+        with forced(path):
+            lists = counting._partner_lists(points, [[0, 1]] * len(points), points)
+            wt = WeightedTree(make_path(2), (0, 0))
+            embeddings = count_embeddings(wt, points, include_zero=True)
+            homomorphisms = count_homomorphisms(wt, points, include_zero=True)
+        # The origin meets every point at 0, itself included, and nothing at 1.
+        assert lists[0] == [[0, 1, 2, 3], []]
+        assert lists == reference_partner_lists(points, [[0, 1]] * len(points), points)
+        assert embeddings == reference_count_embeddings(wt, points) == 10
+        assert homomorphisms == naive_count_homomorphisms(wt, points)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_weight_scaled_off_the_integers(self, path):
+        # The points scale by 3 and 2, so a product is a multiple of 1/6;
+        # 1/7 scales to 6/7, which no product of ints reaches.
+        points = point_set([(Q(1, 3), 1), (1, Q(1, 2)), (2, 3)])
+        with forced(path):
+            assert counting._partner_lists(points, [[Q(1, 7)]] * 3, points) == [[[]]] * 3
+            assert count_embeddings(WeightedTree(make_path(1), (Q(1, 7),)), points) == 0
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_divisibility_fails_in_a_fiber(self, path):
+        # y is preferred (3 distinct x values against 6 y values).  For the
+        # normal (1, 2) and w = 5, 2y = 5 - x has no integer y at x = 2.
+        points = point_set([(a, b) for a in (1, 2, 3) for b in range(1, 7)])
+        normals = point_set([(1, 2)])
+        with forced(path):
+            assert counting._partner_lists(normals, [[5]], points) == [[[1, 12]]]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_weight_no_pair_attains(self, path):
+        points = integer_grid(3)
+        wt = WeightedTree(make_path(2), (2, 1000))
+        with forced(path):
+            lists = counting._partner_lists(points, [[1000]] * len(points), points)
+            assert count_embeddings(wt, points) == count_homomorphisms(wt, points) == 0
+        assert lists == [[[]]] * len(points)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_vertex_tree(self, path):
+        wt = WeightedTree(Tree(1, ()), ())
+        points = lattice_pair(2)
+        with forced(path):
+            assert counting._partner_lists(points, [[]] * len(points), points) == [[]] * 16
+            assert count_embeddings(wt, points) == count_homomorphisms(wt, points) == 16
+
+    def test_empty_set_and_no_normals(self):
+        empty = PointSet(2, ())
+        assert counting._partner_lists(COLLINEAR, [[0, 1]] * 3, empty) == [[[], []]] * 3
+        assert counting._partner_lists(empty, [], COLLINEAR) == []
+
+    def test_rule_picks_the_cheaper_path(self, monkeypatch):
+        # E u F at q=4: 4 m k = 4 * 32 * 1 = 128 <= n = 128, so it solves.
+        # Criterion 1's sets: the path-2 column construction at n=20 has
+        # m = 4 and k = 2, and 32 > 20 reads the rows.
+        rows = []
+        original = counting._positions
+        monkeypatch.setattr(counting, "_positions", lambda row, key: rows.append(key) or original(row, key))
+        assert count_embeddings(WeightedTree(make_path(3), (1, 1, 1)), lattice_pair(4)) == 484
+        assert rows == []
+        result = build_column_construction(make_path(2), 20)
+        assert count_embeddings(result.weighted_tree, result.points) == result.predicted_count
+        assert len(rows) == 2 * 20
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(instance=weighted_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_count_embeddings_match_reference(self, path, instance):
+        wt, points = instance
+        with forced(path):
+            assert count_embeddings(wt, points, include_zero=True) == (
+                reference_count_embeddings(wt, points)
+            )
+
+    @given(instance=weighted_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_count_embeddings_with_lent_index_match_reference(self, instance):
+        wt, points = instance
+        index = DotProductIndex(points)
+        assert count_embeddings(wt, points, include_zero=True, index=index) == (
+            reference_count_embeddings(wt, points)
+        )
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(instance=weighted_instances(max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_count_homomorphisms_match_naive(self, path, instance):
+        wt, points = instance
+        with forced(path):
+            assert count_homomorphisms(wt, points, include_zero=True) == (
+                naive_count_homomorphisms(wt, points)
+            )
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_incidences_at_zero_and_on_rational_normals(self, path):
+        points = point_set([(0, 0), (1, 2), (2, 4), (Q(1, 2), 1), (3, Q(1, 3))])
+        planes = [
+            alpha_hyperplane((2, -1), 0),  # the line y = 2x through the origin
+            alpha_hyperplane((2, -1), 0),  # repeated: counts again
+            alpha_hyperplane((Q(2, 3), Q(-1, 3)), 0),  # the same line, scaled
+            alpha_hyperplane((Q(1, 3), 3), 2),  # meets (3, 1/3) only
+            alpha_hyperplane((Q(1, 2), Q(1, 4)), Q(1, 2)),  # meets (1/2, 1) only
+        ]
+        with forced(path):
+            assert incidences(points, planes) == reference_incidences(points, planes) == 14
+
+
+# Unit weights on the calibrated d=2 lattice pair E u F at q = 2..5.
+LATTICE_PAIR_COUNTS = {
+    "path-2": (make_path(2), (4, 68, 336, 1212)),
+    "path-3": (make_path(3), (2, 68, 484, 2524)),
+    "star-3": (make_star(3), (0, 12, 228, 1536)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_PAIR_COUNTS))
+def test_lattice_pair_unit_counts_on_the_solve_path(name):
+    tree, expected = LATTICE_PAIR_COUNTS[name]
+    wt = WeightedTree(tree, (1,) * tree.num_edges)
+    with forced("solve"):
+        counts = tuple(count_embeddings(wt, lattice_pair(q)) for q in (2, 3, 4, 5))
+    assert counts == expected

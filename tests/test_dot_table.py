@@ -4,8 +4,8 @@ Each all-pairs counter reads one integer table, a ``DotProductIndex``.
 The differential tests compare the table and the counters with
 references built on ``geometry.dot`` over random rational sets with mixed
 denominators and negative coordinates; the call-count tests check that each
-counter builds the table exactly once, and scales each point set at most
-once.
+all-pairs counter builds the table exactly once, that the fixed-value
+counters build none, and that each point set is scaled at most once.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import math
 import threading
 import tracemalloc
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -121,7 +122,12 @@ def incidence_instances(draw):
 @settings(max_examples=120, deadline=None)
 def test_incidences_match_reference(instance):
     points, planes = instance
-    assert incidences(points, planes) == reference_incidences(points, planes)
+    expected = reference_incidences(points, planes)
+    assert incidences(points, planes) == expected
+    # Forced onto each path of the partner lists: the solve, then the rows.
+    for cost in (0, 10**9):
+        with mock.patch.object(counting, "_SOLVE_STEP_COST", cost):
+            assert incidences(points, planes) == expected
 
 
 def reference_index(left, right, include_zero):
@@ -347,10 +353,6 @@ _RANDOM = random_point_set(12, seed=3, low=-6, high=6)
 _LATTICE = build_unit_lattice(LatticeSpec(2, 3))
 
 ONE_TABLE_CALLS = {
-    "count_embeddings": lambda: count_embeddings(_COLUMNS.weighted_tree, _COLUMNS.points),
-    "count_homomorphisms": lambda: count_homomorphisms(
-        _COLUMNS.weighted_tree, _COLUMNS.points
-    ),
     "distinct_dot_products": lambda: distinct_dot_products(_GRID),
     "distinct_weight_tuples": lambda: distinct_weight_tuples(make_path(2), _GRID, collect=True),
     "pinned_weight_tuples": lambda: pinned_weight_tuples(
@@ -358,6 +360,15 @@ ONE_TABLE_CALLS = {
     ),
     "max_pinned": lambda: max_pinned(_GRID),
     "proof_multigraph": lambda: proof_multigraph(_RANDOM),
+}
+# The fixed-value counters read partner lists, which build no table: the
+# column set (n=12) reads rows of products, and the q=3 lattice (27 points
+# against 27 normals) is solved by projection.
+NO_TABLE_CALLS = {
+    "count_embeddings": lambda: count_embeddings(_COLUMNS.weighted_tree, _COLUMNS.points),
+    "count_homomorphisms": lambda: count_homomorphisms(
+        _COLUMNS.weighted_tree, _COLUMNS.points
+    ),
     "incidences": lambda: incidences(_LATTICE.e_points, _LATTICE.hyperplanes),
 }
 
@@ -366,6 +377,12 @@ ONE_TABLE_CALLS = {
 def test_one_table_per_call(tables, name):
     ONE_TABLE_CALLS[name]()
     assert len(tables) == 1
+
+
+@pytest.mark.parametrize("name", sorted(NO_TABLE_CALLS))
+def test_no_table_per_fixed_value_call(tables, name):
+    NO_TABLE_CALLS[name]()
+    assert tables == []
 
 
 def test_criterion_6_builds_one_table_per_grid(tables):

@@ -135,9 +135,9 @@ class TestAlphaHyperplane:
             alpha_hyperplane(pt(0, 0), 1)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             alpha_hyperplane((1, 0), 0.1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             alpha_hyperplane((1.0, 0), 1)
 
     @given(
@@ -193,9 +193,9 @@ class TestPointSet:
             point_set([(1, 0), (1, 0)])
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             point(0.5, 1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             point_set([(0.1, 2)])
 
     def test_float_coordinate_is_value_error(self):

@@ -207,7 +207,7 @@ class TestWeightedTree:
             WeightedTree(make_path(2), (Q(1),))
 
     def test_float_weight_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not exact"):
             WeightedTree(make_path(1), (0.1,))
 
     def test_weights_are_exact_scalars(self):
