@@ -347,8 +347,9 @@ def _cmd_count(args) -> int:
 def _cmd_distinct(args) -> int:
     points = _read_file(args.points, read_point_set)
     zero = args.include_zero
+    tree = None if args.tree is None else _resolve_tree(args.tree, None).tree
     start = time.perf_counter()
-    if args.tree is None:
+    if tree is None:
         summary = distinct_dot_products(points, include_zero=zero)
         return _report(
             args, start,
@@ -356,7 +357,6 @@ def _cmd_distinct(args) -> int:
             "distinct_dot_products", {"include_zero": zero}, [points],
             {"distinct": summary.distinct, "max_multiplicity": summary.max_multiplicity},
         )
-    tree = _resolve_tree(args.tree, None).tree
     count = distinct_weight_tuples(tree, points, include_zero=zero)
     return _report(
         args, start, [str(count)], "distinct_weight_tuples",
@@ -372,6 +372,10 @@ def _cmd_pinned(args) -> int:
         raise UsageError("--descent takes none of --pin-index, --tree and --vertex")
     if args.vertex is not None and args.tree is None:
         raise UsageError("--vertex needs --tree")
+    if args.tree is not None:
+        if args.vertex is None or args.pin_index is None:
+            raise UsageError("pinned tuple counting needs --vertex and --pin-index")
+        tree = _resolve_tree(args.tree, None).tree
     start = time.perf_counter()
     if args.descent:
         trace = hyperplane_descent(points, include_zero=zero)
@@ -393,10 +397,6 @@ def _cmd_pinned(args) -> int:
                 "reported": trace.reported_count,
             },
         )
-    if args.tree is not None:
-        if args.vertex is None or args.pin_index is None:
-            raise UsageError("pinned tuple counting needs --vertex and --pin-index")
-        tree = _resolve_tree(args.tree, None).tree
     if args.pin_index is None:
         pin, count = max_pinned(points, include_zero=zero)
         coords = " ".join(format_scalar(c) for c in pin)

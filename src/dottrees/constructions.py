@@ -52,11 +52,10 @@ PERP_LINES_SCALING_NOTE = (
 class ConstructionResult:
     """A generated point set with its tree, weights, and exact predicted count.
 
-    ``predicted_count`` is the product over tree vertices of the size of the
-    assigned point subset.  Embedding counts are labeled, so a weighted tree
-    with a nontrivial weight-preserving automorphism (only the single edge,
-    among the builders here) realizes ``predicted_count`` once per
-    automorphism.
+    ``predicted_count`` is the labeled count that ``count_embeddings``
+    returns: the product over tree vertices of the size of the assigned
+    point subset, once per weight-preserving automorphism of the weighted
+    tree (``_labeled_count``).
     """
 
     points: PointSet
@@ -105,6 +104,13 @@ def _choose_abscissas(
 
 def _edge_weights(t: Tree, abscissa: dict[int, int]) -> tuple[int, ...]:
     return tuple(abscissa[a] * abscissa[b] for a, b in t.edges)
+
+
+def _labeled_count(t: Tree, product: int) -> int:
+    """Labeled copies of a tree whose assignment gives ``product`` maps.  The
+    abscissas identify the edges, so only the single edge has a nontrivial
+    weight-preserving automorphism: its swap, which doubles the count."""
+    return 2 * product if t.num_edges == 1 else product
 
 
 def _filler_abscissas(count: int, weight_set: set[int]) -> list[int]:
@@ -166,7 +172,7 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
     m = floor((n - |V|)/|U|) points on its vertical line; each V-vertex owns
     the single point (abscissa, 0).  Every edge weight is the product of its
     endpoint abscissas, independent of the free column coordinate, and the
-    predicted count is m^|U|.
+    predicted count is m^|U|, doubled for a single edge.
     """
     k = t.num_edges
     if k < 1:
@@ -200,7 +206,7 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
         "filler_abscissas": fillers,
         "exponent": k1,
     }
-    return ConstructionResult(points, t, weights, m**k1, lines, metadata)
+    return ConstructionResult(points, t, weights, _labeled_count(t, m**k1), lines, metadata)
 
 
 def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
@@ -210,7 +216,7 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
     z, at abscissa equal to the vertex index, so every edge weight is again
     the product of the endpoint abscissas.  Each vertex owns the
     floor(n/(k+1)) points on its line; the predicted count is that size to
-    the power k+1.
+    the power k+1, doubled for a single edge.
 
     The realized count scales with exponent k+1, one more than the nominal
     exponent k quoted for this arrangement; both are recorded in the
@@ -245,7 +251,9 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
         "realized_exponent": k + 1,
         "scaling_note": PERP_LINES_SCALING_NOTE,
     }
-    return ConstructionResult(points, t, weights, m ** (k + 1), lines, metadata)
+    return ConstructionResult(
+        points, t, weights, _labeled_count(t, m ** (k + 1)), lines, metadata
+    )
 
 
 @dataclass(frozen=True)

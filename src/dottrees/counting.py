@@ -12,7 +12,7 @@ weight tuples, the proof multigraph and the descent.  ``_partner_lists``
 answers the questions about a few fixed values, P(x, w) = {j : x . q_j = w}:
 embedding and homomorphism counts and incidences.  It solves each query by
 projection, or reads it off a row of products when its cost rule says a row
-is cheaper, and never builds the all-pairs table unless a caller lends one.
+is cheaper, and never builds the all-pairs table.
 
 Zero dot products are excluded by default in every operation and can be
 admitted with ``include_zero=True``.
@@ -80,9 +80,8 @@ class DotProductIndex:
     For one set (``right is left``) row i copies its first i ids from column
     i of the rows above, as p.q = q.p, and computes only the products from
     position i on; those first i products appeared in earlier rows, so the
-    numbering is unchanged.  A weight resolves to an id by scaling
-    (``id_of``), and a scalar is built only for output (``value``): an int
-    when the product is integral, else a ``Fraction``.
+    numbering is unchanged.  A scalar is built only for output (``value``):
+    an int when the product is integral, else a ``Fraction``.
     ``skip`` is the id of zero, which the counters leave out, or -1 under
     ``include_zero``.  Every all-pairs counter reads this table.
     """
@@ -112,11 +111,6 @@ class DotProductIndex:
         self.scale = left_scale * right_scale
         self.skip = -1 if include_zero else self.ids.get(0, -1)
         self._products: list[int] = []
-
-    def id_of(self, value: Fraction | int) -> int:
-        """The id of the product ``value``, or -1 when no pair has it."""
-        scaled = Fraction(value) * self.scale
-        return self.ids.get(scaled.numerator, -1) if scaled.denominator == 1 else -1
 
     def value(self, a: int) -> Scalar:
         """The dot product with id ``a``."""
@@ -256,7 +250,6 @@ def _partner_lists(
     normals: PointSet,
     values: Sequence[Sequence[Scalar]],
     points: PointSet,
-    index: DotProductIndex | None = None,
 ) -> list[list[list[int]]]:
     """Partner lists P(x, w) = [j : x . points[j] == w], in ascending j:
     ``lists[i][t]`` is P(normals[i], values[i][t]).
@@ -274,8 +267,7 @@ def _partner_lists(
     A query costs m steps and a table row n C-level products, so the solve
     runs when ``_SOLVE_STEP_COST`` m (queries per normal) <= n.  Otherwise
     each normal's row of scaled products is made by ``_dots`` and its lists
-    are read off it by ``_positions``, as they are from the rows of value
-    ids of a lent ``index`` of ``normals`` against ``points``.
+    are read off it by ``_positions``.
     """
     n = len(points)
     if not n:
@@ -291,18 +283,12 @@ def _partner_lists(
         target = Fraction(w) * (normal_scale * scale)
         return target.numerator if target.denominator == 1 else None
 
-    rows = None
-    if index is not None:
-        rows, key_of = index.rows, index.id_of
-    else:
-        sizes = [len(set(projections(c))) for c in range(points.dim)]
-        order = sorted(range(points.dim), key=sizes.__getitem__)
-        if _SOLVE_STEP_COST * sizes[order[0]] * sum(map(len, values)) > n * len(normals):
-            rows = map(list, map(_dots, normal_ints, repeat(columns)))
+    sizes = [len(set(projections(c))) for c in range(points.dim)]
+    order = sorted(range(points.dim), key=sizes.__getitem__)
     lists: list[list[list[int]]] = []
     asked = None  # callers share one list of values between normals
-    if rows is not None:
-        for row, ws in zip(rows, values):
+    if _SOLVE_STEP_COST * sizes[order[0]] * sum(map(len, values)) > n * len(normals):
+        for row, ws in zip(map(list, map(_dots, normal_ints, repeat(columns))), values):
             if ws is not asked:
                 asked, keys = ws, list(map(key_of, ws))
             lists.append([_positions(row, key) for key in keys])
@@ -349,16 +335,16 @@ def count_embeddings(
 
     Copies are labeled: maps differing by a tree automorphism count
     separately.  The search reads the partner lists P(x, w) of every point
-    for the tree's distinct weights (``_partner_lists``), which a given
-    ``index`` of ``points`` against itself lends its rows to; an index of
-    other sets raises ``ValueError``.  The leaves of one vertex u
-    (``_search_order``) are counted, not placed: with u at x, the lists
-    P(x, w) are disjoint, so the m leaves of weight w add a falling
+    for the tree's distinct weights (``_partner_lists``).  The leaves of one
+    vertex u (``_search_order``) are counted, not placed: with u at x, the
+    lists P(x, w) are disjoint, so the m leaves of weight w add a falling
     factorial of length m from the unused points of P(x, w).  The other
     vertices are placed from u outward.
 
-    The search runs on the calling thread.  ``threads`` is accepted for
-    compatibility and has no effect.
+    ``threads`` and ``index`` are accepted for compatibility and have no
+    effect, except that an ``index`` of other sets than ``points`` against
+    itself raises ``ValueError``.  Both go with the benchmark re-size in
+    ROADMAP.md.
     """
     weights = wt.require_weights()
     _zero_weight_guard(weights, include_zero)
@@ -366,7 +352,7 @@ def count_embeddings(
         _require_index_of(index, points, points)
     parents, edges, group, _ = _search_order(wt.tree, None)
     asked = list(dict.fromkeys(weights))
-    lists = _partner_lists(points, [asked] * len(points), points, index)
+    lists = _partner_lists(points, [asked] * len(points), points)
     wanted = [asked.index(weights[j]) for j in edges[1:]]
     group_slots = Counter(asked.index(weights[j]) for j in group).items()
     total, x = 0, -1

@@ -426,9 +426,9 @@ class TestIncidence:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_timings_leave_out_reading(self, tmp_path, monkeypatch, columns_pts):
-        # A clock that jumps 1000 s while any input file is read: the lines
-        # and pins files are read before the clock starts, so the computation
-        # alone reads 0 ms.
+        # A clock that jumps 1000 s while any input file is read: the lines,
+        # pins and .tree files are read before the clock starts, so the
+        # computation alone reads 0 ms.
         now = [0.0]
         read_file = cli._read_file
 
@@ -441,9 +441,16 @@ class TestIncidence:
         monkeypatch.chdir(tmp_path)
         Path("l.lines").write_text("0 1 0\n")
         Path("pins.pts").write_text("d 2\n1 0\n")
-        for extra in (["--lines", "l.lines"], ["--pins", "pins.pts", "--alpha", "1"]):
+        Path("T.tree").write_text("k 2\n1 2 1\n2 3 1\n")
+        for argv in (
+            ["incidence", "--lines", "l.lines"],
+            ["incidence", "--pins", "pins.pts", "--alpha", "1"],
+            ["count", "--tree", "T.tree"],
+            ["distinct", "--tree", "T.tree"],
+            ["pinned", "--tree", "T.tree", "--vertex", "1", "--pin-index", "1"],
+        ):
             code, _, _ = run_cli(
-                "incidence", "--points", str(columns_pts), *extra, "--timings", "--json", "r.json"
+                *argv, "--points", str(columns_pts), "--timings", "--json", "r.json"
             )
             assert code == 0
             assert json.loads(Path("r.json").read_text())["elapsed_ms"] == 0.0

@@ -43,12 +43,12 @@ class TestColumnConstruction:
 
     def test_single_edge_n_ten(self):
         result = build_column_construction(make_path(1), 10)
-        assert result.predicted_count == 9
+        # Labeled embeddings double the column's 9: the single edge's weight-
+        # preserving swap maps the column onto the axis point and back.
+        assert result.predicted_count == 18
         assert sum(1 for p in result.points if p[0] == 1) == 9
         assert pt(2, 0) in result.points
         assert result.weights == (Q(2),)
-        # Labeled embeddings double the product: the single edge's weight-
-        # preserving swap maps the column onto the axis point and back.
         assert naive_count_embeddings(result.weighted_tree, result.points) == 18
 
     def test_abscissa_weight_pattern(self):
@@ -176,9 +176,9 @@ class TestPerpLines:
 
     def test_single_edge_small(self):
         result = build_perp_lines_3d(make_path(1), 4)
-        assert result.predicted_count == 4
+        # The single edge again carries its weight-preserving swap: 2 * 2^2.
+        assert result.predicted_count == 8
         assert result.weights == (Q(2),)
-        # The single edge again carries its weight-preserving swap.
         assert naive_count_embeddings(result.weighted_tree, result.points) == 8
 
     def test_bigger_tree_line_count(self):

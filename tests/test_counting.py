@@ -930,7 +930,7 @@ class TestRotationAndScaling:
 
 # ---------------------------------------------------------------------------
 # Partner lists P(x, w) = [j : x . q_j = w]: the projection-and-solve kernel
-# against the rows of products, a lent table and the Fraction reference.
+# against the rows of products and the Fraction reference.
 # ---------------------------------------------------------------------------
 
 PATHS = ("solve", "table")
@@ -997,14 +997,12 @@ def weighted_instances(draw, max_size=7):
 class TestPartnerLists:
     @given(partner_instances())
     @settings(max_examples=150, deadline=None)
-    def test_solve_table_and_lent_index_match_reference(self, instance):
+    def test_solve_and_table_match_reference(self, instance):
         normals, values, points = instance
         expected = reference_partner_lists(normals, values, points)
         for path in PATHS:
             with forced(path):
                 assert counting._partner_lists(normals, values, points) == expected
-        index = DotProductIndex(normals, points)
-        assert counting._partner_lists(normals, values, points, index) == expected
 
     @pytest.mark.parametrize(
         "path, steps", [("solve", [5, 2, 2]), ("table", [10, 10, 10])], ids=PATHS
@@ -1112,6 +1110,21 @@ class TestPartnerLists:
         assert count_embeddings(wt, points, include_zero=True, index=index) == (
             reference_count_embeddings(wt, points)
         )
+
+    def test_lent_index_leaves_the_partner_lists_alone(self, monkeypatch):
+        # A lent table changes nothing: the search asks for the same lists.
+        calls = []
+        original = counting._partner_lists
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_partner_lists", recorded)
+        wt, points = WeightedTree(make_path(3), (1, 1, 1)), lattice_pair(3)
+        lent = count_embeddings(wt, points, index=DotProductIndex(points), threads=2)
+        assert count_embeddings(wt, points) == lent == 68
+        assert len(calls) == 2 and calls[0] == calls[1]
 
     @pytest.mark.parametrize("path", PATHS)
     @given(instance=weighted_instances(max_size=5))

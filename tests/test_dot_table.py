@@ -311,26 +311,11 @@ def test_value_ids_round_trip(sets):
     right = left if right is None else right
     for p, row in zip(left.points, index.rows):
         for q, a in zip(right.points, row):
-            value = dot(p, q)
-            assert index.id_of(value) == a
-            assert index.value(a) == value
-            if value.denominator == 1:
-                assert index.id_of(int(value)) == a
-        # A point's own product stays in its row, zero or not.
-        if p in right.points:
-            assert row[right.points.index(p)] == index.id_of(dot(p, p))
-    products = {dot(p, q) for p in left.points for q in right.points}
-    absent = max(products) + 1
-    assert index.id_of(absent) == -1
+            assert index.value(a) == dot(p, q)
     # The table is closed once built: a missing product gets no id.
     with pytest.raises(KeyError):
         index.ids[max(index.ids) + 1]
     assert len(index.ids) == len(set(itertools.chain.from_iterable(index.rows)))
-    # A value whose scaled form is not an integer matches no product, even
-    # when its numerator is a product's scaled form.
-    for value in products - {0}:
-        scaled = value * index.scale
-        assert index.id_of(value / (abs(scaled) + 1)) == -1
 
 
 @pytest.fixture
