@@ -84,6 +84,8 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 BUILTIN_TREES = {"path": make_path, "star": make_star, "binary": make_perfect_binary}
+# The most edges a builtin tree may have, checked before the tree is built.
+MAX_BUILTIN_EDGES = 2**20
 
 # The construction flags each generate construction reads; it rejects the rest.
 GENERATE_READS = {
@@ -156,6 +158,11 @@ def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
             raise UsageError(f"bad tree size {raw_size!r}") from None
         if kind not in BUILTIN_TREES:
             raise UsageError(f"unknown builtin tree kind {kind!r}")
+        # k edges for a path or a star, 2^(h+1) - 2 for a binary tree of
+        # height h, capped at h = 20, where the count is over the bound.
+        edges = size if kind != "binary" else 2 ** (min(max(size, 0), 20) + 1) - 2
+        if edges > MAX_BUILTIN_EDGES:
+            raise UsageError(f"builtin tree {spec!r} has more than {MAX_BUILTIN_EDGES} edges")
         wt = WeightedTree(BUILTIN_TREES[kind](size), None)
     else:
         wt = _read_file(spec, read_tree)

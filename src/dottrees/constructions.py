@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, ne
 
-from .geometry import AlphaHyperplane, Point, PointSet, _dots, _exact, _scaled
+from .geometry import AlphaHyperplane, Point, PointSet, _dots, _exact
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 
 # Why the perpendicular-lines construction outgrows its nominal exponent.
 PERP_LINES_SCALING_NOTE = (
-    "realized count floor(n/(k+1))^(k+1) grows with exponent k+1, "
+    "realized count grows with exponent k+1, "
     "exceeding the nominal n^k for this arrangement"
 )
 
@@ -127,22 +127,24 @@ def _filler_abscissas(count: int, weight_set: set[int]) -> list[int]:
 def _check_constant_edge_weights(
     t: Tree,
     weights: tuple[int, ...],
+    points: PointSet,
     assignment: dict[int, tuple[Point, ...]],
 ) -> None:
     """Every assigned pair of every edge has the edge's weight, checked on
-    integers: each vertex's points are scaled once, and each point of an
-    edge's first vertex is dotted with the second vertex's points, given as
-    columns, against the weight at the product of the two scales.  A failure
-    names the first drifting pair."""
-    scaled = {v: _scaled(points) for v, points in assignment.items()}
+    the ints of ``points`` (``PointSet.scaled``), which start with each
+    vertex's points in vertex order: each point of an edge's first vertex is
+    dotted with the second vertex's points, given as columns, against the
+    weight at the square of the scale.  A failure names the first drifting pair."""
+    ints, scale = points.scaled
+    starts = itertools.accumulate((len(assignment[v]) for v in t.vertices), initial=0)
+    own = {v: ints[s:s + len(assignment[v])] for v, s in zip(t.vertices, starts)}
     for (a, b), w in zip(t.edges, weights):
-        (xs, la), (ys, lb) = scaled[a], scaled[b]
-        columns = list(zip(*ys))
-        target = w * la * lb
-        for x in xs:
+        columns = list(zip(*own[b]))
+        target = w * scale * scale
+        for x in own[a]:
             products = list(_dots(x, columns))
             if products.count(target) != len(products):
-                got = Fraction(next(p for p in products if p != target), la * lb)
+                got = Fraction(next(p for p in products if p != target), scale * scale)
                 raise ValueError(f"edge ({a},{b}) weight drifted: {got} != {w}")
 
 
@@ -160,7 +162,7 @@ def _place(
     dim = len(pts[0])
     pts.extend((a,) + (0,) * (dim - 1) for a in fillers)
     points = PointSet(dim, tuple(pts))
-    _check_constant_edge_weights(t, weights, lines)
+    _check_constant_edge_weights(t, weights, points, lines)
     return points, fillers
 
 

@@ -34,11 +34,12 @@ from .geometry import (
     Point,
     PointSet,
     Scalar,
+    _direction,
     _dots,
+    _IntPoint,
     _scaled,
     is_origin,
     point,
-    radial_direction,
 )
 from .trees import Tree, WeightedTree
 
@@ -125,15 +126,9 @@ class DotProductIndex:
         for row in self.rows:
             counts.update(row)
         # Drop the pair of each point with itself: once per point the two sets
-        # share, so once per point for a single set.  Points are matched on
-        # their ints at the scale of the products, so no Fraction is hashed.
-        left_ints, left_scale = self.left.scaled
-        right_ints, right_scale = self.right.scaled
-        position = {tuple(map(left_scale.__mul__, q)): j for j, q in enumerate(right_ints)}
-        for p, row in zip(left_ints, self.rows):
-            j = position.get(tuple(map(right_scale.__mul__, p)))
-            if j is not None:
-                counts[row[j]] -= 1
+        # share, so once per point for a single set.
+        for i, j in _shared(self.left, self.right):
+            counts[self.rows[i][j]] -= 1
         counts.pop(self.skip, None)
         return +counts
 
@@ -143,6 +138,16 @@ class DotProductIndex:
 
     def pair_total(self) -> int:
         return sum(self.pair_counts().values())
+
+
+def _shared(left: PointSet, right: PointSet) -> list[tuple[int, int]]:
+    """``(i, j)`` for each point ``left[i] == right[j]``, matched on their
+    scaled ints at the product of the two scales, so no Fraction is hashed."""
+    left_ints, left_scale = left.scaled
+    right_ints, right_scale = right.scaled
+    position = {tuple(map(left_scale.__mul__, q)): j for j, q in enumerate(right_ints)}
+    found = map(position.get, (tuple(map(right_scale.__mul__, p)) for p in left_ints))
+    return [(i, j) for i, j in enumerate(found) if j is not None]
 
 
 def pinned_set(p: Point, points: PointSet, include_zero: bool = False) -> frozenset[Fraction]:
@@ -196,14 +201,15 @@ def _search_order(tree: Tree, pinned: int | None):
     u = min(adj, key=lambda v: (-len(leaves.intersection(adj[v])), v))
     group = [v for v in adj[u] if v in leaves]
     parent = tree.bfs_parents(u if pinned is None else pinned)
-    order = [u]
-    while parent[order[0]]:
-        order.insert(0, parent[order[0]])
-    at_u = len(order) - 1
-    order += [v for v in parent if v not in order and v not in group]
+    path = [u]
+    while parent[path[-1]]:
+        path.append(parent[path[-1]])
+    skip = set(path).union(group)
+    order = path[::-1] + [v for v in parent if v not in skip]
     up = {(b if parent[b] == a else a): j for j, (a, b) in enumerate(tree.edges)}
-    parents = [order.index(parent[v]) if parent[v] else -1 for v in order]
-    return parents, [up.get(v, -1) for v in order], [up[v] for v in group], at_u
+    position = {v: p for p, v in enumerate(order)}
+    parents = [position[parent[v]] if parent[v] else -1 for v in order]
+    return parents, [up.get(v, -1) for v in order], [up[v] for v in group], len(path) - 1
 
 
 def _placements(parents: list[int], roots: Sequence[int], candidates):
@@ -247,12 +253,13 @@ def _positions(row: list, key) -> list[int]:
 
 
 def _partner_lists(
-    normals: PointSet,
+    normals: tuple[Sequence[_IntPoint], int],
     values: Sequence[Sequence[Scalar]],
     points: PointSet,
 ) -> list[list[list[int]]]:
     """Partner lists P(x, w) = [j : x . points[j] == w], in ascending j:
-    ``lists[i][t]`` is P(normals[i], values[i][t]).
+    ``lists[i][t]`` is P(x_i, values[i][t]) for the normals x_i = X_i / L_x
+    given scaled, as the pair ``(X, L_x)`` that ``PointSet.scaled`` holds.
 
     With x = X / L_x, q = Q / L_q and W = w L_x L_q, x . q = w is X . Q = W,
     so a query is an int, or has no partner when W is not one.  It is
@@ -273,7 +280,7 @@ def _partner_lists(
     if not n:
         return [[[] for _ in ws] for ws in values]
     ints, scale = points.scaled
-    normal_ints, normal_scale = normals.scaled
+    normal_ints, normal_scale = normals
     columns = list(zip(*ints))
 
     def projections(c: int):
@@ -287,7 +294,7 @@ def _partner_lists(
     order = sorted(range(points.dim), key=sizes.__getitem__)
     lists: list[list[list[int]]] = []
     asked = None  # callers share one list of values between normals
-    if _SOLVE_STEP_COST * sizes[order[0]] * sum(map(len, values)) > n * len(normals):
+    if _SOLVE_STEP_COST * sizes[order[0]] * sum(map(len, values)) > n * len(normal_ints):
         for row, ws in zip(map(list, map(_dots, normal_ints, repeat(columns))), values):
             if ws is not asked:
                 asked, keys = ws, list(map(key_of, ws))
@@ -350,9 +357,11 @@ def count_embeddings(
     _zero_weight_guard(weights, include_zero)
     if index is not None:
         _require_index_of(index, points, points)
+    if wt.tree.num_vertices > len(points):  # no map is injective
+        return 0
     parents, edges, group, _ = _search_order(wt.tree, None)
     asked = list(dict.fromkeys(weights))
-    lists = _partner_lists(points, [asked] * len(points), points)
+    lists = _partner_lists(points.scaled, [asked] * len(points), points)
     wanted = [asked.index(weights[j]) for j in edges[1:]]
     group_slots = Counter(asked.index(weights[j]) for j in group).items()
     total, x = 0, -1
@@ -387,7 +396,7 @@ def count_homomorphisms(
     if not tree.edges:
         return len(points)
     asked = list(dict.fromkeys(weights))
-    lists = _partner_lists(points, [asked] * len(points), points)
+    lists = _partner_lists(points.scaled, [asked] * len(points), points)
     slots = [asked.index(w) for w in weights]
     parent = tree.bfs_parents(1)
     adj = tree.adjacency
@@ -435,6 +444,8 @@ def _weight_tuple_masks(
     parents, edges, group, at_u = _search_order(tree, pinned and pinned[0])
     masks: dict[tuple[int, ...], int] = defaultdict(int)
     x, roots = -1, range(len(points)) if pinned is None else [pinned[1]]
+    if tree.num_vertices > len(points):  # no map is injective
+        roots = []
     for placed in _placements(
         parents, roots, lambda p, i: [j for j, a in enumerate(rows[i]) if a != skip]
     ):
@@ -516,17 +527,16 @@ def pinned_weight_tuples(
 
 def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:
     """Exact number of point-hyperplane incidences, in any dimension: the
-    distinct (normal, value) pairs are the queries of ``_partner_lists``,
-    and a repeated hyperplane counts again."""
+    distinct (normal, value) pairs, normals told apart by their scaled ints,
+    are the queries of ``_partner_lists``; a repeated hyperplane counts again."""
     for line in lines:
         if line.dim != points.dim:
             raise ValueError(f"dimension mismatch: hyperplane {line.dim}, points {points.dim}")
-    asked: dict[Point, Counter[Scalar]] = {}
-    for line in lines:
-        asked.setdefault(line.normal, Counter())[line.value] += 1
-    lists = _partner_lists(
-        PointSet(points.dim, tuple(asked)), [list(c) for c in asked.values()], points
-    )
+    normal_ints, scale = _scaled([line.normal for line in lines])
+    asked: dict[_IntPoint, Counter[Scalar]] = {}
+    for x, line in zip(normal_ints, lines):
+        asked.setdefault(x, Counter())[line.value] += 1
+    lists = _partner_lists((list(asked), scale), [list(c) for c in asked.values()], points)
     return sum(len(found) * c[w] for c, row in zip(asked.values(), lists)
                for w, found in zip(c, row))
 
@@ -552,16 +562,11 @@ class RadialHistogram:
 
 
 def radial_histogram(points: PointSet, *, allow_origin: bool = False) -> RadialHistogram:
-    counts: Counter[Direction] = Counter()
-    total = 0
-    for p in points.points:
-        if is_origin(p):
-            if not allow_origin:
-                raise ValueError("point set contains the origin")
-            continue
-        counts[radial_direction(p)] += 1
-        total += 1
-    return RadialHistogram(dict(counts), total)
+    """Points per radial line, from the scaled ints, as scaling keeps directions."""
+    nonzero = list(filter(any, points.scaled[0]))
+    if len(nonzero) < len(points) and not allow_origin:
+        raise ValueError("point set contains the origin")
+    return RadialHistogram(dict(Counter(map(_direction, nonzero))), len(nonzero))
 
 
 def count_segment_crossings(segments: Sequence[tuple[Point, Point]]) -> int:
@@ -694,7 +699,7 @@ def proof_multigraph(
     index = DotProductIndex(points, right, include_zero=include_zero)
     edge_counts = proof_graph_edges(points, right, index=index)
     t = max(_pinned_sizes(index), default=0)
-    vertices = len(set(points.points) | set(right.points))
+    vertices = len(points) + len(right) - len(_shared(points, right))
     e = sum(edge_counts.values())
     m = max(edge_counts.values(), default=0)
     crossings = count_segment_crossings(list(edge_counts.keys()))
@@ -728,11 +733,10 @@ def _best_pin(index: DotProductIndex) -> tuple[int, int]:
     return i, sizes[i]
 
 
-def _affine_rank(pts: Sequence[Point]) -> int:
-    """Dimension of the affine span of ``pts``, by fraction-free Gaussian
-    elimination of the differences from the first point, on ``_scaled``
-    integers: a row r leaves pivot column c as ``p_c r - r_c p``."""
-    ints, _ = _scaled(pts)
+def _affine_rank(ints: Sequence[_IntPoint]) -> int:
+    """Dimension of the affine span of a set's scaled ints, by fraction-free
+    Gaussian elimination of the differences from the first point: a row r
+    leaves pivot column c as ``p_c r - r_c p``."""
     rows = [[c - b for c, b in zip(p, ints[0])] for p in ints[1:]]
     rank = 0
     for col in range(len(ints[0]) if rows else 0):
@@ -784,38 +788,37 @@ def hyperplane_descent(points: PointSet, *, include_zero: bool = False) -> Desce
     the points, and the heaviest bucket (ties toward the earliest point)
     becomes the next set.  Degenerate sets already spanning at most a plane
     stop early.  The final level reports the maximum pinned count among the
-    remaining points.
+    remaining points.  Each level's set is one ``PointSet``, scaled once for
+    the rank check, the table and, at the last level, ``max_pinned``.
     """
     d = points.dim
     if d < 3:
         raise ValueError("the descent needs ambient dimension at least 3")
     if len(points) < d:
         raise ValueError(f"need at least {d} points")
-    current = list(points.points)
+    current = points
     levels: list[DescentLevel] = []
     for _ in range(d - 2):
-        if len(current) < 2 or _affine_rank(current) <= 2:
+        if len(current) < 2 or _affine_rank(current.scaled[0]) <= 2:
             break
-        index = DotProductIndex(PointSet(d, tuple(current)), include_zero=include_zero)
+        index = DotProductIndex(current, include_zero=include_zero)
         i, t = _best_pin(index)
         # Buckets by value id, in order of each bucket's first point, so the
         # first heaviest bucket is the one whose first point comes earliest.
         buckets: dict[int, list[Point]] = {}
-        for a, y in zip(index.rows[i], current):
+        for a, y in zip(index.rows[i], current.points):
             if a != index.skip:
                 buckets.setdefault(a, []).append(y)
         best, members = max(buckets.items(), key=lambda item: len(item[1]))
         if len(members) == len(current):
             break
-        pin = current[i]
+        pin = current.points[i]
         levels.append(
             DescentLevel(pin, t, AlphaHyperplane(pin, index.value(best)), len(members))
         )
-        current = members
+        current = PointSet(d, tuple(members))
     if len(current) >= 2:
-        final_pin, final_count = max_pinned(
-            PointSet(d, tuple(current)), include_zero=include_zero
-        )
+        final_pin, final_count = max_pinned(current, include_zero=include_zero)
     else:
         final_pin, final_count = None, 0
     return DescentTrace(tuple(levels), len(current), final_pin, final_count)

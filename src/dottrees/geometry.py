@@ -10,11 +10,14 @@ Python ints after scaling each set by the lcm of its denominators (`_scaled`),
 so each product converts back to its exact scalar.  A `PointSet` scales its
 points once, at construction (`PointSet.scaled`), and checks them for
 duplicates on those ints, so building or parsing a set hashes no
-``Fraction``.  `_dots` is the one integer dot kernel: the table's rows, the
-builders' edge-weight checks and both lattice identity checks take their
-products from it, one point against columns of points.  Counts downstream
-hash and compare these values for equality, so floating point never enters
-a geometric computation.
+``Fraction``; every engine reader of a set takes that form.  Points that
+reach the engine as points, not as a set, are scaled where they are used:
+the sweep's segment endpoints, the normals of ``incidences`` and the one
+point of `radial_direction`.  `_dots` is the one integer dot kernel: the
+table's rows, the builders' edge-weight checks and both lattice identity
+checks take their products from it, one point against columns of points.
+Counts downstream hash and compare these values for equality, so floating
+point never enters a geometric computation.
 """
 
 from __future__ import annotations
@@ -143,7 +146,13 @@ def _scaled(points: Sequence[Point]) -> tuple[tuple[_IntPoint, ...], int]:
     multiplier is computed once, and the scaled coordinates are cut back
     into points by zipping one iterator with itself."""
     coords = list(chain.from_iterable(points))
-    dens = list(map(attrgetter("denominator"), coords))
+    try:
+        dens = list(map(attrgetter("denominator"), coords))
+    except AttributeError:  # a coordinate with no denominator
+        c = next(c for c in coords if not hasattr(c, "denominator"))
+        raise ValueError(
+            f"{type(c).__name__} {c!r} is not exact; pass Fraction or int"
+        ) from None
     distinct = set(dens)
     scale = math.lcm(*distinct)
     factor = {den: scale // den for den in distinct}
@@ -184,13 +193,7 @@ class PointSet:
                 raise ValueError(
                     f"point {p} has {len(p)} coordinates, expected {self.dim}"
                 )
-        try:
-            scaled = _scaled(self.points)
-        except AttributeError:  # a coordinate with no denominator
-            c = next(c for p in self.points for c in p if not hasattr(c, "denominator"))
-            raise ValueError(
-                f"{type(c).__name__} {c!r} is not exact; pass Fraction or int"
-            ) from None
+        scaled = _scaled(self.points)
         if len(set(scaled[0])) != len(self.points):
             raise ValueError("points must be pairwise distinct")
         object.__setattr__(self, "scaled", scaled)
@@ -269,20 +272,19 @@ class Direction:
         return ",".join(str(c) for c in self.primitive)
 
 
+def _direction(ints: _IntPoint) -> Direction:
+    """A nonzero integer point over the gcd of its coordinates, signed to a Direction."""
+    g = math.gcd(*ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return Direction(tuple(c // g for c in ints))
+
+
 def radial_direction(p: Point) -> Direction:
     """Canonical direction of the line through ``p`` and the origin."""
     if is_origin(p):
         raise ValueError("the origin has no radial direction")
-    scale = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (scale // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return Direction(tuple(ints))
+    return _direction(_scaled([p])[0][0])
 
 
 # ---------------------------------------------------------------------------

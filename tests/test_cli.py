@@ -13,6 +13,7 @@ import pytest
 
 from dottrees import cli
 from dottrees.cli import build_parser, cli_main
+from dottrees.trees import make_path
 
 
 def run_cli(*argv):
@@ -656,6 +657,28 @@ class TestUsage:
         )
         assert code == 2
 
+    def test_oversized_builtin_tree_is_never_built(self, monkeypatch, columns_pts):
+        # A builder that records its size and builds a 1-edge path, so no
+        # call allocates: heights up to 19 (2^20 - 2 edges) are built, and
+        # the sizes past 2^20 edges are rejected before any builder runs.
+        built = []
+
+        def recording(size):
+            built.append(size)
+            return make_path(1)
+
+        for kind in cli.BUILTIN_TREES:
+            monkeypatch.setitem(cli.BUILTIN_TREES, kind, recording)
+        argv = ["distinct", "--points", str(columns_pts), "--tree"]
+        for tree in ("binary:19", "path:1048576", "star:1048576"):
+            assert run_cli(*argv, f"builtin:{tree}")[0] == 0
+        assert built == [19, 2**20, 2**20]
+        for tree in ("binary:20", "binary:40", "binary:" + "9" * 4000, "path:1048577", "star:1048577"):
+            code, out, err = run_cli(*argv, f"builtin:{tree}")
+            assert (code, out) == (2, "")
+            assert err == f"error: builtin tree 'builtin:{tree}' has more than 1048576 edges\n"
+        assert len(built) == 3
+
 
 # Inputs that raise a ValueError (or ParseError) inside the engine or a
 # constructor rather than in the CLI's own checks.
@@ -772,7 +795,7 @@ PINNED_OUTPUTS = {
         ["generate", "--construction", "perplines", "--tree", "builtin:path:2", "--n", "9", "-o", "out.pts"],
         0, "1c0c785ee741993c5b84affe9bd548c53274676ad66fec2ffd74e672060245f1",
         {
-            "out.json": "4ee216472d6fadf0dba537c19bcfbd5226170dff3a8bae7a7d097a48ba98eefa",
+            "out.json": "29f1fe55feb502392b95387304193b48d97d92b11218e7c78e8803be18a94949",
             "out.pts": "7dbc55311148b9b2e1a03a694b475a8f5fc4aba2c27b7a22fc4bda83df8e5569",
         },
     ),
@@ -788,7 +811,7 @@ PINNED_OUTPUTS = {
         ["generate", "--construction", "perplines", "--tree", "builtin:star:5", "--n", "14", "-o", "out.pts"],
         0, "c992603144592b83c96b9d0920a987bf4d7da9000db5868d3eac23216211fba6",
         {
-            "out.json": "63c50459f75c1564b8526fa8fdec036e8270342315f89c6db3de0c08b5146bde",
+            "out.json": "7fce1c549ffe702e38f777048d874184072112b6f1be63290e779346ae71a6e8",
             "out.pts": "100debd491dedf6b1cc5d7c200f0289217f66f162efe6f448ef96095003f5037",
         },
     ),
@@ -804,7 +827,7 @@ PINNED_OUTPUTS = {
         ["generate", "--construction", "perplines", "--tree", "k2.tree", "--n", "9", "-o", "out.pts"],
         0, "1c0c785ee741993c5b84affe9bd548c53274676ad66fec2ffd74e672060245f1",
         {
-            "out.json": "f61fa355f0018f67a0920245c92a71a11af22c2028b662c126b4c30537243f21",
+            "out.json": "e48f8c68512759e296896c0f48e02a82b283d762b5d4b08880abeecc9a5897ea",
             "out.pts": "15abf6e51608232ef288719168b7ebc2ae31a9fc83eccbee464af1592c7681ed",
         },
     ),
@@ -994,9 +1017,9 @@ PINNED_OUTPUTS = {
     ),
     "report-perplines": (
         ["report", "--experiment", "perplines", "--tree", "builtin:path:2", "--n", "9,12", "--json", "r.json"],
-        0, "145d18e82422ec8bc4f495b18013dec4ff792b929de963b25ea0076dfdda08cd",
+        0, "29606a207ee6d97a7617507f18b84a6817b94472bb7ade0649ea5780bb9ea5b4",
         {
-            "r.json": "1432c65852178470f835976e7174d8958bd410ceef9f9615647b7525c7c5a6c3",
+            "r.json": "1540775286a8304a4cfaa1a0d7ed8055d677bb7e3793d6a5df83daf2b11d8b4d",
         },
     ),
     "report-lattice": (
@@ -1023,9 +1046,9 @@ PINNED_OUTPUTS = {
     ),
     "report-perplines-fit": (
         ["report", "--experiment", "perplines", "--tree", "builtin:path:2", "--n", "9,12,15", "--json", "r.json"],
-        0, "9bf907c75b369118a5262b6ce21d0f8af50616d705edf906f7e809d1f22414f1",
+        0, "9b8d6f1a4e2399ab2370d8fe1a289d9d075b0e6b4fa98002876913526459a2b9",
         {
-            "r.json": "af4c16e4c4ae5c55288bf7635c669ff2beea9ca28e8662f5df5c144269bac764",
+            "r.json": "f4957970d4c5121f8e98397ad7ab6af96f0dffbc486657d3ad89c4764b3ef8fc",
         },
     ),
 }

@@ -6,6 +6,7 @@ import pytest
 from dottrees import constructions, geometry
 from dottrees import (
     LatticeSpec,
+    PointSet,
     build_column_construction,
     build_perp_lines_3d,
     build_unit_lattice,
@@ -251,11 +252,15 @@ def test_edge_weight_drift_is_value_error(monkeypatch, build):
 def test_edge_weight_check_names_first_drifting_pair_on_rationals():
     # Vertex 1 sits at (1/2, 0) and vertex 2 owns three points: products
     # 1, 1 and then 3/2, so the third partner is the first to drift.
+    # The check reads each vertex's slice of the set's ints; a filler after
+    # them, at (-1/7, 0), takes the scale from 6 to 42 and is not checked.
     tree = make_path(1)
     assignment = {1: (pt(Q(1, 2), 0),), 2: (pt(2, 1), pt(2, 5), pt(3, Q(1, 3)))}
-    constructions._check_constant_edge_weights(tree, (1,), {1: assignment[1], 2: assignment[2][:2]})
+    good = {1: assignment[1], 2: assignment[2][:2]}
+    constructions._check_constant_edge_weights(tree, (1,), PointSet(2, good[1] + good[2]), good)
+    points = PointSet(2, assignment[1] + assignment[2] + (pt(Q(-1, 7), 0),))
     with pytest.raises(ValueError) as failure:
-        constructions._check_constant_edge_weights(tree, (1,), assignment)
+        constructions._check_constant_edge_weights(tree, (1,), points, assignment)
     assert str(failure.value) == "edge (1,2) weight drifted: 3/2 != 1"
 
 

@@ -38,6 +38,7 @@ from dottrees import (
 from dottrees import counting
 from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
 from dottrees.counting import _affine_rank
+from dottrees.geometry import _scaled
 from oracles import (
     ROTATION_2D,
     apply_matrix,
@@ -401,6 +402,28 @@ class TestPinnedWeightTuples:
         assert pinned_weight_tuples(tree, v, x, ps) == len(
             naive_pinned_weight_tuples(tree, v, x, ps)
         )
+
+
+@pytest.mark.parametrize("tree", [make_path(4), make_star(4)], ids=["path", "star"])
+def test_more_vertices_than_points_count_zero_at_once(monkeypatch, tree):
+    # No map of 5 vertices into 4 points is injective: no partner list is
+    # built and no placement is made.
+    original = counting._placements
+
+    def placed_none(*args):
+        for _ in original(*args):
+            raise AssertionError("a placement was made, yet no map is injective")
+        return iter(())
+
+    def refuse(*args):
+        raise AssertionError("partner lists were built, yet no map is injective")
+
+    monkeypatch.setattr(counting, "_placements", placed_none)
+    monkeypatch.setattr(counting, "_partner_lists", refuse)
+    ps = random_point_set(4, seed=3, low=-6, high=6)
+    assert distinct_weight_tuples(tree, ps, collect=True) == (0, frozenset())
+    assert pinned_weight_tuples(tree, 1, ps.points[0], ps) == 0
+    assert count_embeddings(WeightedTree(tree, (1, 1, 1, 1)), ps) == 0
 
 
 class TestIncidences:
@@ -887,7 +910,7 @@ class TestHyperplaneDescent:
         rows = [p for p in integer_grid(3, dim=3).points] + [(huge, 1, 2)]
         ints = point_set(rows)
         fractions = PointSet(3, tuple(tuple(map(Q, p)) for p in rows))
-        assert _affine_rank(ints.points) == reference_affine_rank(rows) == 3
+        assert _affine_rank(ints.scaled[0]) == reference_affine_rank(rows) == 3
         trace = hyperplane_descent(ints)
         assert trace == hyperplane_descent(fractions)
         assert trace.levels and trace.levels[0].distinct_count >= 10
@@ -914,7 +937,7 @@ def affine_configurations(draw):
 
 @given(affine_configurations())
 def test_affine_rank_matches_fraction_elimination(pts):
-    assert _affine_rank(pts) == reference_affine_rank(pts)
+    assert _affine_rank(_scaled(pts)[0]) == reference_affine_rank(pts)
 
 
 class TestRotationAndScaling:
@@ -1002,7 +1025,7 @@ class TestPartnerLists:
         expected = reference_partner_lists(normals, values, points)
         for path in PATHS:
             with forced(path):
-                assert counting._partner_lists(normals, values, points) == expected
+                assert counting._partner_lists(normals.scaled, values, points) == expected
 
     @pytest.mark.parametrize(
         "path, steps", [("solve", [5, 2, 2]), ("table", [10, 10, 10])], ids=PATHS
@@ -1019,7 +1042,7 @@ class TestPartnerLists:
         monkeypatch.setattr(counting, "_dots", lambda p, columns: (
             lengths.append(len(columns[0])) or dots(p, columns)))
         with forced(path):
-            lists = counting._partner_lists(normals, values, points)
+            lists = counting._partner_lists(normals.scaled, values, points)
         assert lists == [
             [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], []], [[1, 6], [4, 9], []], [[1, 5], [9]]
         ]
@@ -1029,7 +1052,7 @@ class TestPartnerLists:
     def test_origin_and_weight_zero(self, path):
         points = point_set([(0, 0), (1, 0), (0, 2), (1, 1)])
         with forced(path):
-            lists = counting._partner_lists(points, [[0, 1]] * len(points), points)
+            lists = counting._partner_lists(points.scaled, [[0, 1]] * len(points), points)
             wt = WeightedTree(make_path(2), (0, 0))
             embeddings = count_embeddings(wt, points, include_zero=True)
             homomorphisms = count_homomorphisms(wt, points, include_zero=True)
@@ -1045,7 +1068,7 @@ class TestPartnerLists:
         # 1/7 scales to 6/7, which no product of ints reaches.
         points = point_set([(Q(1, 3), 1), (1, Q(1, 2)), (2, 3)])
         with forced(path):
-            assert counting._partner_lists(points, [[Q(1, 7)]] * 3, points) == [[[]]] * 3
+            assert counting._partner_lists(points.scaled, [[Q(1, 7)]] * 3, points) == [[[]]] * 3
             assert count_embeddings(WeightedTree(make_path(1), (Q(1, 7),)), points) == 0
 
     @pytest.mark.parametrize("path", PATHS)
@@ -1055,14 +1078,14 @@ class TestPartnerLists:
         points = point_set([(a, b) for a in (1, 2, 3) for b in range(1, 7)])
         normals = point_set([(1, 2)])
         with forced(path):
-            assert counting._partner_lists(normals, [[5]], points) == [[[1, 12]]]
+            assert counting._partner_lists(normals.scaled, [[5]], points) == [[[1, 12]]]
 
     @pytest.mark.parametrize("path", PATHS)
     def test_weight_no_pair_attains(self, path):
         points = integer_grid(3)
         wt = WeightedTree(make_path(2), (2, 1000))
         with forced(path):
-            lists = counting._partner_lists(points, [[1000]] * len(points), points)
+            lists = counting._partner_lists(points.scaled, [[1000]] * len(points), points)
             assert count_embeddings(wt, points) == count_homomorphisms(wt, points) == 0
         assert lists == [[[]]] * len(points)
 
@@ -1071,13 +1094,13 @@ class TestPartnerLists:
         wt = WeightedTree(Tree(1, ()), ())
         points = lattice_pair(2)
         with forced(path):
-            assert counting._partner_lists(points, [[]] * len(points), points) == [[]] * 16
+            assert counting._partner_lists(points.scaled, [[]] * len(points), points) == [[]] * 16
             assert count_embeddings(wt, points) == count_homomorphisms(wt, points) == 16
 
     def test_empty_set_and_no_normals(self):
         empty = PointSet(2, ())
-        assert counting._partner_lists(COLLINEAR, [[0, 1]] * 3, empty) == [[[], []]] * 3
-        assert counting._partner_lists(empty, [], COLLINEAR) == []
+        assert counting._partner_lists(COLLINEAR.scaled, [[0, 1]] * 3, empty) == [[[], []]] * 3
+        assert counting._partner_lists(empty.scaled, [], COLLINEAR) == []
 
     def test_rule_picks_the_cheaper_path(self, monkeypatch):
         # E u F at q=4: 4 m k = 4 * 32 * 1 = 128 <= n = 128, so it solves.

@@ -29,6 +29,7 @@ from dottrees import (
     distinct_dot_products,
     distinct_weight_tuples,
     dot,
+    hyperplane_descent,
     incidences,
     integer_grid,
     make_path,
@@ -42,8 +43,13 @@ from dottrees import (
     radial_histogram,
     random_point_set,
 )
-from dottrees import acceptance, counting, geometry
-from dottrees.constructions import LatticeSpec, build_column_construction, build_unit_lattice
+from dottrees import acceptance, constructions, counting, geometry
+from dottrees.constructions import (
+    LatticeSpec,
+    build_column_construction,
+    build_perp_lines_3d,
+    build_unit_lattice,
+)
 from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, parse_point_set
 from oracles import reference_incidences, reference_pair_counts
 
@@ -395,7 +401,8 @@ def test_pinned_sizes_match_pinned_set():
 
 @pytest.fixture
 def scalings(monkeypatch):
-    """Record the argument of every ``_scaled`` call, in ``PointSet`` and the sweep."""
+    """Record the argument of every ``_scaled`` call made by a module that
+    imports it: ``PointSet``, the sweep, the incidence normals."""
     calls = []
     original = geometry._scaled
 
@@ -403,8 +410,9 @@ def scalings(monkeypatch):
         calls.append(points)
         return original(points)
 
-    for module in (geometry, counting):
-        monkeypatch.setattr(module, "_scaled", recording)
+    for module in (geometry, counting, constructions):
+        if hasattr(module, "_scaled"):
+            monkeypatch.setattr(module, "_scaled", recording)
     return calls
 
 
@@ -424,6 +432,26 @@ def test_proof_multigraph_scales_each_set_once(scalings, pair):
         assert sum(points is ps.points for points in scalings) == 1
     # The one other call scales the crossing sweep's segment endpoints.
     assert len(scalings) == len(sets) + 1
+
+
+@pytest.mark.parametrize("build", [build_column_construction, build_perp_lines_3d])
+def test_builders_scale_once_in_their_point_set(scalings, build):
+    # The edge-weight check reads the set's ints, sliced by vertex.
+    result = build(make_star(3), 16)
+    assert len(scalings) == 1 and scalings[0] is result.points.points
+
+
+def test_descent_scales_each_level_set_once(scalings):
+    # Every coordinate over 3: the levels keep 8 and then 3 points.
+    ints = random_point_set(40, dim=5, seed=5, low=-1, high=1)
+    points = PointSet(5, tuple(tuple(Q(c, 3) for c in p) for p in ints.points))
+    scalings.clear()
+    trace = hyperplane_descent(points)
+    remaining = [level.points_remaining for level in trace.levels]
+    assert remaining == [8, 3] and trace.final_pinned_count == 3
+    # One scaling per PointSet the descent builds, of each level's points:
+    # none in the rank check, none of the given set, none for max_pinned.
+    assert list(map(len, scalings)) == remaining
 
 
 def test_each_set_scaled_once_at_construction(scalings):
@@ -475,6 +503,35 @@ def test_pair_counts_hash_no_fraction(fraction_hashes, left, right, include_zero
     assert fraction_hashes == []
     got = {index.value(a): n for a, n in counts.items()}
     assert got == reference_pair_counts(left, right or left, include_zero)
+
+
+def test_incidences_scale_only_the_normals(scalings, fraction_hashes):
+    # Every hyperplane value is the int 1, so no Fraction is hashed: the
+    # normals are grouped on their ints.
+    planes = _LATTICE.hyperplanes
+    fraction_hashes.clear()
+    count = incidences(_LATTICE.e_points, planes)
+    assert fraction_hashes == []
+    assert len(scalings) == 1 and list(scalings[0]) == [h.normal for h in planes]
+    assert count == reference_incidences(_LATTICE.e_points, planes)
+
+
+def test_proof_multigraph_counts_vertices_hashing_no_fraction(monkeypatch, fraction_hashes):
+    # With no edges the rest of the statistics hash nothing, so any hash
+    # would come from matching the shared points.
+    monkeypatch.setattr(counting, "proof_graph_edges", lambda *args, **kwargs: {})
+    stats = proof_multigraph(_RATIONAL, _SHARING)
+    assert fraction_hashes == []
+    assert stats.vertices == len(set(_RATIONAL.points) | set(_SHARING.points)) == 8
+
+
+@given(set_pairs())
+def test_shared_matches_set_intersection(sets):
+    for left, right in (sets, sets[::-1], (sets[0], sets[0])):
+        pairs = counting._shared(left, right)
+        assert all(left.points[i] == right.points[j] for i, j in pairs)
+        common = set(left.points) & set(right.points)
+        assert [left.points[i] for i, _ in pairs] == [p for p in left.points if p in common]
 
 
 def test_count_embeddings_starts_no_thread(monkeypatch):
