@@ -106,15 +106,15 @@ def _output_path(value: str) -> Path:
 
 
 def _read_file(value: str, reader):
-    """``reader`` applied to the open input file; a ParseError names the file."""
+    """``reader`` applied to the opened input, a pipe too; an error names the file."""
     path = Path(value)
-    if not path.is_file():
-        raise UsageError(f"no such file: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return reader(fh)
-        except ParseError as exc:
-            raise UsageError(f"{path}: {exc}") from None
+    except FileNotFoundError:
+        raise UsageError(f"no such file: {path}") from None
+    except (OSError, ParseError) as exc:
+        raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _read_lines(stream, dim: int) -> list[AlphaHyperplane]:

@@ -14,6 +14,9 @@ embedding and homomorphism counts and incidences.  It solves each query by
 projection, or reads it off a row of products when its cost rule says a row
 is cheaper, and never builds the all-pairs table.
 
+All three tree counters, embeddings, homomorphisms and weight tuples, walk
+the one search order of ``_search_order``, which counts u's leaves by formula.
+
 Zero dot products are excluded by default in every operation and can be
 admitted with ``include_zero=True``.
 """
@@ -25,7 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
-from operator import eq, floordiv, itemgetter, mod, ne, not_, sub
+from operator import eq, floordiv, itemgetter, mod, mul, ne, not_, sub
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -330,6 +333,18 @@ def _partner_lists(
     return lists
 
 
+def _fixed_weight_plan(tree: Tree, weights: Sequence[Scalar], points: PointSet):
+    """The setup both fixed-weight counters share: ``_search_order``'s parent
+    positions, the partner lists ``lists[i][t]`` = P(points[i], w_t) of the
+    distinct weights w_t, each position's slot t (-1 at the root) and the
+    leaf group's ``(t, m)`` pairs, m leaves of weight w_t."""
+    parents, edges, group, _ = _search_order(tree, None)
+    asked = list(dict.fromkeys(weights))
+    lists = _partner_lists(points.scaled, [asked] * len(points), points)
+    slots = [-1] + [asked.index(weights[j]) for j in edges[1:]]
+    return parents, lists, slots, Counter(asked.index(weights[j]) for j in group).items()
+
+
 def count_embeddings(
     wt: WeightedTree,
     points: PointSet,
@@ -342,11 +357,11 @@ def count_embeddings(
 
     Copies are labeled: maps differing by a tree automorphism count
     separately.  The search reads the partner lists P(x, w) of every point
-    for the tree's distinct weights (``_partner_lists``).  The leaves of one
-    vertex u (``_search_order``) are counted, not placed: with u at x, the
-    lists P(x, w) are disjoint, so the m leaves of weight w add a falling
-    factorial of length m from the unused points of P(x, w).  The other
-    vertices are placed from u outward.
+    for the tree's distinct weights (``_fixed_weight_plan``).  The leaves of
+    one vertex u (``_search_order``) are counted, not placed: with u at x,
+    the lists P(x, w) are disjoint, so the m leaves of weight w add a
+    falling factorial of length m from the unused points of P(x, w).  The
+    other vertices are placed from u outward.
 
     ``threads`` and ``index`` are accepted for compatibility and have no
     effect, except that an ``index`` of other sets than ``points`` against
@@ -359,18 +374,12 @@ def count_embeddings(
         _require_index_of(index, points, points)
     if wt.tree.num_vertices > len(points):  # no map is injective
         return 0
-    parents, edges, group, _ = _search_order(wt.tree, None)
-    asked = list(dict.fromkeys(weights))
-    lists = _partner_lists(points.scaled, [asked] * len(points), points)
-    wanted = [asked.index(weights[j]) for j in edges[1:]]
-    group_slots = Counter(asked.index(weights[j]) for j in group).items()
+    parents, lists, slots, group = _fixed_weight_plan(wt.tree, weights, points)
     total, x = 0, -1
-    for placed in _placements(
-        parents, range(len(points)), lambda p, i: lists[i][wanted[p - 1]]
-    ):
+    for placed in _placements(parents, range(len(points)), lambda p, i: lists[i][slots[p]]):
         if placed[0] != x:
             x = placed[0]
-            group_sets = [(set(lists[x][t]), m) for t, m in group_slots]
+            group_sets = [(set(lists[x][t]), m) for t, m in group]
         total += math.prod(math.perm(len(s) - len(s.intersection(placed)), m)
                            for s, m in group_sets)
     return total
@@ -384,38 +393,25 @@ def count_homomorphisms(
 ) -> int:
     """Number of not-necessarily-injective maps satisfying all edge weights.
 
-    Dynamic program over the tree rooted at vertex 1: each vertex's list
-    counts, per point index, the partial maps of its subtree with the vertex
-    there, children combining multiplicatively over the partner lists of the
-    tree's distinct weights (``_partner_lists``).  Always at least
-    ``count_embeddings`` on the same input.
+    Dynamic program over ``_search_order``'s positions, last to first: a
+    position's list counts, per point index, the maps of its subtree with
+    its vertex there; a child's list, summed over the partner lists of its
+    weight, multiplies into its parent's.  u's leaf group enters once, as
+    the factor prod len(P(x, w))^m over its m leaves of weight w, the twin
+    of ``count_embeddings``' falling factorial.  Always at least
+    ``count_embeddings``.
     """
     weights = wt.require_weights()
-    tree = wt.tree
     _zero_weight_guard(weights, include_zero)
-    if not tree.edges:
-        return len(points)
-    asked = list(dict.fromkeys(weights))
-    lists = _partner_lists(points.scaled, [asked] * len(points), points)
-    slots = [asked.index(w) for w in weights]
-    parent = tree.bfs_parents(1)
-    adj = tree.adjacency
-    edge_idx = tree.edge_index()
-    table: dict[int, list[int]] = {}
-    for v in reversed(parent):
-        children = [
-            (table.pop(c), slots[edge_idx[(min(v, c), max(v, c))]]) for c in adj[v] if parent[c] == v
-        ]
-        counts = []
-        for partners in lists:
-            total = 1
-            for below, t in children:
-                total *= sum(map(below.__getitem__, partners[t]))
-                if total == 0:
-                    break
-            counts.append(total)
-        table[v] = counts
-    return sum(table[1])
+    parents, lists, slots, group = _fixed_weight_plan(wt.tree, weights, points)
+    tables = [[1] * len(lists) for _ in parents]
+    for t, m in group:
+        tables[0] = list(map(mul, tables[0], [len(row[t]) ** m for row in lists]))
+    for p in range(len(parents) - 1, 0, -1):
+        below, t = tables[p], slots[p]
+        up = [sum(map(below.__getitem__, row[t])) for row in lists]
+        tables[parents[p]] = list(map(mul, tables[parents[p]], up))
+    return sum(tables[0])
 
 
 def _weight_tuple_masks(

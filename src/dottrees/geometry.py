@@ -223,7 +223,7 @@ class AlphaHyperplane:
     """The level set ``{x : normal . x = value}``.
 
     In the plane this is the alpha-line of its pin: the locus of points whose
-    dot product with ``normal`` equals ``value``.
+    dot product with ``normal`` equals ``value``, coerced like a coordinate.
     """
 
     normal: Point
@@ -232,6 +232,7 @@ class AlphaHyperplane:
     def __post_init__(self):
         if is_origin(self.normal):
             raise ValueError("hyperplane normal must not be the origin")
+        object.__setattr__(self, "value", _coerce(self.value))
 
     @property
     def dim(self) -> int:
@@ -243,7 +244,7 @@ class AlphaHyperplane:
 
 def alpha_hyperplane(p: Point, alpha) -> AlphaHyperplane:
     """The hyperplane of points whose dot product with pin ``p`` is ``alpha``."""
-    return AlphaHyperplane(point(*p), _coerce(alpha))
+    return AlphaHyperplane(point(*p), alpha)
 
 
 @dataclass(frozen=True)

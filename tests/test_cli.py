@@ -26,6 +26,14 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def subprocess_env():
+    """The environment of a CLI subprocess, this checkout's src on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 @pytest.fixture
 def columns_pts(tmp_path):
     out = tmp_path / "out.pts"
@@ -605,6 +613,20 @@ class TestUsage:
         assert code == 2
         assert "no such file" in err
 
+    def test_points_read_from_stdin(self, columns_pts):
+        # Fed through a pipe, /dev/stdin is no regular file.
+        argv = ["distinct", "--points", "/dev/stdin", "--tree", "builtin:star:3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dottrees", *argv], input=columns_pts.read_text(),
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        argv[2] = str(columns_pts)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
+
+    def test_directory_as_points_is_one_error_line(self, tmp_path):
+        code, out, err = run_cli("distinct", "--points", str(tmp_path), "--tree", "builtin:path:2")
+        assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
     def test_bad_builtin_tree(self, columns_pts):
         code, _, _ = run_cli(
             "count", "--tree", "builtin:wheel:4", "--weights", "2",
@@ -705,10 +727,7 @@ def test_engine_value_errors_exit_2(tmp_path, argv):
     (tmp_path / "a.pts").write_text("d 2\n1 2\n2 1\n3 1\n")
     (tmp_path / "k0.tree").write_text("k 0\n")
     (tmp_path / "bad.lines").write_text("1 1 3\n1 x 2\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", "from dottrees.cli import main; main()", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
@@ -720,10 +739,7 @@ def test_engine_value_errors_exit_2(tmp_path, argv):
 
 @pytest.mark.parametrize("module", ["dottrees", "dottrees.cli"])
 def test_python_m_runs_the_cli(tmp_path, module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", module, "verify", "--criteria", "9"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dottrees.trees import Tree
@@ -24,6 +24,7 @@ from dottrees import (
     incidences,
     integer_grid,
     make_path,
+    make_perfect_binary,
     make_star,
     max_pinned,
     pinned_set,
@@ -1005,6 +1006,10 @@ def partner_instances(draw):
     return PointSet(points.dim, tuple(normals)), values, points
 
 
+# (1, 0) . x = 1 for four points x, itself among them, and (0, 1) . (0, 1) = 1.
+SELF_PARTNERS = point_set([(1, 0), (0, 1), (1, 1), (1, -1), (1, Q(1, 2))])
+
+
 @st.composite
 def weighted_instances(draw, max_size=7):
     """A tree of up to 3 edges, a pool set and weights taken from its
@@ -1149,9 +1154,16 @@ class TestPartnerLists:
         assert count_embeddings(wt, points) == lent == 68
         assert len(calls) == 2 and calls[0] == calls[1]
 
+    # Leaf groups of m = 2 or 3 on SELF_PARTNERS, where a weight-1 leaf can
+    # share its centre's point, and zero weights with the origin present.
     @pytest.mark.parametrize("path", PATHS)
     @given(instance=weighted_instances(max_size=5))
     @settings(max_examples=40, deadline=None)
+    @example(instance=(WeightedTree(make_star(4), (1, 1, 1, 0)), SELF_PARTNERS))
+    @example(instance=(WeightedTree(make_perfect_binary(1), (1, 1)), SELF_PARTNERS))
+    @example(instance=(WeightedTree(make_perfect_binary(2), (1,) * 6), SELF_PARTNERS))
+    @example(instance=(WeightedTree(make_perfect_binary(2), (1, 0, 1, 1, 0, 0)),
+                       point_set([(0, 0), (1, 0), (0, 1), (1, 1), (Q(1, 2), Q(-1, 2))])))
     def test_count_homomorphisms_match_naive(self, path, instance):
         wt, points = instance
         with forced(path):

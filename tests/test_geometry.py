@@ -140,6 +140,15 @@ class TestAlphaHyperplane:
         with pytest.raises(ValueError, match="not exact"):
             alpha_hyperplane((1.0, 0), 1)
 
+    def test_value_coerced_when_built_directly(self):
+        # Built without alpha_hyperplane, the value follows the same rule:
+        # a float is rejected, a string becomes an exact scalar.
+        with pytest.raises(ValueError, match="not exact"):
+            AlphaHyperplane((1, 0), 0.1)
+        line = AlphaHyperplane((1, 0), "1/10")
+        assert line.value == Q(1, 10) and line.contains((Q(1, 10), 0))
+        assert AlphaHyperplane((1, 0), Q(4, 2)).value == 2
+
     @given(
         st.tuples(rationals, rationals),
         st.tuples(rationals, rationals),
