@@ -127,34 +127,30 @@ def loglog_fit(series: Sequence[tuple[int, int]]) -> float:
 def compare_report(
     experiment: str,
     params: Mapping,
-    runs: Sequence[tuple[int, Mapping]],
+    runs: Sequence[tuple[int, int, int | None]],
     exponent: Fraction,
     *,
-    count_key: str = "count",
     threshold_c: Fraction | int = Fraction(1, 8),
-    expect_equal: tuple[str, str] | None = None,
     notes: Sequence[str] = (),
 ) -> dict:
     """Side-by-side comparison of empirical counts against a predicted exponent.
 
     ``params`` are the parameters every run shares; each run is an
-    ``(n, counts)`` pair.  A run passes when counts[count_key] >=
-    threshold_c * n**exponent (checked exactly) and, if ``expect_equal``
-    names two count keys, when those counts coincide.  The log-log fit slope
-    is reported when at least three distinct n are present.
+    ``(n, count, predicted)`` triple, ``predicted`` None when there is no
+    exact prediction.  A run passes when count >= threshold_c * n**exponent
+    (checked exactly) and, if ``predicted`` is given, when count equals it.
+    The log-log fit slope is reported when at least three distinct n are
+    present.
     """
     if not runs:
         raise ValueError("no runs to compare")
     threshold_c = Fraction(threshold_c)
     exponent = Fraction(exponent)
     checks = []
-    for n, counts in runs:
-        n, count = int(n), int(counts[count_key])
+    for n, count, predicted in runs:
+        n, count = int(n), int(count)
         bound_ok = meets_power_bound(count, n, exponent, threshold_c)
-        equal_ok = None
-        if expect_equal is not None:
-            left, right = expect_equal
-            equal_ok = int(counts[left]) == int(counts[right])
+        equal_ok = None if predicted is None else count == int(predicted)
         checks.append({"n": n, "count": count, "bound_ok": bound_ok, "equal_ok": equal_ok})
     series = [(check["n"], check["count"]) for check in checks]
     fit_slope = None

@@ -7,9 +7,10 @@ effect), ``--json`` on all but generate (which always writes a sidecar next
 to ``-o``), ``--include-zero`` on count, distinct, pinned and proofgraph,
 ``--timings`` on count, distinct, pinned, incidence, radial, proofgraph and
 verify (each criterion's ``elapsed_ms``), and ``--seed`` on generate.  Of
-their own flags, generate reads only its construction's (``GENERATE_READS``)
-and report only its experiment's; incidence takes one of --lines and --pins,
-and --alpha only with --pins.  Any other given flag is a usage error.
+their own flags, generate reads only its construction's and report only its
+experiment's, as the one table ``READS`` lists them with their defaults;
+incidence takes one of --lines and --pins, and --alpha only with --pins.
+Any other given flag is a usage error.
 
 ``build_parser`` declares only the subcommand ``argv[0]`` names, so a run
 sets up one subcommand's flags, not all nine; any other argv (none, help, a
@@ -87,10 +88,21 @@ BUILTIN_TREES = {"path": make_path, "star": make_star, "binary": make_perfect_bi
 # The most edges a builtin tree may have, checked before the tree is built.
 MAX_BUILTIN_EDGES = 2**20
 
-# The construction flags each generate construction reads; it rejects the rest.
-GENERATE_READS = {
-    "columns": ("tree", "n"), "perplines": ("tree", "n"),
-    "random": ("n", "d", "low", "high", "seed"), "lattice": ("d", "q", "mode"),
+# The flags each generate --construction and each report --experiment reads,
+# each with its default, in the parser's declaration order; a default of None
+# marks a required flag.  A choice rejects the flags only other rows read.
+READS = {
+    "construction": {
+        "columns": {"tree": None, "n": None},
+        "perplines": {"tree": None, "n": None},
+        "random": {"n": None, "d": 2, "low": -50, "high": 50, "seed": None},
+        "lattice": {"d": 2, "q": None, "mode": "calibrated"},
+    },
+    "experiment": {
+        "columns": {"tree": None, "n": None},
+        "perplines": {"tree": None, "n": None},
+        "lattice": {"d": 2, "q": None},
+    },
 }
 
 
@@ -113,7 +125,7 @@ def _read_file(value: str, reader):
             return reader(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
@@ -240,64 +252,58 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"bad {flag}: {text!r}") from None
 
 
+def _read_choice(args, kind: str) -> None:
+    """Check ``args`` against the row of ``READS[kind]`` that its ``kind``
+    flag chose, then fill in the row's defaults.
+
+    A given flag that only other rows read, or a required flag left out, is
+    a usage error naming the flags in the parser's declaration order, which
+    is the order argparse fills the namespace in.
+    """
+    choice = getattr(args, kind)
+    row = READS[kind][choice]
+    flags = set().union(*READS[kind].values())
+    given = [name for name, value in vars(args).items() if name in flags and value is not None]
+    unread = [f"--{name}" for name in given if name not in row]
+    if unread:
+        raise UsageError(f"the {choice} {kind} does not read {', '.join(unread)}")
+    missing = [f"--{name}" for name in row if row[name] is None and name not in given]
+    if missing:
+        raise UsageError(f"the {choice} {kind} needs {' and '.join(missing)}")
+    for name, default in row.items():
+        if name not in given:
+            setattr(args, name, default)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
 
 def _cmd_generate(args) -> int:
-    unread = [
-        f"--{name}" for name in ("tree", "n", "d", "q", "mode", "low", "high", "seed")
-        if getattr(args, name) is not None and name not in GENERATE_READS[args.construction]
-    ]
-    if unread:
-        raise UsageError(f"the {args.construction} construction does not read {', '.join(unread)}")
-    for name, default in (("d", 2), ("mode", "calibrated"), ("low", -50), ("high", 50)):
-        if getattr(args, name) is None:
-            setattr(args, name, default)
+    _read_choice(args, "construction")
     out = _output_path(args.output)
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise UsageError(f"-o {out} is also the path of its JSON sidecar; use another suffix")
     if args.construction == "lattice":
-        if args.q is None:
-            raise UsageError("--q is required for the lattice construction")
         result = build_unit_lattice(LatticeSpec(args.d, args.q, mode=args.mode))
         f_out = out.with_name(out.stem + "_F" + out.suffix)
         written = {out: result.e_points, f_out: result.f_points}
-        payload = {
-            "construction": "lattice",
-            "parameters": dict(sorted(result.metadata.items())),
-        }
+        payload = {"construction": "lattice", "parameters": result.metadata}
         lines = [
             f"wrote {len(result.e_points)} lattice points to {out}",
             f"wrote {len(result.f_points)} dual points to {f_out}",
             f"sidecar {sidecar}",
         ]
     elif args.construction == "random":
-        if args.n is None:
-            raise UsageError("--n is required for the random construction")
-        if args.seed is None:
-            raise UsageError("--seed is mandatory for randomized generation")
         ps = random_point_set(args.n, args.d, seed=args.seed, low=args.low, high=args.high)
         written = {out: ps}
-        payload = {
-            "construction": "random",
-            "parameters": {
-                "n": args.n,
-                "d": args.d,
-                "seed": args.seed,
-                "low": args.low,
-                "high": args.high,
-                "generator": "random.Random (Mersenne Twister)",
-            },
-        }
+        parameters = {name: getattr(args, name) for name in READS["construction"]["random"]}
+        parameters["generator"] = "random.Random (Mersenne Twister)"
+        payload = {"construction": "random", "parameters": parameters}
         lines = [f"wrote {len(ps)} random points to {out}"]
     else:
-        if args.n is None:
-            raise UsageError("--n is required for this construction")
-        if args.tree is None:
-            raise UsageError("--tree is required for this construction")
         wt = _resolve_tree(args.tree, None)
         builder = (
             build_column_construction
@@ -308,13 +314,13 @@ def _cmd_generate(args) -> int:
         written = {out: result.points}
         payload = {
             "construction": args.construction,
-            "parameters": dict(sorted(result.metadata.items())),
+            "parameters": result.metadata,
             "tree": {"edges": [list(e) for e in result.tree.edges]},
             "weights": [format_scalar(w) for w in result.weights],
             "predicted_count": result.predicted_count,
             "vertex_assignment": {
                 str(v): [[format_scalar(c) for c in p] for p in pts]
-                for v, pts in sorted(result.vertex_assignment.items())
+                for v, pts in result.vertex_assignment.items()
             },
         }
         lines = [
@@ -523,21 +529,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _read_choice(args, "experiment")
     kwargs = {}
     if args.threshold_c is not None:
         kwargs["threshold_c"] = _parse_fraction(args.threshold_c, "--threshold-c")
     if args.experiment == "lattice":
-        if args.tree is not None or args.n is not None:
-            raise UsageError("the lattice experiment takes neither --tree nor --n")
-        if args.q is None:
-            raise UsageError("the lattice experiment needs --q")
-        d = 2 if args.d is None else args.d
-        report = lattice_report(d, _parse_int_list(args.q, "--q", "size"), **kwargs)
+        report = lattice_report(args.d, _parse_int_list(args.q, "--q", "size"), **kwargs)
     else:
-        if args.q is not None or args.d is not None:
-            raise UsageError(f"the {args.experiment} experiment takes neither --q nor --d")
-        if args.tree is None or args.n is None:
-            raise UsageError("this experiment needs --tree and --n")
         wt = _resolve_tree(args.tree, None)
         ns = _parse_int_list(args.n, "--n", "size")
         maker = columns_report if args.experiment == "columns" else perplines_report

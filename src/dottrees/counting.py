@@ -806,8 +806,6 @@ def hyperplane_descent(points: PointSet, *, include_zero: bool = False) -> Desce
             if a != index.skip:
                 buckets.setdefault(a, []).append(y)
         best, members = max(buckets.items(), key=lambda item: len(item[1]))
-        if len(members) == len(current):
-            break
         pin = current.points[i]
         levels.append(
             DescentLevel(pin, t, AlphaHyperplane(pin, index.value(best)), len(members))

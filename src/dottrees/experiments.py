@@ -32,16 +32,10 @@ def _construction_report(
     for n in ns:
         result = build(tree, n)
         counted = count_embeddings(result.weighted_tree, result.points)
-        runs.append((n, {"embeddings": counted, "predicted": result.predicted_count}))
+        runs.append((n, counted, result.predicted_count))
     return compare_report(
-        experiment,
-        {"k": tree.num_edges, "d": d, "tree": tree_label},
-        runs,
-        exponent,
-        count_key="embeddings",
-        threshold_c=threshold_c,
-        expect_equal=("embeddings", "predicted"),
-        notes=notes,
+        experiment, {"k": tree.num_edges, "d": d, "tree": tree_label}, runs, exponent,
+        threshold_c=threshold_c, notes=notes,
     )
 
 
@@ -101,12 +95,8 @@ def lattice_report(
     for q in qs:
         result = build_unit_lattice(LatticeSpec(d, q))
         pairs = incidences(result.e_points, result.hyperplanes)
-        runs.append((len(result.e_points), {"unit_pairs": pairs}))
+        runs.append((len(result.e_points), pairs, None))
     return compare_report(
-        "unit-lattice",
-        {"d": d, "mode": "calibrated"},
-        runs,
-        Fraction(2 * d, d + 1),
-        count_key="unit_pairs",
+        "unit-lattice", {"d": d, "mode": "calibrated"}, runs, Fraction(2 * d, d + 1),
         threshold_c=threshold_c,
     )

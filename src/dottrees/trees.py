@@ -114,8 +114,9 @@ class WeightedTree:
     """A tree plus one exact weight per edge, in canonical edge order.
 
     ``weights`` may be None for a bare tree loaded from a file without the
-    optional weight column.  Weights are coerced like coordinates, so a
-    float raises ``ValueError``.
+    optional weight column; a tree with no edge then gets the empty weight
+    vector, its only one.  Weights are coerced like coordinates, so a float
+    raises ``ValueError``.
     """
 
     tree: Tree
@@ -123,7 +124,9 @@ class WeightedTree:
 
     def __post_init__(self):
         if self.weights is None:
-            return
+            if self.tree.num_edges:
+                return
+            object.__setattr__(self, "weights", ())
         if len(self.weights) != self.tree.num_edges:
             raise ValueError(
                 f"{self.tree.num_edges} edges but {len(self.weights)} weights"

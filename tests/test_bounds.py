@@ -105,7 +105,7 @@ class TestLogLogFit:
 
 class TestCompareReport:
     def _runs(self):
-        return [(n, {"count": n * n}) for n in (10, 20, 40)]
+        return [(n, n * n, None) for n in (10, 20, 40)]
 
     def test_pass_simple(self):
         report = compare_report("demo", {"k": 2}, self._runs(), Q(2), threshold_c=Q(1, 2))
@@ -116,20 +116,14 @@ class TestCompareReport:
         assert report["empirical"] == [[10, 100], [20, 400], [40, 1600]]
 
     def test_threshold_failure(self):
-        report = compare_report("demo", {}, [(10, {"count": 5})], Q(2))
+        report = compare_report("demo", {}, [(10, 5, None)], Q(2))
         assert not report["pass"]
 
     def test_equality_check(self):
-        runs = [
-            (10, {"count": 100, "predicted": 100}),
-            (20, {"count": 400, "predicted": 401}),
-        ]
-        report = compare_report(
-            "demo", {}, runs, Q(2), expect_equal=("count", "predicted"), threshold_c=Q(1, 2)
-        )
+        runs = [(10, 100, 100), (20, 400, 401), (40, 1600, None)]
+        report = compare_report("demo", {}, runs, Q(2), threshold_c=Q(1, 2))
         assert not report["pass"]
-        assert report["checks"][0]["equal_ok"] is True
-        assert report["checks"][1]["equal_ok"] is False
+        assert [check["equal_ok"] for check in report["checks"]] == [True, False, None]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -88,7 +88,7 @@ class TestGenerate:
             str(tmp_path / "x.pts"),
         )
         assert code == 2
-        assert "--n" in err
+        assert err == "error: the columns construction needs --n\n"
 
     def test_random_requires_seed(self, tmp_path):
         code, _, err = run_cli(
@@ -101,7 +101,7 @@ class TestGenerate:
             str(tmp_path / "r.pts"),
         )
         assert code == 2
-        assert "seed" in err
+        assert err == "error: the random construction needs --seed\n"
 
     def test_random_deterministic(self, tmp_path):
         a = tmp_path / "a.pts"
@@ -265,6 +265,15 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(path.read_text())["elapsed_ms"] is not None
+
+    @pytest.mark.parametrize("tree", ["builtin:binary:0", "k0.tree"])
+    @pytest.mark.parametrize("extra", [[], ["--homomorphisms"]], ids=["embeddings", "homs"])
+    def test_edgeless_tree_counts_the_points(self, monkeypatch, columns_pts, tree, extra):
+        # A single vertex maps to any point: 9 maps, with no weight to give.
+        monkeypatch.chdir(columns_pts.parent)
+        Path("k0.tree").write_text("k 0\n")
+        argv = ["count", "--tree", tree, "--points", str(columns_pts), *extra]
+        assert run_cli(*argv) == (0, "9\n", "")
 
     def test_zero_weight_needs_include_zero(self, tmp_path):
         pts = tmp_path / "z.pts"
@@ -539,28 +548,65 @@ class TestReport:
         assert "4/3" in out
 
     def test_report_needs_args(self):
-        code, _, _ = run_cli("report", "--experiment", "columns")
-        assert code == 2
+        code, out, err = run_cli("report", "--experiment", "columns")
+        assert (code, out, err) == (2, "", "error: the columns experiment needs --tree and --n\n")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["columns", "--tree", "builtin:path:2", "--n", "9,12", "--d", "3"],
-            ["perplines", "--tree", "builtin:path:2", "--n", "9", "--q", "4"],
-            ["lattice", "--q", "4,5", "--tree", "builtin:path:2", "--n", "9"],
-            ["lattice", "--q", "4,5", "--n", "9"],
-            ["columns", "--tree", "builtin:path:2", "--n", "8,12", "--threshold-c", ""],
-            ["lattice", "--q", "4,,5,"],
-            ["columns", "--tree", "builtin:path:2", "--n", "8,,12"],
-            ["perplines", "--tree", "builtin:path:2", "--n", ",9"],
+            (["columns", "--tree", "builtin:path:2", "--n", "9,12", "--d", "3"],
+             "the columns experiment does not read --d"),
+            (["perplines", "--tree", "builtin:path:2", "--n", "9", "--q", "4"],
+             "the perplines experiment does not read --q"),
+            (["lattice", "--q", "4,5", "--tree", "builtin:path:2", "--n", "9"],
+             "the lattice experiment does not read --tree, --n"),
+            (["lattice", "--q", "4,5", "--n", "9"], "the lattice experiment does not read --n"),
+            (["columns", "--tree", "builtin:path:2", "--n", "8,12", "--threshold-c", ""],
+             "bad --threshold-c: ''"),
+            (["lattice", "--q", "4,,5,"], "bad --q: empty item in '4,,5,'"),
+            (["columns", "--tree", "builtin:path:2", "--n", "8,,12"],
+             "bad --n: empty item in '8,,12'"),
+            (["perplines", "--tree", "builtin:path:2", "--n", ",9"],
+             "bad --n: empty item in ',9'"),
         ],
         ids=["columns-d", "perplines-q", "lattice-tree-n", "lattice-n", "empty-threshold",
              "q-empty-item", "n-empty-item", "n-leading-empty-item"],
     )
-    def test_unread_or_empty_flag_exits_2(self, argv):
+    def test_unread_or_empty_flag_exits_2(self, argv, message):
         code, out, err = run_cli("report", "--experiment", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# The required-flag errors of the flag table on both subcommands.  A missing
+# flag is reported before the output path, its sidecar and --threshold-c.
+MISSING_FLAGS = {
+    "random-n-seed": (
+        ["generate", "--construction", "random", "-o", "r.pts"],
+        "the random construction needs --n and --seed",
+    ),
+    "lattice-q-before-sidecar": (
+        ["generate", "--construction", "lattice", "-o", "l.json"],
+        "the lattice construction needs --q",
+    ),
+    "columns-tree-before-output-dir": (
+        ["generate", "--construction", "columns", "--n", "9", "-o", "no/dir/c.pts"],
+        "the columns construction needs --tree",
+    ),
+    "report-lattice-q": (
+        ["report", "--experiment", "lattice", "--d", "3"], "the lattice experiment needs --q",
+    ),
+    "report-columns-n-before-threshold": (
+        ["report", "--experiment", "columns", "--tree", "builtin:path:2", "--threshold-c", "x"],
+        "the columns experiment needs --n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", MISSING_FLAGS.values(), ids=MISSING_FLAGS.keys())
+def test_missing_flag_exits_2(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifySubset:
@@ -626,6 +672,22 @@ class TestUsage:
     def test_directory_as_points_is_one_error_line(self, tmp_path):
         code, out, err = run_cli("distinct", "--points", str(tmp_path), "--tree", "builtin:path:2")
         assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("flag", ["--points", "--second", "--tree", "--lines", "--pins"])
+    def test_undecodable_file_is_one_error_line(self, tmp_path, columns_pts, flag):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\300\200")
+        argv = {
+            "--points": ["distinct", "--points", bad],
+            "--second": ["proofgraph", "--points", columns_pts, "--second", bad],
+            "--tree": ["distinct", "--points", columns_pts, "--tree", bad],
+            "--lines": ["incidence", "--points", columns_pts, "--lines", bad],
+            "--pins": ["incidence", "--points", columns_pts, "--pins", bad, "--alpha", "1"],
+        }[flag]
+        code, out, err = run_cli(*map(str, argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xc0" in err
+        assert err.count("\n") == 1
 
     def test_bad_builtin_tree(self, columns_pts):
         code, _, _ = run_cli(
@@ -702,39 +764,126 @@ class TestUsage:
         assert len(built) == 3
 
 
-# Inputs that raise a ValueError (or ParseError) inside the engine or a
-# constructor rather than in the CLI's own checks.
+# The files the rejected inputs below read, written under the test's
+# working directory.
+REJECT_FILES = {
+    "a.pts": "d 2\n1 2\n2 1\n3 1\n",
+    "two3.pts": "d 3\n1 0 0\n0 1 0\n",
+    "bad-dim.pts": "d x\n1 2\n",
+    "k0.tree": "k 0\n",
+    "no-header.tree": "# a comment\n",
+    "bad-header.tree": "n 2\n1 2\n2 3\n",
+    "bad-count.tree": "k two\n",
+    "negative-count.tree": "k -1\n",
+    "fields.tree": "k 2\n1 2\n2 3 4 5\n",
+    "vertex.tree": "k 2\n1 x\n2 3\n",
+    "too-few.tree": "k 3\n1 2\n2 3\n",
+    "duplicate.tree": "k 2\n1 2\n1 2\n",
+    "bad.lines": "1 1 3\n1 x 2\n",
+    "short.lines": "1 1 3\n1 2\n",
+}
+
+# Inputs that raise a ValueError (or ParseError) inside the engine, a
+# constructor, a reader or an argument check, each with its one error line.
+# An error in a file names the file, and its line where the error has one.
 ENGINE_REJECTS = {
-    "tuples_of_edgeless_tree": ["distinct", "--points", "a.pts", "--tree", "k0.tree"],
-    "random_box_too_small": [
-        "generate", "--construction", "random", "--n", "50", "--seed", "1",
-        "--low", "0", "--high", "2", "-o", "out.pts",
-    ],
-    "random_dimension_one": [
-        "generate", "--construction", "random", "--n", "5", "--seed", "1",
-        "--d", "1", "-o", "out.pts",
-    ],
-    "random_negative_n": [
-        "generate", "--construction", "random", "--n", "-1", "--seed", "1", "-o", "out.pts",
-    ],
-    "lattice_q_zero": ["generate", "--construction", "lattice", "--q", "0", "-o", "out.pts"],
-    "lines_bad_rational": ["incidence", "--points", "a.pts", "--lines", "bad.lines"],
+    "tuples_of_edgeless_tree": (
+        ["distinct", "--points", "a.pts", "--tree", "k0.tree"],
+        "weight tuples need at least one edge",
+    ),
+    "random_box_too_small": (
+        ["generate", "--construction", "random", "--n", "50", "--seed", "1",
+         "--low", "0", "--high", "2", "-o", "out.pts"],
+        "box holds only 8 distinct points, need 50",
+    ),
+    "random_dimension_one": (
+        ["generate", "--construction", "random", "--n", "5", "--seed", "1",
+         "--d", "1", "-o", "out.pts"],
+        "dimension must be at least 2, got 1",
+    ),
+    "random_negative_n": (
+        ["generate", "--construction", "random", "--n", "-1", "--seed", "1", "-o", "out.pts"],
+        "n must be nonnegative, got -1",
+    ),
+    "lattice_q_zero": (
+        ["generate", "--construction", "lattice", "--q", "0", "-o", "out.pts"],
+        "q must be at least 2",
+    ),
+    "lines_bad_rational": (
+        ["incidence", "--points", "a.pts", "--lines", "bad.lines"],
+        "bad.lines: line 2: bad rational 'x'",
+    ),
+    "lines_field_count": (
+        ["incidence", "--points", "a.pts", "--lines", "short.lines"],
+        "short.lines: line 2: expected 3 rationals",
+    ),
+    "tree_missing_header": (
+        ["distinct", "--points", "a.pts", "--tree", "no-header.tree"],
+        "no-header.tree: missing 'k <num_edges>' header",
+    ),
+    "tree_malformed_header": (
+        ["distinct", "--points", "a.pts", "--tree", "bad-header.tree"],
+        "bad-header.tree: line 1: expected header 'k <num_edges>', got 'n 2'",
+    ),
+    "tree_bad_edge_count": (
+        ["distinct", "--points", "a.pts", "--tree", "bad-count.tree"],
+        "bad-count.tree: line 1: bad edge count 'two'",
+    ),
+    "tree_negative_edge_count": (
+        ["distinct", "--points", "a.pts", "--tree", "negative-count.tree"],
+        "negative-count.tree: line 1: edge count must be nonnegative",
+    ),
+    "tree_field_count": (
+        ["distinct", "--points", "a.pts", "--tree", "fields.tree"],
+        "fields.tree: line 3: expected 'i j [w]', got '2 3 4 5'",
+    ),
+    "tree_bad_vertex": (
+        ["distinct", "--points", "a.pts", "--tree", "vertex.tree"],
+        "vertex.tree: line 2: bad vertex index in '1 x'",
+    ),
+    "tree_edge_count_mismatch": (
+        ["distinct", "--points", "a.pts", "--tree", "too-few.tree"],
+        "too-few.tree: expected 3 edges, found 2",
+    ),
+    "tree_duplicate_edge": (
+        ["distinct", "--points", "a.pts", "--tree", "duplicate.tree"],
+        "duplicate.tree: line 3: duplicate edge (1, 2)",
+    ),
+    "points_bad_dimension": (
+        ["distinct", "--points", "bad-dim.pts"], "bad-dim.pts: line 1: bad dimension 'x'",
+    ),
+    "builtin_path_without_size": (
+        ["distinct", "--points", "a.pts", "--tree", "builtin:path"],
+        "bad builtin tree 'builtin:path'; use builtin:path:2",
+    ),
+    "criteria_not_a_number": (["verify", "--criteria", "x"], "bad --criteria: 'x'"),
+    "pinned_tuples_without_pin_index": (
+        ["pinned", "--points", "a.pts", "--tree", "builtin:path:2", "--vertex", "1"],
+        "pinned tuple counting needs --vertex and --pin-index",
+    ),
+    "columns_of_edgeless_tree": (
+        ["generate", "--construction", "columns", "--tree", "builtin:binary:0", "--n", "5",
+         "-o", "out.pts"],
+        "the construction needs at least one edge",
+    ),
+    "descent_on_fewer_than_d_points": (
+        ["pinned", "--points", "two3.pts", "--descent"], "need at least 3 points",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", ENGINE_REJECTS.values(), ids=ENGINE_REJECTS.keys())
-def test_engine_value_errors_exit_2(tmp_path, argv):
-    (tmp_path / "a.pts").write_text("d 2\n1 2\n2 1\n3 1\n")
-    (tmp_path / "k0.tree").write_text("k 0\n")
-    (tmp_path / "bad.lines").write_text("1 1 3\n1 x 2\n")
+@pytest.mark.parametrize(
+    "argv, message", ENGINE_REJECTS.values(), ids=ENGINE_REJECTS.keys()
+)
+def test_engine_value_errors_exit_2(tmp_path, argv, message):
+    for name, text in REJECT_FILES.items():
+        (tmp_path / name).write_text(text)
     env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", "from dottrees.cli import main; main()", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("module", ["dottrees", "dottrees.cli"])

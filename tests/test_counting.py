@@ -900,6 +900,23 @@ class TestHyperplaneDescent:
             current = buckets[value]
         assert trace.final_points == len(current)
 
+    @given(
+        st.integers(3, 5).flatmap(lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=12, unique=True
+        )),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_level_shrinks_its_set(self, rows, include_zero):
+        # A level set holding every point of a set of two or more would need
+        # every pin equal to the best one (Cauchy-Schwarz), so each level
+        # keeps fewer points than the set it came from.
+        points = point_set(rows)
+        remaining = len(points)
+        for level in hyperplane_descent(points, include_zero=include_zero).levels:
+            assert level.points_remaining < remaining
+            remaining = level.points_remaining
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             hyperplane_descent(COLLINEAR)
