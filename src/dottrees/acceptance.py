@@ -27,6 +27,7 @@ from .bounds import (
     main_exponents_consistent,
     max_copies_exponent,
     meets_power_bound,
+    pinned_exponent,
 )
 from .constructions import (
     LatticeResult,
@@ -208,7 +209,7 @@ def criterion_6():
         # size once, then count the pins at or above it.
         least = bisect.bisect_left(
             range(n + 1), True,
-            key=lambda size: meets_power_bound(size, n, Fraction(2, 3), Fraction(1, 4)),
+            key=lambda size: meets_power_bound(size, n, pinned_exponent(2), Fraction(1, 4)),
         )
         good = sum(size >= least for size in _pinned_sizes(DotProductIndex(grid)))
         ok = good >= math.ceil(n / 2)

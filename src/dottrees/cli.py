@@ -2,15 +2,15 @@
 
 Subcommands: generate, count, distinct, pinned, incidence, radial,
 proofgraph, verify, report.  Each subcommand takes only the shared flags it
-reads: ``--threads`` on all of them (checked to be at least 1, no other
-effect), ``--json`` on all but generate (which always writes a sidecar next
+reads: ``--json`` on all but generate (which always writes a sidecar next
 to ``-o``), ``--include-zero`` on count, distinct, pinned and proofgraph,
-``--timings`` on count, distinct, pinned, incidence, radial, proofgraph and
-verify (each criterion's ``elapsed_ms``), and ``--seed`` on generate.  Of
-their own flags, generate reads only its construction's and report only its
-experiment's, as the one table ``READS`` lists them with their defaults;
-incidence takes one of --lines and --pins, and --alpha only with --pins.
-Any other given flag is a usage error.
+and ``--timings`` on count, distinct, pinned, incidence, radial, proofgraph
+and verify (each criterion's ``elapsed_ms``).  Of their own flags, generate
+reads only its construction's and report only its experiment's, as the one
+table ``READS`` lists them with their defaults; incidence takes one of
+--lines and --pins, and --alpha only with --pins.  count's ``--threads`` is
+checked to be at least 1 and has no other effect.  Any other given flag is a
+usage error.
 
 ``build_parser`` declares only the subcommand ``argv[0]`` names, so a run
 sets up one subcommand's flags, not all nine; any other argv (none, help, a
@@ -121,7 +121,7 @@ def _read_file(value: str, reader):
     """``reader`` applied to the opened input, a pipe too; an error names the file."""
     path = Path(value)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return reader(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
@@ -335,6 +335,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     points = _read_file(args.points, read_point_set)
     wt = _resolve_tree(args.tree, args.weights)
     if wt.weights is None:
@@ -550,10 +552,8 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 # The flags several subcommands share; each subcommand declares only the ones
-# its handler reads.  --threads is on every subcommand.
+# its handler reads.
 SHARED_FLAGS = {
-    "--threads": dict(type=int, default=1, help="no effect; must be at least 1"),
-    "--seed": dict(type=int, default=None, help="PRNG seed"),
     "--include-zero": dict(
         action="store_true", help="admit zero dot products (excluded by default)"
     ),
@@ -566,10 +566,9 @@ SHARED_FLAGS = {
 
 
 def _add_shared(p: argparse.ArgumentParser, handler, *flags: str) -> None:
-    """--threads and the listed shared flags, in SHARED_FLAGS order."""
-    for flag, options in SHARED_FLAGS.items():
-        if flag == "--threads" or flag in flags:
-            p.add_argument(flag, **options)
+    """The listed shared flags, in the order given, and the handler."""
+    for flag in flags:
+        p.add_argument(flag, **SHARED_FLAGS[flag])
     p.set_defaults(handler=handler)
 
 
@@ -590,7 +589,8 @@ def _declare_generate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--low", type=int, default=None, help="random box lower bound (default -50)")
     p.add_argument("--high", type=int, default=None, help="random box upper bound (default 50)")
     p.add_argument("-o", "--output", required=True, help="output .pts path")
-    _add_shared(p, _cmd_generate, "--seed")
+    p.add_argument("--seed", type=int, default=None, help="PRNG seed")
+    p.set_defaults(handler=_cmd_generate)
 
 
 def _declare_count(p: argparse.ArgumentParser) -> None:
@@ -598,6 +598,7 @@ def _declare_count(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", default=None, help="comma-separated rationals")
     p.add_argument("--points", required=True)
     p.add_argument("--homomorphisms", action="store_true", help="count maps without injectivity")
+    p.add_argument("--threads", type=int, default=1, help="no effect; must be at least 1")
     _add_shared(p, _cmd_count, *_COUNTING)
 
 
@@ -706,8 +707,6 @@ def cli_main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
         if getattr(args, "json", None) is not None:
             _output_path(args.json)
         return args.handler(args)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import column_exponent, compare_report
+from .bounds import column_exponent, compare_report, lattice_exponent
 from .constructions import (
     PERP_LINES_SCALING_NOTE,
     LatticeSpec,
@@ -85,11 +85,11 @@ def lattice_report(
 ) -> dict:
     """Unit-pair counts of the lattice/dual pair against N^(2d/(d+1)).
 
-    A unit pair (e, f) is a point-hyperplane incidence of e with the
-    hyperplane f.x = 1.  N is the size of each side (q^(d+1)); for the plane
-    the exponent is 4/3, the tight point-line incidence shape.  The lattices
-    are calibrated: the paper's printed ranges put no lattice point of the
-    plane on any hyperplane.
+    A unit pair (e, f), a copy of the one-edge tree, is a point-hyperplane
+    incidence of e with the hyperplane f.x = 1.  N is the size of each side
+    (q^(d+1)); for the plane the exponent is 4/3, the tight point-line
+    incidence shape.  The lattices are calibrated: the paper's printed ranges
+    put no lattice point of the plane on any hyperplane.
     """
     runs = []
     for q in qs:
@@ -97,6 +97,6 @@ def lattice_report(
         pairs = incidences(result.e_points, result.hyperplanes)
         runs.append((len(result.e_points), pairs, None))
     return compare_report(
-        "unit-lattice", {"d": d, "mode": "calibrated"}, runs, Fraction(2 * d, d + 1),
+        "unit-lattice", {"d": d, "mode": "calibrated"}, runs, lattice_exponent(1, d),
         threshold_c=threshold_c,
     )

@@ -131,7 +131,16 @@ def dot(p: Point, q: Point) -> Scalar:
     """Exact dot product; the edge weight used by every counting operation."""
     if len(p) != len(q):
         raise ValueError(f"dimension mismatch: {len(p)} != {len(q)}")
-    return _exact(sum(map(mul, p, q)))
+    try:
+        return _exact(sum(map(mul, p, q)))
+    except AttributeError:  # a float coordinate makes the sum a float
+        raise _not_exact(chain(p, q)) from None
+
+
+def _not_exact(coords) -> ValueError:
+    """The error for the first of ``coords`` with no denominator."""
+    c = next(c for c in coords if not hasattr(c, "denominator"))
+    return ValueError(f"{type(c).__name__} {c!r} is not exact; pass Fraction or int")
 
 
 # A point scaled to integer coordinates by ``_scaled``.
@@ -148,11 +157,8 @@ def _scaled(points: Sequence[Point]) -> tuple[tuple[_IntPoint, ...], int]:
     coords = list(chain.from_iterable(points))
     try:
         dens = list(map(attrgetter("denominator"), coords))
-    except AttributeError:  # a coordinate with no denominator
-        c = next(c for c in coords if not hasattr(c, "denominator"))
-        raise ValueError(
-            f"{type(c).__name__} {c!r} is not exact; pass Fraction or int"
-        ) from None
+    except AttributeError:
+        raise _not_exact(coords) from None
     distinct = set(dens)
     scale = math.lcm(*distinct)
     factor = {den: scale // den for den in distinct}
@@ -384,6 +390,8 @@ def random_point_set(
     Uses Python's Mersenne Twister (`random.Random`) so identical seeds give
     identical sets on every platform.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if low > high:

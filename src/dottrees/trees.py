@@ -83,9 +83,6 @@ class Tree:
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: j for j, e in enumerate(self.edges)}
-
     def bfs_parents(self, root: int = 1) -> dict[int, int]:
         """Each vertex's parent when rooted at ``root`` (0 for the root itself).
 

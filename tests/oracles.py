@@ -244,7 +244,7 @@ def reference_weight_tuples(
     root = pinned[0] if pinned is not None else 1
     parent = tree.bfs_parents(root)
     order = list(parent)
-    edge_idx = tree.edge_index()
+    edge_idx = {e: j for j, e in enumerate(tree.edges)}
     tuples: set[tuple[Fraction, ...]] = set()
     comps = [Fraction(0)] * tree.num_edges
     assigned = {}

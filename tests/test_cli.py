@@ -238,16 +238,16 @@ class TestCount:
         assert payload["operation"] == "count_embeddings"
 
     def test_json_byte_identical_across_threads(self, columns_pts, tmp_path):
-        blobs = []
-        for threads in ("1", "4"):
-            path = tmp_path / f"r{threads}.json"
-            run_cli(
+        # count's --threads has no effect: stdout and JSON match a run without it.
+        outputs = []
+        for extra in ([], ["--threads", "4"]):
+            path = tmp_path / f"r{len(extra)}.json"
+            code, out, _ = run_cli(
                 "count", "--tree", "builtin:path:2", "--weights", "2,6",
-                "--points", str(columns_pts), "--json", str(path),
-                "--threads", threads,
+                "--points", str(columns_pts), "--json", str(path), *extra,
             )
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+            outputs.append((code, out, path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_tree_file_input(self, columns_pts, tmp_path):
         tree_file = tmp_path / "p.tree"
@@ -669,6 +669,20 @@ class TestUsage:
         argv[2] = str(columns_pts)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
+    def test_utf8_input_under_c_locale(self, tmp_path):
+        # .pts is UTF-8 text whatever the locale's encoding: under the C
+        # locale, with UTF-8 mode off, a non-ASCII comment still reads.
+        pts = tmp_path / "cafe.pts"
+        pts.write_text("d 2\n# café\n1 2\n3 4\n", encoding="utf-8")
+        argv = ["distinct", "--points", str(pts)]
+        env = dict(subprocess_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dottrees", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(*argv)[1] == "distinct 1\nmax multiplicity 2\n"
+
     def test_directory_as_points_is_one_error_line(self, tmp_path):
         code, out, err = run_cli("distinct", "--points", str(tmp_path), "--tree", "builtin:path:2")
         assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
@@ -697,11 +711,11 @@ class TestUsage:
         assert code == 2
 
     def test_threads_must_be_positive(self, columns_pts):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             "count", "--tree", "builtin:path:2", "--weights", "2,6",
             "--points", str(columns_pts), "--threads", "0",
         )
-        assert code == 2
+        assert (code, out, err) == (2, "", "error: --threads must be at least 1\n")
 
     def test_malformed_points_file(self, tmp_path):
         bad = tmp_path / "bad.pts"
@@ -1239,7 +1253,8 @@ def test_cli_output_bytes_pinned(tmp_path, monkeypatch, argv, code, stdout_sha, 
     assert written == files
 
 
-# One valid argv per subcommand, and the shared flags each one declares.
+# One valid argv per subcommand, and the flags of SHARED_FLAG_ARGS each one
+# declares: --threads is count's alone, --seed generate's.
 SUBCOMMAND_ARGV = {
     "generate": ["generate", "--construction", "random", "--n", "5", "-o", "out.pts"],
     "count": ["count", "--tree", "builtin:path:1", "--weights", "1", "--points", "a.pts"],
@@ -1259,15 +1274,15 @@ SHARED_FLAG_ARGS = {
     "--timings": ["--timings"],
 }
 DECLARED_FLAGS = {
-    "generate": {"--threads", "--seed"},
+    "generate": {"--seed"},
     "count": {"--threads", "--include-zero", "--json", "--timings"},
-    "distinct": {"--threads", "--include-zero", "--json", "--timings"},
-    "pinned": {"--threads", "--include-zero", "--json", "--timings"},
-    "incidence": {"--threads", "--json", "--timings"},
-    "radial": {"--threads", "--json", "--timings"},
-    "proofgraph": {"--threads", "--include-zero", "--json", "--timings"},
-    "verify": {"--threads", "--json", "--timings"},
-    "report": {"--threads", "--json"},
+    "distinct": {"--include-zero", "--json", "--timings"},
+    "pinned": {"--include-zero", "--json", "--timings"},
+    "incidence": {"--json", "--timings"},
+    "radial": {"--json", "--timings"},
+    "proofgraph": {"--include-zero", "--json", "--timings"},
+    "verify": {"--json", "--timings"},
+    "report": {"--json"},
 }
 UNDECLARED = [
     (sub, flag)
@@ -1291,7 +1306,8 @@ def test_declared_shared_flags_accepted(sub):
     flags = sorted(DECLARED_FLAGS[sub])
     argv = SUBCOMMAND_ARGV[sub] + [a for flag in flags for a in SHARED_FLAG_ARGS[flag]]
     args = build_parser().parse_args(argv)
-    assert args.threads == 3
+    if "--threads" in flags:
+        assert args.threads == 3
     if "--seed" in flags:
         assert args.seed == 7
     if "--json" in flags:
@@ -1337,7 +1353,7 @@ def _parse(parser, argv):
 
 
 # Each subcommand with a required flag left out, or, for verify, which has
-# none, with a value of the wrong type.
+# none, with a flag's value left out.
 MISSING_REQUIRED = {
     "generate": ["generate", "--construction", "random"],
     "count": ["count", "--tree", "builtin:path:1"],
@@ -1346,7 +1362,7 @@ MISSING_REQUIRED = {
     "incidence": ["incidence", "--lines", "l.lines"],
     "radial": ["radial", "--allow-origin"],
     "proofgraph": ["proofgraph", "--second", "a.pts"],
-    "verify": ["verify", "--threads", "x"],
+    "verify": ["verify", "--criteria"],
     "report": ["report", "--q", "4"],
 }
 PARSER_ARGV = [

@@ -88,6 +88,16 @@ class TestDot:
         with pytest.raises(ValueError):
             dot(pt(1, 2), pt(1, 2, 3))
 
+    def test_float_coordinate_is_value_error(self):
+        # dot takes points as given; a float is named, not an AttributeError,
+        # here and in AlphaHyperplane.contains, which calls it.
+        with pytest.raises(ValueError, match=r"^float 0\.5 is not exact; pass Fraction or int$"):
+            dot((0.5, 1), (1, 1))
+        with pytest.raises(ValueError, match="^float 2.0 is not exact"):
+            dot((1, Q(1, 3)), (0, 2.0))
+        with pytest.raises(ValueError, match="^float 0.5 is not exact"):
+            AlphaHyperplane((1, 0), 1).contains((0.5, 1))
+
     @given(st.tuples(rationals, rationals), st.tuples(rationals, rationals))
     def test_symmetric(self, p, q):
         assert dot(p, q) == dot(q, p)
@@ -365,6 +375,11 @@ class TestRandomPointSet:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             random_point_set(-1, seed=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", Q(3)], ids=["2.5", "3.0", "str", "Fraction"])
+    def test_size_not_an_int_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            random_point_set(n, seed=1)
 
 
 class TestRotationInvariance:
