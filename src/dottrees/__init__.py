@@ -58,11 +58,9 @@ from .geometry import (
     format_point_set,
     format_scalar,
     integer_grid,
-    parse_point_set,
     parse_scalar,
     point,
     point_set,
-    radial_direction,
     random_point_set,
     read_point_set,
 )
@@ -76,7 +74,6 @@ from .trees import (
     make_path,
     make_perfect_binary,
     make_star,
-    parse_tree,
     read_tree,
 )
 

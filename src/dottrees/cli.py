@@ -15,7 +15,7 @@ usage error.
 ``build_parser`` declares only the subcommand ``argv[0]`` names, so a run
 sets up one subcommand's flags, not all nine; any other argv (none, help, a
 typo, a leading flag) gets all nine.  Help, usage errors and exit codes are
-the same either way.
+the same either way.  A negative value may follow any of ``RATIONAL_FLAGS``.
 
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -118,10 +119,11 @@ def _output_path(value: str) -> Path:
 
 
 def _read_file(value: str, reader):
-    """``reader`` applied to the opened input, a pipe too; an error names the file."""
+    """``reader`` applied to the opened input, a pipe too, read as UTF-8 with
+    a leading byte-order mark skipped; an error names the file."""
     path = Path(value)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return reader(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
@@ -702,10 +704,23 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value is a rational or a list of them.  argparse reads -1 and
+# -0.5, but not -1/2 or -1,3, as a value after a flag, so ``cli_main`` joins a
+# token that starts with "-" and a digit to such a flag, or an abbreviation of
+# one, just before it: ``--weights=-1/2,3``.
+RATIONAL_FLAGS = ("--weights", "--alpha", "--cap-c", "--threshold-c")
+
+
 def cli_main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = joined[-1] if joined else ""
+        if re.match(r"-\d", token) and len(flag) > 2 and any(
+                f.startswith(flag) for f in RATIONAL_FLAGS):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    args = build_parser(joined).parse_args(joined)
     try:
         if getattr(args, "json", None) is not None:
             _output_path(args.json)

@@ -476,29 +476,16 @@ def distinct_weight_tuples(
     points: PointSet,
     *,
     include_zero: bool = False,
-    collect: bool = False,
-):
+) -> int:
     """Count distinct edge-weight tuples over injective maps of ``tree``.
 
     Tuples are ordered by the canonical edge order, and tuples containing a
-    zero dot product are excluded unless requested.  Returns the count, or
-    ``(count, frozenset_of_tuples)`` with ``collect=True``.  The m leaves of
-    one vertex are counted by value class, not placed, so the search visits
-    at most n^(k+1-m) placements of the other vertices.
+    zero dot product are excluded unless requested.  The m leaves of one
+    vertex are counted by value class, not placed, so the search visits at
+    most n^(k+1-m) placements of the other vertices.
     """
-    masks, layout, last, index = _weight_tuple_masks(tree, points, include_zero, None)
-    count = sum(mask.bit_count() for mask in masks.values())
-    if not collect:
-        return count
-    values = [index.value(a) for a in range(len(index.ids))]
-    tuples = set()
-    for key, mask in masks.items():
-        comps = dict(zip(layout, key))
-        while mask:
-            comps[last] = (mask & -mask).bit_length() - 1
-            tuples.add(tuple(values[comps[j]] for j in range(len(comps))))
-            mask &= mask - 1
-    return count, frozenset(tuples)
+    masks, *_ = _weight_tuple_masks(tree, points, include_zero, None)
+    return sum(mask.bit_count() for mask in masks.values())
 
 
 def pinned_weight_tuples(

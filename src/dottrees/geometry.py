@@ -12,10 +12,10 @@ points once, at construction (`PointSet.scaled`), and checks them for
 duplicates on those ints, so building or parsing a set hashes no
 ``Fraction``; every engine reader of a set takes that form.  Points that
 reach the engine as points, not as a set, are scaled where they are used:
-the sweep's segment endpoints, the normals of ``incidences`` and the one
-point of `radial_direction`.  `_dots` is the one integer dot kernel: the
-table's rows, the builders' edge-weight checks and both lattice identity
-checks take their products from it, one point against columns of points.
+the sweep's segment endpoints and the normals of ``incidences``.  `_dots` is
+the one integer dot kernel: the table's rows, the builders' edge-weight
+checks and both lattice identity checks take their products from it, one
+point against columns of points.
 Counts downstream hash and compare these values for equality, so floating
 point never enters a geometric computation.
 """
@@ -27,7 +27,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import add, attrgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -44,9 +44,7 @@ __all__ = [
     "is_origin",
     "dot",
     "alpha_hyperplane",
-    "radial_direction",
     "read_point_set",
-    "parse_point_set",
     "format_point_set",
     "integer_grid",
     "random_point_set",
@@ -214,14 +212,13 @@ class PointSet:
         return p in self.points
 
 
-def point_set(rows: Iterable[Sequence], dim: int | None = None) -> PointSet:
-    """Build a PointSet from coordinate rows, coercing entries to scalars."""
+def point_set(rows: Iterable[Sequence]) -> PointSet:
+    """Build a PointSet from coordinate rows, coercing entries to scalars;
+    its dimension is the length of the first row."""
     pts = tuple(tuple(_coerce(c) for c in row) for row in rows)
-    if dim is None:
-        if not pts:
-            raise ValueError("dimension required for an empty point set")
-        dim = len(pts[0])
-    return PointSet(dim, pts)
+    if not pts:
+        raise ValueError("dimension required for an empty point set")
+    return PointSet(len(pts[0]), pts)
 
 
 @dataclass(frozen=True)
@@ -243,9 +240,6 @@ class AlphaHyperplane:
     @property
     def dim(self) -> int:
         return len(self.normal)
-
-    def contains(self, x: Point) -> bool:
-        return dot(self.normal, x) == self.value
 
 
 def alpha_hyperplane(p: Point, alpha) -> AlphaHyperplane:
@@ -285,13 +279,6 @@ def _direction(ints: _IntPoint) -> Direction:
     if next(filter(None, ints)) < 0:
         g = -g
     return Direction(tuple(c // g for c in ints))
-
-
-def radial_direction(p: Point) -> Direction:
-    """Canonical direction of the line through ``p`` and the origin."""
-    if is_origin(p):
-        raise ValueError("the origin has no radial direction")
-    return _direction(_scaled([p])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +345,22 @@ def format_point_set(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_point_set(text: str) -> PointSet:
-    import io
+def _check_ints(dim, **values) -> None:
+    """A generator's checks: each of ``values`` and ``dim`` an int, ``dim``
+    at least 2; the error names the first value that fails."""
+    for name, value in {**values, "dimension": dim}.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
 
-    return read_point_set(io.StringIO(text))
 
-
-def integer_grid(side: int, dim: int = 2, start: int = 1) -> PointSet:
-    """Axis-aligned integer grid with ``side`` values per axis, off the origin
-    for ``start >= 1``.  Points are ordered lexicographically.
-    """
+def integer_grid(side: int, dim: int = 2) -> PointSet:
+    """Axis-aligned integer grid {1..side}^dim, ordered lexicographically."""
+    _check_ints(dim, side=side)
     if side < 1:
         raise ValueError("side must be positive")
-    import itertools
-
-    axis = range(start, start + side)
-    return PointSet(dim, tuple(itertools.product(axis, repeat=dim)))
+    return PointSet(dim, tuple(product(range(1, side + 1), repeat=dim)))
 
 
 def random_point_set(
@@ -390,8 +377,7 @@ def random_point_set(
     Uses Python's Mersenne Twister (`random.Random`) so identical seeds give
     identical sets on every platform.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
+    _check_ints(dim, n=n, low=low, high=high)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if low > high:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 from .geometry import ParseError, Scalar, _coerce, _records, format_scalar, parse_scalar
 
@@ -20,7 +20,6 @@ __all__ = [
     "make_star",
     "make_perfect_binary",
     "read_tree",
-    "parse_tree",
     "format_tree",
 ]
 
@@ -54,17 +53,6 @@ class Tree:
         # With n - 1 distinct edges, reaching every vertex means no cycle.
         if len(self.bfs_parents(1)) != n:
             raise ValueError("edge list is disconnected or contains a cycle")
-
-    @classmethod
-    def from_edges(cls, num_vertices: int, edges: Iterable[Sequence[int]]) -> "Tree":
-        """Canonicalize an edge list (orient each pair, sort lexicographically)."""
-        canon = []
-        for e in edges:
-            a, b = int(e[0]), int(e[1])
-            if a == b:
-                raise ValueError(f"loop edge ({a}, {b})")
-            canon.append((min(a, b), max(a, b)))
-        return cls(num_vertices, tuple(sorted(canon)))
 
     @property
     def num_edges(self) -> int:
@@ -264,9 +252,3 @@ def format_tree(wt: WeightedTree | Tree) -> str:
         else:
             lines.append(f"{a} {b} {format_scalar(wt.weights[idx])}")
     return "\n".join(lines) + "\n"
-
-
-def parse_tree(text: str) -> WeightedTree:
-    import io
-
-    return read_tree(io.StringIO(text))

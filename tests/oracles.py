@@ -2,7 +2,8 @@
 
 Everything here enumerates definitions directly (permutations, products,
 substitution into equations) and never touches the engine code paths it
-checks.
+checks, but for ``engine_weight_tuples``, which decodes the engine's own
+tuple set for the tests to compare with the oracles'.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from dottrees import PointSet, WeightedTree, dot, point_set
+from dottrees import PointSet, WeightedTree, dot
+from dottrees.counting import _weight_tuple_masks
 from dottrees.trees import Tree
 
 # An exact rotation: rows of an orthogonal matrix with rational entries.
@@ -117,7 +119,8 @@ def reference_partner_lists(normals: PointSet, values, points: PointSet) -> list
 def reference_incidences(ps: PointSet, hyperplanes) -> int:
     """(point, hyperplane) pairs with the point on the hyperplane, one
     ``Fraction`` dot product per pair; a repeated hyperplane counts again."""
-    return sum(1 for plane in hyperplanes for p in ps.points if plane.contains(p))
+    return sum(1 for plane in hyperplanes for p in ps.points
+               if dot(plane.normal, p) == plane.value)
 
 
 def reference_affine_rank(pts) -> int:
@@ -179,9 +182,27 @@ def reference_proof_graph_edges(
     return edges
 
 
-def grid(side: int, dim: int = 2, start: int = 1) -> PointSet:
-    axis = range(start, start + side)
-    return point_set(list(product(axis, repeat=dim)))
+def tree_from_edges(num_vertices: int, edges) -> Tree:
+    """The tree of an edge list in any order, each pair in either orientation."""
+    return Tree(num_vertices, tuple(sorted((min(a, b), max(a, b)) for a, b in edges)))
+
+
+def engine_weight_tuples(
+    tree: Tree, points: PointSet, include_zero: bool = False
+) -> frozenset[tuple]:
+    """The tuples ``distinct_weight_tuples`` counts, decoded from the value-id
+    bitmasks of its search: each mask bit is one value of the last leaf,
+    after the key's components."""
+    masks, layout, last, index = _weight_tuple_masks(tree, points, include_zero, None)
+    values = [index.value(a) for a in range(len(index.ids))]
+    tuples = set()
+    for key, mask in masks.items():
+        comps = dict(zip(layout, key))
+        while mask:
+            comps[last] = (mask & -mask).bit_length() - 1
+            tuples.add(tuple(values[comps[j]] for j in range(len(comps))))
+            mask &= mask - 1
+    return frozenset(tuples)
 
 
 def reference_count_embeddings(wt: WeightedTree, ps: PointSet) -> int:

@@ -103,6 +103,14 @@ class TestGenerate:
         assert code == 2
         assert err == "error: the random construction needs --seed\n"
 
+    def test_random_dimension_checked_before_box(self, tmp_path):
+        code, out, err = run_cli(
+            "generate", "--construction", "random", "--n", "3", "--seed", "1", "--d", "0",
+            "-o", str(tmp_path / "r.pts"),
+        )
+        assert (code, out, err) == (2, "", "error: dimension must be at least 2, got 0\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_random_deterministic(self, tmp_path):
         a = tmp_path / "a.pts"
         b = tmp_path / "b.pts"
@@ -682,6 +690,57 @@ class TestUsage:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli(*argv)[1] == "distinct 1\nmax multiplicity 2\n"
+
+    @pytest.mark.parametrize("flag", ["--points", "--second", "--tree", "--lines", "--pins"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, columns_pts, flag):
+        # A leading UTF-8 byte-order mark, as some editors write, is no
+        # part of the first line.
+        files = {
+            "--points": ("p.pts", columns_pts.read_text()),
+            "--second": ("s.pts", columns_pts.read_text()),
+            "--tree": ("t.tree", "k 2\n1 2\n2 3\n"),
+            "--lines": ("l.lines", "1 0 2\n0 1 6\n"),
+            "--pins": ("pins.pts", "d 2\n1 0\n0 1\n"),
+        }
+        name, text = files[flag]
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+
+        def argv(path):
+            return {
+                "--points": ["distinct", "--points", path],
+                "--second": ["proofgraph", "--points", columns_pts, "--second", path],
+                "--tree": ["distinct", "--points", columns_pts, "--tree", path],
+                "--lines": ["incidence", "--points", columns_pts, "--lines", path],
+                "--pins": ["incidence", "--points", columns_pts, "--pins", path, "--alpha", "2"],
+            }[flag]
+
+        expected = run_cli(*map(str, argv(plain)))
+        assert expected[0] in (0, 1) and expected[2] == ""
+        assert run_cli(*map(str, argv(marked))) == expected
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["count", "--tree", "builtin:path:2", "--points", "neg.pts", "--weights", "-1/2,3"],
+         (0, "1\n", "")),
+        (["count", "--tree", "builtin:path:2", "--points", "neg.pts", "--weig", "-1/2,3"],
+         (0, "1\n", "")),
+        (["incidence", "--points", "neg.pts", "--pins", "pin.pts", "--alpha", "-1/2"],
+         (0, "1\n", "")),
+        (["radial", "--points", "neg.pts", "--cap-c", "-1/2"],
+         (2, "", "error: cap constant must be positive\n")),
+        (["report", "--experiment", "lattice", "--q", "2", "--threshold-c", "-1/2"],
+         (2, "", "error: threshold must be positive\n")),
+    ], ids=["weights", "weights-abbreviated", "alpha", "cap-c", "threshold-c"])
+    def test_negative_rational_after_flag(self, tmp_path, monkeypatch, argv, expected):
+        # argparse alone reads -1/2 after a flag as an unknown option; the
+        # value reaches the flag as it does spelled --flag=-1/2.
+        monkeypatch.chdir(tmp_path)
+        Path("neg.pts").write_text("d 2\n1 1\n-1/2 0\n-6 1\n2 3\n")
+        Path("pin.pts").write_text("d 2\n1 0\n")
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert run_cli(*argv) == run_cli(*joined) == expected
 
     def test_directory_as_points_is_one_error_line(self, tmp_path):
         code, out, err = run_cli("distinct", "--points", str(tmp_path), "--tree", "builtin:path:2")

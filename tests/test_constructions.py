@@ -18,11 +18,12 @@ from dottrees import (
     make_star,
     point,
 )
-from dottrees.trees import Tree, bipartition
+from dottrees.trees import bipartition
 from oracles import (
     naive_count_embeddings,
     reference_calibrated_window,
     reference_unit_identity,
+    tree_from_edges,
 )
 
 pt = point
@@ -196,7 +197,7 @@ class TestPerpLines:
         # An 8-vertex tree whose color classes are {1,5,7,8} and {2,3,4,6}
         # puts the free y coordinate on lines x = 1,5,7,8 and the free z on
         # x = 2,3,4,6.
-        tree = Tree.from_edges(
+        tree = tree_from_edges(
             8, [(1, 2), (2, 5), (3, 5), (4, 5), (5, 6), (6, 7), (6, 8)]
         )
         result = build_perp_lines_3d(tree, 16)
@@ -363,7 +364,7 @@ class TestUnitLattice:
         for f, plane in zip(result.f_points.points, result.hyperplanes):
             assert plane.normal == f and plane.value == 1
             for e in result.e_points.points:
-                assert plane.contains(e) == (dot(e, f) == 1)
+                assert (dot(plane.normal, e) == plane.value) == (dot(e, f) == 1)
 
     def test_paper_mode_misses_lattice(self):
         # With the ranges exactly as printed, no lattice point reaches any
@@ -386,7 +387,7 @@ class TestUnitLattice:
         result = build_unit_lattice(LatticeSpec(2, 4, mode="calibrated"))
         rich = 0
         for plane in result.hyperplanes:
-            on_plane = sum(1 for e in result.e_points.points if plane.contains(e))
+            on_plane = sum(1 for e in result.e_points.points if dot(plane.normal, e) == plane.value)
             if on_plane >= 2:
                 rich += 1
         assert 2 * rich >= len(result.f_points)

@@ -1,6 +1,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction as Q
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -43,6 +44,7 @@ from dottrees.geometry import _scaled
 from oracles import (
     ROTATION_2D,
     apply_matrix,
+    engine_weight_tuples,
     naive_count_embeddings,
     naive_count_homomorphisms,
     naive_crossings,
@@ -54,6 +56,7 @@ from oracles import (
     reference_partner_lists,
     reference_proof_graph_edges,
     scale_points,
+    tree_from_edges,
 )
 
 pt = point
@@ -110,7 +113,7 @@ class TestPinnedSet:
         assert pinned_set(pt(1, 0), ps, include_zero=True) == {Q(0), Q(1), Q(2)}
 
     def test_grid_pin_matches_brute_force(self):
-        grid = integer_grid(3, start=0)
+        grid = point_set(product(range(3), repeat=2))
         expected = {
             Q(p[0] + p[1])
             for p in grid.points
@@ -197,7 +200,7 @@ class TestCountEmbeddings:
         # Canonical order (1,4),(2,3),(3,4) leaves edge (2,3) with neither
         # endpoint placed after the first edge, forcing the pair-driven
         # branch of the backtracker mid-recursion.
-        tree = Tree.from_edges(4, [(1, 4), (2, 3), (3, 4)])
+        tree = tree_from_edges(4, [(1, 4), (2, 3), (3, 4)])
         assert tree.edges == ((1, 4), (2, 3), (3, 4))
         for seed in range(4):
             ps = random_instance(seed, max_points=8)
@@ -217,7 +220,7 @@ class TestCountEmbeddings:
         rng = random.Random(seed)
         k = rng.randint(1, 3)
         edges = [(rng.randint(1, i), i + 1) for i in range(1, k + 1)]
-        tree = Tree.from_edges(k + 1, edges)
+        tree = tree_from_edges(k + 1, edges)
         ps = random_point_set(
             rng.randint(k + 1, 9), seed=rng.randint(0, 10**6), low=-3, high=3
         )
@@ -316,7 +319,8 @@ class TestDistinctWeightTuples:
         assert distinct_weight_tuples(make_path(1), COLLINEAR) == 3
 
     def test_path_two_collinear(self):
-        count, tuples = distinct_weight_tuples(make_path(2), COLLINEAR, collect=True)
+        count = distinct_weight_tuples(make_path(2), COLLINEAR)
+        tuples = engine_weight_tuples(make_path(2), COLLINEAR)
         assert count == 6
         assert tuples == {
             (Q(2), Q(6)),
@@ -422,7 +426,8 @@ def test_more_vertices_than_points_count_zero_at_once(monkeypatch, tree):
     monkeypatch.setattr(counting, "_placements", placed_none)
     monkeypatch.setattr(counting, "_partner_lists", refuse)
     ps = random_point_set(4, seed=3, low=-6, high=6)
-    assert distinct_weight_tuples(tree, ps, collect=True) == (0, frozenset())
+    assert distinct_weight_tuples(tree, ps) == 0
+    assert engine_weight_tuples(tree, ps) == frozenset()
     assert pinned_weight_tuples(tree, 1, ps.points[0], ps) == 0
     assert count_embeddings(WeightedTree(tree, (1, 1, 1, 1)), ps) == 0
 
@@ -829,7 +834,7 @@ class TestHyperplaneDescent:
         assert trace.final_points == len(ps)
 
     def test_pigeonhole_each_level(self):
-        grid = integer_grid(3, dim=4, start=2)
+        grid = point_set(product(range(2, 5), repeat=4))
         trace = hyperplane_descent(grid)
         remaining = len(grid)
         for level in trace.levels:
@@ -838,7 +843,7 @@ class TestHyperplaneDescent:
 
     def test_trace_matches_independent_retrace(self):
         # Replay the descent with nothing but pinned_set and dot.
-        grid = integer_grid(3, dim=4, start=2)
+        grid = point_set(product(range(2, 5), repeat=4))
         trace = hyperplane_descent(grid)
         current = list(grid.points)
         for level in trace.levels:
@@ -868,8 +873,8 @@ class TestHyperplaneDescent:
     @pytest.mark.parametrize(
         "points",
         [
-            integer_grid(3, dim=4, start=2),
-            integer_grid(3, dim=3, start=0),
+            point_set(product(range(2, 5), repeat=4)),
+            point_set(product(range(3), repeat=3)),
             random_point_set(40, dim=4, seed=2, low=-2, high=2),
             random_point_set(40, dim=5, seed=5, low=-1, high=1),
         ],
@@ -1033,7 +1038,7 @@ def weighted_instances(draw, max_size=7):
     products (zero and repeats included) or, at times, absent."""
     points = draw(pool_sets(max_size=max_size))
     k = draw(st.integers(1, 3))
-    tree = Tree.from_edges(k + 1, [(draw(st.integers(1, i)), i + 1) for i in range(1, k + 1)])
+    tree = tree_from_edges(k + 1, [(draw(st.integers(1, i)), i + 1) for i in range(1, k + 1)])
     products = [dot(p, q) for p in points.points for q in points.points]
     weight = st.one_of(st.sampled_from(products), st.sampled_from(POOL))
     return WeightedTree(tree, tuple(draw(weight) for _ in range(k))), points

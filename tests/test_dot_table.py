@@ -13,6 +13,7 @@ import math
 import threading
 import tracemalloc
 from fractions import Fraction as Q
+from io import StringIO
 from unittest import mock
 
 import pytest
@@ -50,7 +51,7 @@ from dottrees.constructions import (
     build_perp_lines_3d,
     build_unit_lattice,
 )
-from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, parse_point_set
+from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, read_point_set
 from oracles import reference_incidences, reference_pair_counts
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
@@ -345,7 +346,7 @@ _LATTICE = build_unit_lattice(LatticeSpec(2, 3))
 
 ONE_TABLE_CALLS = {
     "distinct_dot_products": lambda: distinct_dot_products(_GRID),
-    "distinct_weight_tuples": lambda: distinct_weight_tuples(make_path(2), _GRID, collect=True),
+    "distinct_weight_tuples": lambda: distinct_weight_tuples(make_path(2), _GRID),
     "pinned_weight_tuples": lambda: pinned_weight_tuples(
         make_path(2), 2, _GRID.points[5], _GRID
     ),
@@ -456,7 +457,7 @@ def test_descent_scales_each_level_set_once(scalings):
 
 def test_each_set_scaled_once_at_construction(scalings):
     text = "d 2\n1/2 3\n-2/7 5/11\n3 0\n-1/13 -4\n"
-    points = parse_point_set(text)
+    points = read_point_set(StringIO(text))
     assert len(scalings) == 1 and scalings[0] is points.points
     # No table scales the set again, for one set or a pair.
     index = DotProductIndex(points)

@@ -1,5 +1,6 @@
-import io
+import re
 from fractions import Fraction as Q
+from io import StringIO
 
 import pytest
 from hypothesis import given
@@ -15,11 +16,10 @@ from dottrees import (
     format_point_set,
     format_scalar,
     integer_grid,
-    parse_point_set,
     parse_scalar,
     point,
     point_set,
-    radial_direction,
+    radial_histogram,
     random_point_set,
     read_point_set,
 )
@@ -31,6 +31,10 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 def pt(*coords):
     return point(*coords)
+
+
+def on_line(line, x) -> bool:
+    return dot(line.normal, x) == line.value
 
 
 class TestScalar:
@@ -90,13 +94,13 @@ class TestDot:
 
     def test_float_coordinate_is_value_error(self):
         # dot takes points as given; a float is named, not an AttributeError,
-        # here and in AlphaHyperplane.contains, which calls it.
+        # in either point.
         with pytest.raises(ValueError, match=r"^float 0\.5 is not exact; pass Fraction or int$"):
             dot((0.5, 1), (1, 1))
         with pytest.raises(ValueError, match="^float 2.0 is not exact"):
             dot((1, Q(1, 3)), (0, 2.0))
         with pytest.raises(ValueError, match="^float 0.5 is not exact"):
-            AlphaHyperplane((1, 0), 1).contains((0.5, 1))
+            dot((1, 0), (0.5, 1))
 
     @given(st.tuples(rationals, rationals), st.tuples(rationals, rationals))
     def test_symmetric(self, p, q):
@@ -129,16 +133,16 @@ class TestDot:
 class TestAlphaHyperplane:
     def test_vertical_line(self):
         line = alpha_hyperplane(pt(1, 0), 2)
-        assert line.contains(pt(2, 5)) and line.contains(pt(2, -7))
-        assert not line.contains(pt(3, 0))
+        assert on_line(line, pt(2, 5)) and on_line(line, pt(2, -7))
+        assert not on_line(line, pt(3, 0))
 
     def test_horizontal_line(self):
         line = alpha_hyperplane(pt(0, 3), 6)
-        assert line.contains(pt(100, 2)) and not line.contains(pt(0, 3))
+        assert on_line(line, pt(100, 2)) and not on_line(line, pt(0, 3))
 
     def test_diagonal_line_members(self):
         line = alpha_hyperplane(pt(1, 1), 1)
-        assert line.contains(pt(1, 0)) and line.contains(pt(0, 1))
+        assert on_line(line, pt(1, 0)) and on_line(line, pt(0, 1))
 
     def test_origin_pin_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +160,7 @@ class TestAlphaHyperplane:
         with pytest.raises(ValueError, match="not exact"):
             AlphaHyperplane((1, 0), 0.1)
         line = AlphaHyperplane((1, 0), "1/10")
-        assert line.value == Q(1, 10) and line.contains((Q(1, 10), 0))
+        assert line.value == Q(1, 10) and on_line(line, (Q(1, 10), 0))
         assert AlphaHyperplane((1, 0), Q(4, 2)).value == 2
 
     @given(
@@ -174,7 +178,13 @@ class TestAlphaHyperplane:
         perp = (-p[1], p[0])
         other = tuple(b + d for b, d in zip(base, perp))
         line_q = alpha_hyperplane(q, alpha)
-        assert not (line_q.contains(base) and line_q.contains(other))
+        assert not (on_line(line_q, base) and on_line(line_q, other))
+
+
+def direction_of(p) -> Direction:
+    """The one bucket of the radial histogram of ``{p}``."""
+    (direction,) = radial_histogram(point_set([p])).buckets
+    return direction
 
 
 class TestDirection:
@@ -183,21 +193,21 @@ class TestDirection:
         [((2, 0), (1, 0)), ((3, 3), (1, 1)), ((-4, -6), (2, 3))],
     )
     def test_canonical(self, coords, expected):
-        assert radial_direction(pt(*coords)).primitive == expected
+        assert direction_of(pt(*coords)).primitive == expected
 
     def test_clears_denominators(self):
-        assert radial_direction(pt(Q(1, 2), Q(3, 4))).primitive == (2, 3)
+        assert direction_of(pt(Q(1, 2), Q(3, 4))).primitive == (2, 3)
 
     def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            radial_direction(pt(0, 0))
+        with pytest.raises(ValueError, match="contains the origin"):
+            direction_of(pt(0, 0))
 
     @given(st.tuples(rationals, rationals), rationals.filter(lambda a: a != 0))
     def test_scaling_invariant(self, p, lam):
         if all(c == 0 for c in p):
             return
         scaled = tuple(lam * c for c in p)
-        assert radial_direction(p) == radial_direction(scaled)
+        assert direction_of(p) == direction_of(scaled)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -256,31 +266,31 @@ class TestPointSet:
     def test_empty_needs_dimension(self):
         with pytest.raises(ValueError):
             point_set([])
-        assert len(point_set([], dim=2)) == 0
+        assert len(PointSet(2, ())) == 0
 
 
 class TestPtsFormat:
     def test_basic(self):
-        ps = parse_point_set("d 2\n1 0\n2 0\n")
+        ps = read_point_set(StringIO("d 2\n1 0\n2 0\n"))
         assert ps.dim == 2 and ps.points == (pt(1, 0), pt(2, 0))
 
     def test_rational_point(self):
-        ps = parse_point_set("d 2\n3/4 5/16\n")
+        ps = read_point_set(StringIO("d 2\n3/4 5/16\n"))
         assert ps.points == (pt(Q(3, 4), Q(5, 16)),)
 
     def test_duplicate_reports_line(self):
         with pytest.raises(ParseError) as exc:
-            parse_point_set("d 2\n1 0\n1 0\n")
+            read_point_set(StringIO("d 2\n1 0\n1 0\n"))
         assert exc.value.line_no == 3
 
     def test_duplicate_before_bad_rational_reported_first(self):
         with pytest.raises(ParseError) as exc:
-            parse_point_set("d 2\n1 2\n1 2\n1/2 x\n")
+            read_point_set(StringIO("d 2\n1 2\n1 2\n1/2 x\n"))
         assert str(exc.value) == "line 3: duplicate point '1 2'"
 
     def test_unreduced_duplicate_reports_line(self):
         with pytest.raises(ParseError) as exc:
-            parse_point_set("d 2\n# halves\n1/2 1\n\n2/4 1\n3 1\n")
+            read_point_set(StringIO("d 2\n# halves\n1/2 1\n\n2/4 1\n3 1\n"))
         assert str(exc.value) == "line 5: duplicate point '2/4 1'"
 
     def test_parsing_hashes_no_fraction(self, monkeypatch):
@@ -291,18 +301,18 @@ class TestPtsFormat:
             raise AssertionError(f"hashed {value!r}")
 
         monkeypatch.setattr(Q, "__hash__", refuse)
-        ps = parse_point_set("d 3\n1 2 3\n1/2 -1 4/6\n0 0 5\n")
+        ps = read_point_set(StringIO("d 3\n1 2 3\n1/2 -1 4/6\n0 0 5\n"))
         assert ps.points[1] == (Q(1, 2), -1, Q(2, 3))
         assert sum(type(c) is Q for p in ps for c in p) == 2
         with pytest.raises(ParseError, match="line 3: duplicate point '2/4 1'"):
-            parse_point_set("d 2\n1/2 1\n2/4 1\n")
+            read_point_set(StringIO("d 2\n1/2 1\n2/4 1\n"))
 
     def test_unreduced_input_reduced_on_load(self):
-        ps = parse_point_set("d 2\n2/4 6/8\n")
+        ps = read_point_set(StringIO("d 2\n2/4 6/8\n"))
         assert ps.points == (pt(Q(1, 2), Q(3, 4)),)
 
     def test_comments_and_blanks(self):
-        ps = parse_point_set("# header\n\nd 2\n# p\n1 2\n")
+        ps = read_point_set(StringIO("# header\n\nd 2\n# p\n1 2\n"))
         assert len(ps) == 1
 
     @pytest.mark.parametrize(
@@ -317,12 +327,12 @@ class TestPtsFormat:
     )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
-            parse_point_set(text)
+            read_point_set(StringIO(text))
 
     def test_roundtrip_random_sets(self):
         for seed in range(5):
             ps = random_point_set(17, dim=2, seed=seed)
-            assert parse_point_set(format_point_set(ps)) == ps
+            assert read_point_set(StringIO(format_point_set(ps))) == ps
 
     @given(
         st.lists(
@@ -334,15 +344,15 @@ class TestPtsFormat:
     )
     def test_roundtrip_rational_sets(self, rows):
         ps = PointSet(2, tuple(rows))
-        assert parse_point_set(format_point_set(ps)) == ps
+        assert read_point_set(StringIO(format_point_set(ps))) == ps
 
     def test_written_output_is_reduced(self):
-        ps = parse_point_set("d 2\n2/4 1\n")
+        ps = read_point_set(StringIO("d 2\n2/4 1\n"))
         assert "1/2" in format_point_set(ps)
 
     def test_stream_io(self):
         ps = point_set([(1, 2), (3, 4)])
-        assert read_point_set(io.StringIO(format_point_set(ps))) == ps
+        assert read_point_set(StringIO(format_point_set(ps))) == ps
 
 
 def test_records_skip_blank_and_comment_lines():
@@ -380,6 +390,25 @@ class TestRandomPointSet:
     def test_size_not_an_int_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an int, got "):
             random_point_set(n, seed=1)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: random_point_set(3, 2.5, seed=1), "dimension must be an int, got 2.5"),
+            (lambda: random_point_set(3, seed=1, low=-1.5, high=2), "low must be an int, got -1.5"),
+            (lambda: random_point_set(3, seed=1, low=-1, high=2.5), "high must be an int, got 2.5"),
+            (lambda: integer_grid(2.5), "side must be an int, got 2.5"),
+            (lambda: integer_grid(2, Q(3)), "dimension must be an int, got Fraction(3, 1)"),
+            (lambda: random_point_set(3, 0, seed=1), "dimension must be at least 2, got 0"),
+        ],
+        ids=["dim-float", "low-float", "high-float", "side-float", "grid-dim-fraction",
+             "dim-0"],
+    )
+    def test_generator_arguments_checked(self, make, message):
+        # Each argument is checked before it is used, the dimension before
+        # the box capacity, and the error names the value.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 class TestRotationInvariance:

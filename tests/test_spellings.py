@@ -8,6 +8,7 @@ coordinate c written as ``3c/3``.
 """
 
 from fractions import Fraction as Q
+from io import StringIO
 
 import pytest
 
@@ -24,10 +25,11 @@ from dottrees import (
     incidences,
     make_path,
     max_pinned,
-    parse_point_set,
     proof_multigraph,
     radial_histogram,
+    read_point_set,
 )
+from oracles import engine_weight_tuples
 
 
 def spellings(points: PointSet) -> list[PointSet]:
@@ -35,7 +37,7 @@ def spellings(points: PointSet) -> list[PointSet]:
     text = f"d {points.dim}\n" + "".join(
         " ".join(f"{3 * c}/3" for c in p) + "\n" for p in points.points
     )
-    return [points, as_fractions, parse_point_set(text)]
+    return [points, as_fractions, read_point_set(StringIO(text))]
 
 
 COLUMNS = build_column_construction(make_path(2), 12)
@@ -57,7 +59,8 @@ def planar_results(points: PointSet):
     pin, size = max_pinned(points)
     return (
         count_embeddings(wt, points),
-        distinct_weight_tuples(make_path(2), points, collect=True),
+        distinct_weight_tuples(make_path(2), points),
+        engine_weight_tuples(make_path(2), points),
         proof_multigraph(points),
         ([format_scalar(c) for c in pin], size),
         incidences(points, planes),

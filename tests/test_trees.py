@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from io import StringIO
 
 import pytest
 
@@ -13,8 +14,9 @@ from dottrees import (
     make_path,
     make_perfect_binary,
     make_star,
-    parse_tree,
+    read_tree,
 )
+from oracles import tree_from_edges
 
 
 class TestTreeValidation:
@@ -34,17 +36,9 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             Tree(3, ((2, 3), (1, 2)))
 
-    def test_from_edges_canonicalizes(self):
-        t = Tree.from_edges(3, [(3, 2), (2, 1)])
-        assert t.edges == ((1, 2), (2, 3))
-
     def test_single_vertex(self):
         t = Tree(1, ())
         assert t.num_edges == 0
-
-    def test_loop_edge_rejected(self):
-        with pytest.raises(ValueError):
-            Tree.from_edges(2, [(1, 1)])
 
     def test_nonpositive_vertex_count(self):
         with pytest.raises(ValueError):
@@ -135,7 +129,7 @@ class TestBipartition:
         for _ in range(25):
             n = rng.randint(2, 12)
             edges = [(rng.randint(1, i), i + 1) for i in range(1, n)]
-            t = Tree.from_edges(n, edges)
+            t = tree_from_edges(n, edges)
             b = bipartition(t)
             assert b.k1 + b.k2 == t.num_vertices
             assert b.k1 >= -(-t.num_vertices // 2)
@@ -145,49 +139,49 @@ class TestBipartition:
 
 class TestTreeFormat:
     def test_weighted_path(self):
-        wt = parse_tree("k 2\n1 2 2\n2 3 6\n")
+        wt = read_tree(StringIO("k 2\n1 2 2\n2 3 6\n"))
         assert wt.tree == make_path(2)
         assert wt.weights == (Q(2), Q(6))
 
     def test_canonicalization_permutes_weights(self):
-        a = parse_tree("k 2\n1 2 2\n2 3 6\n")
-        b = parse_tree("k 2\n2 3 6\n1 2 2\n")
+        a = read_tree(StringIO("k 2\n1 2 2\n2 3 6\n"))
+        b = read_tree(StringIO("k 2\n2 3 6\n1 2 2\n"))
         assert a == b
 
     def test_disconnected_rejected(self):
         with pytest.raises(ParseError):
-            parse_tree("k 2\n1 2\n3 4\n")  # needs wait: vertex 4 > k+1
+            read_tree(StringIO("k 2\n1 2\n3 4\n"))  # needs wait: vertex 4 > k+1
 
     def test_cycle_rejected(self):
         with pytest.raises(ParseError):
-            parse_tree("k 3\n1 2\n1 3\n2 3\n")
+            read_tree(StringIO("k 3\n1 2\n1 3\n2 3\n"))
 
     def test_bad_index(self):
         with pytest.raises(ParseError):
-            parse_tree("k 1\n2 1\n")
+            read_tree(StringIO("k 1\n2 1\n"))
         with pytest.raises(ParseError):
-            parse_tree("k 1\n1 5\n")
+            read_tree(StringIO("k 1\n1 5\n"))
 
     def test_mixed_weights_rejected(self):
         with pytest.raises(ParseError):
-            parse_tree("k 2\n1 2 5\n2 3\n")
+            read_tree(StringIO("k 2\n1 2 5\n2 3\n"))
 
     def test_unweighted(self):
-        wt = parse_tree("k 2\n1 2\n2 3\n")
+        wt = read_tree(StringIO("k 2\n1 2\n2 3\n"))
         assert wt.weights is None
         with pytest.raises(ValueError):
             wt.require_weights()
 
     def test_comments(self):
-        wt = parse_tree("# tree\nk 1\n# edge\n1 2 1/2\n")
+        wt = read_tree(StringIO("# tree\nk 1\n# edge\n1 2 1/2\n"))
         assert wt.weights == (Q(1, 2),)
 
     def test_roundtrip(self):
         wt = WeightedTree(make_star(3), (Q(1), Q(2, 3), Q(-5)))
-        assert parse_tree(format_tree(wt)) == wt
+        assert read_tree(StringIO(format_tree(wt))) == wt
 
     def test_single_vertex_roundtrip(self):
-        wt = parse_tree("k 0\n")
+        wt = read_tree(StringIO("k 0\n"))
         assert wt.tree.num_vertices == 1 and wt.tree.edges == ()
         assert format_tree(wt) == "k 0\n"
 
@@ -197,7 +191,7 @@ class TestTreeFormat:
         outputs = set()
         for perm in itertools.permutations(base):
             text = "k 3\n" + "\n".join(perm) + "\n"
-            outputs.add(format_tree(parse_tree(text)))
+            outputs.add(format_tree(read_tree(StringIO(text))))
         assert len(outputs) == 1
 
 
