@@ -20,10 +20,10 @@ the same either way.  A negative value may follow any of ``RATIONAL_FLAGS``.
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
 prints them and writes the ``CountReport``.  Exit status is 0 on success, 1
-when a check fails, and 2 on any malformed input or out-of-range parameter:
-``cli_main`` turns every ``ValueError`` (``UsageError`` and ``ParseError``
-included) into an ``error:`` line on stderr.  All outputs are deterministic
-for a fixed configuration; timings appear only with --timings.
+when a check fails, and 2 on any malformed input, out-of-range parameter or
+unwritable output: ``cli_main`` turns every ``ValueError`` (``UsageError``
+and ``ParseError`` included) into an ``error:`` line on stderr.  All outputs
+are deterministic for a fixed configuration; timings appear only with --timings.
 """
 
 from __future__ import annotations
@@ -111,10 +111,13 @@ class UsageError(ValueError):
     pass
 
 
-def _output_path(value: str) -> Path:
+def _output_path(value: str | Path) -> Path:
+    """``value`` as a path a file can be written at, in a directory that exists."""
     path = Path(value)
     if not path.parent.exists():
         raise UsageError(f"directory {path.parent} does not exist")
+    if path.is_dir() or not path.parent.is_dir():
+        raise UsageError(f"{path}: {'Is' if path.is_dir() else 'Not'} a directory")
     return path
 
 
@@ -194,10 +197,18 @@ def _resolve_tree(spec: str, weights: str | None) -> WeightedTree:
     return wt
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a write that fails is an error naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str | Path | None, data) -> None:
     """Write plain JSON data to ``path`` if one is given."""
     if path is not None:
-        Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _report(
@@ -229,7 +240,7 @@ def _report(
         report = CountReport(
             operation, parameters, digest, counts, histograms or {}, elapsed_ms
         )
-        Path(args.json).write_text(report.to_json())
+        _write(args.json, report.to_json())
     return 0 if ok else CHECK_FAILURE
 
 
@@ -285,12 +296,12 @@ def _read_choice(args, kind: str) -> None:
 def _cmd_generate(args) -> int:
     _read_choice(args, "construction")
     out = _output_path(args.output)
-    sidecar = out.with_suffix(".json")
+    sidecar = _output_path(out.with_suffix(".json"))
     if sidecar == out:
         raise UsageError(f"-o {out} is also the path of its JSON sidecar; use another suffix")
     if args.construction == "lattice":
+        f_out = _output_path(out.with_name(out.stem + "_F" + out.suffix))
         result = build_unit_lattice(LatticeSpec(args.d, args.q, mode=args.mode))
-        f_out = out.with_name(out.stem + "_F" + out.suffix)
         written = {out: result.e_points, f_out: result.f_points}
         payload = {"construction": "lattice", "parameters": result.metadata}
         lines = [
@@ -330,7 +341,7 @@ def _cmd_generate(args) -> int:
             f"predicted count {result.predicted_count}, sidecar {sidecar}",
         ]
     for path, ps in written.items():
-        path.write_text(format_point_set(ps))
+        _write(path, format_point_set(ps))
     _write_json(sidecar, payload)
     print(*lines, sep="\n")
     return 0

@@ -166,25 +166,14 @@ class DotProductSummary(NamedTuple):
     max_multiplicity: int
 
 
-def distinct_dot_products(
-    points: PointSet,
-    second: PointSet | None = None,
-    *,
-    include_zero: bool = False,
-) -> DotProductSummary:
+def distinct_dot_products(points: PointSet, *, include_zero: bool = False) -> DotProductSummary:
     """Distinct dot products over ordered pairs of distinct points.
 
     Returns the number of distinct values and the largest number of ordered
-    pairs producing any single value.  With ``second`` given, pairs run over
-    ``points x second`` instead of within one set.
+    pairs producing any single value.
     """
-    counts = DotProductIndex(points, second, include_zero=include_zero).pair_counts()
+    counts = DotProductIndex(points, include_zero=include_zero).pair_counts()
     return DotProductSummary(len(counts), max(counts.values(), default=0))
-
-
-def _require_index_of(index: DotProductIndex, left: PointSet, right: PointSet) -> None:
-    if index.left != left or index.right != right:
-        raise ValueError("the prebuilt index is of other point sets")
 
 
 def _zero_weight_guard(weights: Sequence[Fraction], include_zero: bool) -> None:
@@ -370,8 +359,8 @@ def count_embeddings(
     """
     weights = wt.require_weights()
     _zero_weight_guard(weights, include_zero)
-    if index is not None:
-        _require_index_of(index, points, points)
+    if index is not None and (index.left != points or index.right != points):
+        raise ValueError("the prebuilt index is of other point sets")
     if wt.tree.num_vertices > len(points):  # no map is injective
         return 0
     parents, lists, slots, group = _fixed_weight_plan(wt.tree, weights, points)
@@ -416,7 +405,7 @@ def count_homomorphisms(
 
 def _weight_tuple_masks(
     tree: Tree, points: PointSet, include_zero: bool, pinned: tuple[int, int] | None
-) -> tuple[dict[tuple[int, ...], int], list[int], int, DotProductIndex]:
+) -> dict[tuple[int, ...], int]:
     """Distinct edge-weight tuples over injective maps, as value-id bitmasks.
 
     The vertices outside the leaf group (``_search_order``) are placed on
@@ -429,9 +418,8 @@ def _weight_tuple_masks(
     uncopied.  A group of one leaf has no head to read the room table, so
     it starts empty and takes an id's count from x's table only when a
     placed point uses that id.  Zero components are dropped unless
-    ``include_zero``.  Returns the masks keyed by the other components, the
-    edge index of each key position and of the last leaf, and the table the
-    ids index.
+    ``include_zero``.  Returns the masks keyed by the other components, in
+    search order: the edges of positions 1 on, then the heads.
     """
     if tree.num_edges == 0:
         raise ValueError("weight tuples need at least one edge")
@@ -468,7 +456,7 @@ def _weight_tuple_masks(
         for key, mask, room in layer:
             for a, r in room.items():
                 masks[key + (a,)] |= mask if r > 1 else mask ^ (1 << a)
-    return masks, edges[1:] + group[:-1], group[-1], index
+    return masks
 
 
 def distinct_weight_tuples(
@@ -484,7 +472,7 @@ def distinct_weight_tuples(
     vertex are counted by value class, not placed, so the search visits at
     most n^(k+1-m) placements of the other vertices.
     """
-    masks, *_ = _weight_tuple_masks(tree, points, include_zero, None)
+    masks = _weight_tuple_masks(tree, points, include_zero, None)
     return sum(mask.bit_count() for mask in masks.values())
 
 
@@ -504,7 +492,7 @@ def pinned_weight_tuples(
         pin_index = points.points.index(pin)
     except ValueError:
         raise ValueError(f"pin {pin} is not in the point set") from None
-    masks, *_ = _weight_tuple_masks(tree, points, include_zero, (vertex, pin_index))
+    masks = _weight_tuple_masks(tree, points, include_zero, (vertex, pin_index))
     return sum(mask.bit_count() for mask in masks.values())
 
 
@@ -604,32 +592,22 @@ def _require_planar(points: PointSet, right: PointSet) -> None:
         raise ValueError("point sets must not contain the origin")
 
 
-def proof_graph_edges(
-    points: PointSet,
-    second: PointSet | None = None,
-    *,
-    include_zero: bool = False,
-    index: DotProductIndex | None = None,
-) -> dict[tuple[Point, Point], int]:
-    """Multigraph edges of the consecutive-points construction.
+def proof_graph_edges(index: DotProductIndex) -> dict[tuple[Point, Point], int]:
+    """Multigraph edges of the consecutive-points construction, read off the
+    table of the pins ``index.left`` against the points ``index.right``.
 
-    For each pin p in the first set and each of its dot-product values a
-    against the second set, the points of the second set on the alpha-line of
-    p are sorted along the line and consecutive pairs become edges; lines
-    holding a single point are dropped.  Pins sharing a radial line can
-    produce the same geometric line, so multiplicities accumulate per
-    (pin, value) contribution.
+    For each pin p and each of its dot-product values a but the table's
+    ``skip``, the points on the alpha-line of p are sorted along the line and
+    consecutive pairs become edges; lines holding a single point are dropped.
+    Pins sharing a radial line can produce the same geometric line, so
+    multiplicities accumulate per (pin, value) contribution.  Both sets must
+    be planar and must not contain the origin.
 
     Returns a map from the segment (endpoint pair, lexicographically ordered)
-    to its edge multiplicity.  A prebuilt ``index`` of ``points`` against the
-    second set is used as given, so ``include_zero`` is then ignored; an
-    index of other sets raises ``ValueError``.
+    to its edge multiplicity.
     """
-    right = second if second is not None else points
-    _require_planar(points, right)
-    if index is None:
-        index = DotProductIndex(points, right, include_zero=include_zero)
-    _require_index_of(index, points, right)
+    right = index.right
+    _require_planar(index.left, right)
     # Lexicographic order, which scaling keeps, is monotone along any line.
     # A stable sort of the second set's indices, in that order, by the row's
     # value ids makes each line's points contiguous and in order along it.
@@ -680,7 +658,7 @@ def proof_multigraph(
     right = second if second is not None else points
     _require_planar(points, right)
     index = DotProductIndex(points, right, include_zero=include_zero)
-    edge_counts = proof_graph_edges(points, right, index=index)
+    edge_counts = proof_graph_edges(index)
     t = max(_pinned_sizes(index), default=0)
     vertices = len(points) + len(right) - len(_shared(points, right))
     e = sum(edge_counts.values())

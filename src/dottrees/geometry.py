@@ -205,12 +205,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, p) -> bool:
-        return p in self.points
-
 
 def point_set(rows: Iterable[Sequence]) -> PointSet:
     """Build a PointSet from coordinate rows, coercing entries to scalars;
@@ -345,22 +339,22 @@ def format_point_set(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_ints(dim, **values) -> None:
-    """A generator's checks: each of ``values`` and ``dim`` an int, ``dim``
-    at least 2; the error names the first value that fails."""
-    for name, value in {**values, "dimension": dim}.items():
+def _check_ints(**values) -> None:
+    """A generator's checks: each of ``values`` an int, a ``dimension``
+    among them at least 2; the error names the first value that fails."""
+    for name, value in values.items():
         if not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
+    if values.get("dimension", 2) < 2:
+        raise ValueError(f"dimension must be at least 2, got {values['dimension']}")
 
 
-def integer_grid(side: int, dim: int = 2) -> PointSet:
-    """Axis-aligned integer grid {1..side}^dim, ordered lexicographically."""
-    _check_ints(dim, side=side)
+def integer_grid(side: int) -> PointSet:
+    """The planar integer grid {1..side}^2, ordered lexicographically."""
+    _check_ints(side=side)
     if side < 1:
         raise ValueError("side must be positive")
-    return PointSet(dim, tuple(product(range(1, side + 1), repeat=dim)))
+    return PointSet(2, tuple(product(range(1, side + 1), repeat=2)))
 
 
 def random_point_set(
@@ -377,7 +371,7 @@ def random_point_set(
     Uses Python's Mersenne Twister (`random.Random`) so identical seeds give
     identical sets on every platform.
     """
-    _check_ints(dim, n=n, low=low, high=high)
+    _check_ints(n=n, low=low, high=high, dimension=dim)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if low > high:

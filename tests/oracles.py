@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from dottrees import PointSet, WeightedTree, dot
-from dottrees.counting import _weight_tuple_masks
+from dottrees.counting import DotProductIndex, _search_order, _weight_tuple_masks
 from dottrees.trees import Tree
 
 # An exact rotation: rows of an orthogonal matrix with rational entries.
@@ -191,9 +191,13 @@ def engine_weight_tuples(
     tree: Tree, points: PointSet, include_zero: bool = False
 ) -> frozenset[tuple]:
     """The tuples ``distinct_weight_tuples`` counts, decoded from the value-id
-    bitmasks of its search: each mask bit is one value of the last leaf,
-    after the key's components."""
-    masks, layout, last, index = _weight_tuple_masks(tree, points, include_zero, None)
+    bitmasks of its search: a key holds the components of the search's
+    positions 1 on, then of the leaf group but its last leaf; each mask bit
+    is one value id of the last leaf, numbered as in the set's own table."""
+    masks = _weight_tuple_masks(tree, points, include_zero, None)
+    _, edges, group, _ = _search_order(tree, None)
+    layout, last = edges[1:] + group[:-1], group[-1]
+    index = DotProductIndex(points, include_zero=include_zero)
     values = [index.value(a) for a in range(len(index.ids))]
     tuples = set()
     for key, mask in masks.items():

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -192,6 +193,18 @@ class TestGenerate:
             "/no/such/dir/out.pts",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("taken", ["out_F.pts", "out.json"])
+    def test_every_output_path_checked_before_writing(self, tmp_path, taken):
+        # The dual set and the sidecar are checked with -o, so a directory at
+        # either path leaves no file behind.
+        (tmp_path / taken).mkdir()
+        out = tmp_path / "out.pts"
+        code, stdout, err = run_cli(
+            "generate", "--construction", "lattice", "--q", "2", "-o", str(out)
+        )
+        assert (code, stdout, err) == (2, "", f"error: {tmp_path / taken}: Is a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
 
 
 class TestCount:
@@ -807,6 +820,21 @@ class TestUsage:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["distinct", "--points", "{points}", "--json", "{out}"],
+        ["verify", "--criteria", "9", "--json", "{out}"],
+        ["generate", "--construction", "random", "--n", "5", "--seed", "1", "-o", "{out}"],
+    ], ids=["count-report", "json-data", "point-set"])
+    def test_failed_write_is_one_error_line(self, monkeypatch, tmp_path, columns_pts, argv):
+        # A write that fails after the path checks, here on permissions.
+        def refuse(path, text):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        out = tmp_path / "new.pts"
+        code, _, err = run_cli(*(a.format(points=columns_pts, out=out) for a in argv))
+        assert (code, err) == (2, f"error: {out}: Permission denied\n")
+
     def test_bad_builtin_size(self, columns_pts):
         code, _, _ = run_cli(
             "count", "--tree", "builtin:path:zero", "--weights", "2",
@@ -853,12 +881,14 @@ REJECT_FILES = {
     "too-few.tree": "k 3\n1 2\n2 3\n",
     "duplicate.tree": "k 2\n1 2\n1 2\n",
     "bad.lines": "1 1 3\n1 x 2\n",
+    "origin.pts": "d 2\n1 2\n0 0\n",
     "short.lines": "1 1 3\n1 2\n",
 }
 
 # Inputs that raise a ValueError (or ParseError) inside the engine, a
 # constructor, a reader or an argument check, each with its one error line.
-# An error in a file names the file, and its line where the error has one.
+# An error in a file names the file, and its line where the error has one;
+# an output path that is a directory, or under a file, names itself.
 ENGINE_REJECTS = {
     "tuples_of_edgeless_tree": (
         ["distinct", "--points", "a.pts", "--tree", "k0.tree"],
@@ -941,6 +971,36 @@ ENGINE_REJECTS = {
     ),
     "descent_on_fewer_than_d_points": (
         ["pinned", "--points", "two3.pts", "--descent"], "need at least 3 points",
+    ),
+    "proofgraph_spatial_points": (
+        ["proofgraph", "--points", "two3.pts"],
+        "the proof multigraph is planar; need dimension 2",
+    ),
+    "proofgraph_spatial_second": (
+        ["proofgraph", "--points", "a.pts", "--second", "two3.pts"],
+        "the proof multigraph is planar; need dimension 2",
+    ),
+    "proofgraph_origin_in_points": (
+        ["proofgraph", "--points", "origin.pts"], "point sets must not contain the origin",
+    ),
+    "proofgraph_origin_in_second": (
+        ["proofgraph", "--points", "a.pts", "--second", "origin.pts"],
+        "point sets must not contain the origin",
+    ),
+    "json_is_a_directory": (
+        ["distinct", "--points", "a.pts", "--json", "."], ".: Is a directory",
+    ),
+    "json_empty_path": (["distinct", "--points", "a.pts", "--json", ""], ".: Is a directory"),
+    "json_under_a_file": (
+        ["distinct", "--points", "a.pts", "--json", "a.pts/x.json"],
+        "a.pts/x.json: Not a directory",
+    ),
+    "verify_json_is_a_directory": (
+        ["verify", "--criteria", "9", "--json", "."], ".: Is a directory",
+    ),
+    "generate_output_is_a_directory": (
+        ["generate", "--construction", "random", "--n", "5", "--seed", "1", "-o", "."],
+        ".: Is a directory",
     ),
 }
 

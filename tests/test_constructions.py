@@ -5,6 +5,7 @@ import pytest
 
 from dottrees import constructions, geometry
 from dottrees import (
+    DotProductIndex,
     LatticeSpec,
     PointSet,
     build_column_construction,
@@ -32,14 +33,14 @@ pt = point
 class TestColumnConstruction:
     def test_path_two_n_nine(self):
         result = build_column_construction(make_path(2), 9)
-        xs = sorted({p[0] for p in result.points})
+        xs = sorted({p[0] for p in result.points.points})
         assert xs == [1, 2, 3]
-        assert sum(1 for p in result.points if p[0] == 1) == 4
-        assert sum(1 for p in result.points if p[0] == 3) == 4
-        assert pt(2, 0) in result.points
+        assert sum(1 for p in result.points.points if p[0] == 1) == 4
+        assert sum(1 for p in result.points.points if p[0] == 3) == 4
+        assert pt(2, 0) in result.points.points
         assert result.weights == (2, 6)
         assert all(type(w) is int for w in result.weights)
-        assert all(type(c) is int for p in result.points for c in p)
+        assert all(type(c) is int for p in result.points.points for c in p)
         assert result.predicted_count == 16
         assert naive_count_embeddings(result.weighted_tree, result.points) == 16
 
@@ -48,8 +49,8 @@ class TestColumnConstruction:
         # Labeled embeddings double the column's 9: the single edge's weight-
         # preserving swap maps the column onto the axis point and back.
         assert result.predicted_count == 18
-        assert sum(1 for p in result.points if p[0] == 1) == 9
-        assert pt(2, 0) in result.points
+        assert sum(1 for p in result.points.points if p[0] == 1) == 9
+        assert pt(2, 0) in result.points.points
         assert result.weights == (Q(2),)
         assert naive_count_embeddings(result.weighted_tree, result.points) == 18
 
@@ -108,10 +109,10 @@ class TestColumnConstruction:
     def test_filler_never_collides(self):
         result = build_column_construction(make_path(2), 40)
         weights = set(result.weights)
-        fillers = [p for p in result.points if p[0] < 0]
-        assert len(fillers) == 40 - len([p for p in result.points if p[0] > 0])
+        fillers = [p for p in result.points.points if p[0] < 0]
+        assert len(fillers) == 40 - len([p for p in result.points.points if p[0] > 0])
         for f in fillers:
-            for p in result.points:
+            for p in result.points.points:
                 if p != f:
                     assert dot(f, p) not in weights
 
@@ -158,7 +159,7 @@ class TestPerpLines:
     def test_path_two_n_nine_layout(self):
         result = build_perp_lines_3d(make_path(2), 9)
         by_x = {}
-        for p in result.points:
+        for p in result.points.points:
             by_x.setdefault(p[0], []).append(p)
         assert {int(x) for x in by_x} == {1, 2, 3}
         # Odd-vertex lines free in y, the middle line free in z.
@@ -167,7 +168,7 @@ class TestPerpLines:
         assert all(p[2] == 0 for p in by_x[3])
         assert result.weights == (2, 6)
         assert all(type(w) is int for w in result.weights)
-        assert all(type(c) is int for p in result.points for c in p)
+        assert all(type(c) is int for p in result.points.points for c in p)
         assert result.predicted_count == 27
         assert naive_count_embeddings(result.weighted_tree, result.points) == 27
 
@@ -186,10 +187,10 @@ class TestPerpLines:
     def test_bigger_tree_line_count(self):
         tree = make_star(3)
         result = build_perp_lines_3d(tree, 16)
-        lines = {p[0] for p in result.points if p[0] > 0}
+        lines = {p[0] for p in result.points.points if p[0] > 0}
         assert len(lines) == tree.num_vertices
-        free_y = {x for x in lines if any(p[0] == x and p[1] != 0 for p in result.points)}
-        free_z = {x for x in lines if any(p[0] == x and p[2] != 0 for p in result.points)}
+        free_y = {x for x in lines if any(p[0] == x and p[1] != 0 for p in result.points.points)}
+        free_z = {x for x in lines if any(p[0] == x and p[2] != 0 for p in result.points.points)}
         assert free_y.isdisjoint(free_z)
         assert len(free_y) + len(free_z) == len(lines)
 
@@ -201,8 +202,8 @@ class TestPerpLines:
             8, [(1, 2), (2, 5), (3, 5), (4, 5), (5, 6), (6, 7), (6, 8)]
         )
         result = build_perp_lines_3d(tree, 16)
-        free_y = {int(p[0]) for p in result.points if p[0] > 0 and p[1] != 0}
-        free_z = {int(p[0]) for p in result.points if p[0] > 0 and p[2] != 0}
+        free_y = {int(p[0]) for p in result.points.points if p[0] > 0 and p[1] != 0}
+        free_z = {int(p[0]) for p in result.points.points if p[0] > 0 and p[2] != 0}
         assert free_y == {1, 5, 7, 8}
         assert free_z == {2, 3, 4, 6}
 
@@ -393,13 +394,11 @@ class TestUnitLattice:
         assert 2 * rich >= len(result.f_points)
 
     def test_calibrated_q4_unit_value_multiplicity(self):
-        from dottrees import distinct_dot_products
-
         result = build_unit_lattice(LatticeSpec(2, 4, mode="calibrated"))
-        summary = distinct_dot_products(result.e_points, result.f_points)
+        counts = DotProductIndex(result.e_points, result.f_points).pair_counts()
         # The most repeated value is the unit product, at least q^4/2 times.
-        assert 2 * summary.max_multiplicity >= 4**4
-        assert summary.max_multiplicity == 130
+        assert 2 * max(counts.values()) >= 4**4
+        assert max(counts.values()) == 130
 
     def test_calibrated_window_recorded(self):
         result = build_unit_lattice(LatticeSpec(2, 4, mode="calibrated"))

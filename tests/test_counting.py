@@ -507,7 +507,7 @@ class TestProofMultigraph:
         assert stats.max_pinned_size == 2
         assert stats.drawing_crossings == 0
         double = (pt(1, 0), pt(1, 1))
-        edges = proof_graph_edges(ps)
+        edges = proof_graph_edges(DotProductIndex(ps))
         assert edges[double] == 2
 
     def test_collinear_points_give_no_edges(self):
@@ -563,7 +563,7 @@ class TestProofMultigraph:
         assert stats.edges == 2
         assert stats.max_multiplicity == 1
         assert stats.max_pinned_size == 1
-        edges = proof_graph_edges(pins, targets)
+        edges = proof_graph_edges(DotProductIndex(pins, targets))
         assert set(edges) == {
             (pt(2, -3), pt(2, 1)),
             (pt(2, 1), pt(2, 5)),
@@ -581,7 +581,7 @@ class TestProofMultigraph:
         ps = random_point_set(12, seed=3, low=-6, high=6)
         stats = proof_multigraph(ps)
         assert len(built) == 1
-        assert stats.edges == sum(proof_graph_edges(ps).values())
+        assert stats.edges == sum(proof_graph_edges(DotProductIndex(ps)).values())
 
     def test_two_set_radial_coincidence_multiplicity(self):
         # Two pins on one radial line see the same geometric line x=3
@@ -604,7 +604,7 @@ class TestProofMultigraph:
         assert stats.edges == 2
         assert stats.max_multiplicity == 1
         assert stats.max_pinned_size == 2
-        edges = proof_graph_edges(pins, targets)
+        edges = proof_graph_edges(DotProductIndex(pins, targets))
         assert set(edges) == {
             (pt(1, 1), pt(1, 2)),
             (pt(1, 1), pt(2, 0)),
@@ -734,7 +734,7 @@ PLANAR_POINTS = st.lists(
 def proof_graph_cases(draw):
     """Planar inputs of the proof multigraph, mixed denominators, no origin.
 
-    Returns (points, second or None, include_zero, prebuilt).  The second set
+    Returns (points, second or None, include_zero).  The second set
     is absent, its own set, or one sharing points with the first.  Points put
     on the perpendicular of the first pin through a target share that pin's
     line, and multiples of the pin on its radial line see the same lines, so
@@ -760,25 +760,21 @@ def proof_graph_cases(draw):
         if any(q) and q not in right:
             right.append(q)
     second = None if form == "one" else PointSet(2, tuple(right))
-    return PointSet(2, tuple(left)), second, draw(st.booleans()), draw(st.booleans())
+    return PointSet(2, tuple(left)), second, draw(st.booleans())
 
 
 class TestProofGraphReference:
     @given(proof_graph_cases())
     @settings(max_examples=150, deadline=None)
     def test_edges_match_reference(self, case):
-        points, second, include_zero, prebuilt = case
-        if prebuilt:
-            index = DotProductIndex(points, second, include_zero=include_zero)
-            edges = proof_graph_edges(points, second, index=index)
-        else:
-            edges = proof_graph_edges(points, second, include_zero=include_zero)
+        points, second, include_zero = case
+        edges = proof_graph_edges(DotProductIndex(points, second, include_zero=include_zero))
         assert edges == reference_proof_graph_edges(points, second, include_zero)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_crossings_match_naive(self, seed):
         ps = random_point_set(40, seed=seed)
-        segs = list(proof_graph_edges(ps))
+        segs = list(proof_graph_edges(DotProductIndex(ps)))
         assert proof_multigraph(ps).drawing_crossings == naive_crossings(segs)
 
 
@@ -792,7 +788,7 @@ class TestMaxPinned:
         assert count >= 1
 
     def test_shifted_cube_grid(self):
-        grid = integer_grid(4, dim=3)
+        grid = point_set(product(range(1, 5), repeat=3))
         pin, count = max_pinned(grid)
         brute = max(len(pinned_set(p, grid)) for p in grid.points)
         assert count == brute
@@ -814,7 +810,7 @@ class TestMaxPinned:
 
 class TestHyperplaneDescent:
     def test_cube_grid_trace(self):
-        grid = integer_grid(3, dim=3)
+        grid = point_set(product(range(1, 4), repeat=3))
         trace = hyperplane_descent(grid)
         assert len(trace.levels) == 1
         level = trace.levels[0]
@@ -930,7 +926,7 @@ class TestHyperplaneDescent:
         # A 400-digit coordinate is past any float; the rank check and the
         # descent stay on integers, and agree with the Fraction spelling.
         huge = 10**400 + 7
-        rows = [p for p in integer_grid(3, dim=3).points] + [(huge, 1, 2)]
+        rows = list(product(range(1, 4), repeat=3)) + [(huge, 1, 2)]
         ints = point_set(rows)
         fractions = PointSet(3, tuple(tuple(map(Q, p)) for p in rows))
         assert _affine_rank(ints.scaled[0]) == reference_affine_rank(rows) == 3

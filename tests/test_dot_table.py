@@ -52,7 +52,7 @@ from dottrees.constructions import (
     build_unit_lattice,
 )
 from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, read_point_set
-from oracles import reference_incidences, reference_pair_counts
+from oracles import reference_incidences, reference_pair_counts, reference_proof_graph_edges
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
 SCALARS = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
@@ -223,7 +223,8 @@ def test_single_set_matches_reference(points, include_zero):
 def test_two_sets_match_reference(sets, include_zero):
     left, right = sets
     assert_index_matches(left, right, include_zero)
-    assert tuple(distinct_dot_products(left, right, include_zero=include_zero)) == (
+    counts = DotProductIndex(left, right, include_zero=include_zero).pair_counts()
+    assert (len(counts), max(counts.values(), default=0)) == (
         reference_distinct(left, right, include_zero)
     )
     ones = sum(1 for e in left.points for f in right.points if dot(e, f) == 1)
@@ -263,12 +264,12 @@ def test_scaled_and_dots_match_fraction_reference(points):
     ints, scale = _scaled(points.points)
     assert type(ints) is tuple and all(type(p) is tuple for p in ints)
     assert all(type(v) is int for p in ints for v in p)
-    assert scale == math.lcm(*(c.denominator for p in points for c in p))
+    assert scale == math.lcm(*(c.denominator for p in points.points for c in p))
     assert tuple(tuple(Q(v, scale) for v in p) for p in ints) == points.points
     columns = list(zip(*ints))
-    for p, p_int in zip(points, ints):
+    for p, p_int in zip(points.points, ints):
         products = [Q(v, scale * scale) for v in _dots(p_int, columns)]
-        assert products == [dot(p, q) for q in points]
+        assert products == [dot(p, q) for q in points.points]
     empty = PointSet(points.dim, ())
     assert _scaled(empty.points) == ((), 1)
     assert list(_dots(ints[0], [()] * points.dim)) == []
@@ -303,7 +304,7 @@ def test_mismatched_dimensions_raise():
     planar = PointSet(2, ((Q(1), Q(2)), (Q(1, 3), Q(-1))))
     spatial = PointSet(3, ((Q(1), Q(2), Q(3)),))
     with pytest.raises(ValueError):
-        distinct_dot_products(planar, spatial)
+        DotProductIndex(planar, spatial)
     with pytest.raises(ValueError):
         incidences(planar, unit_planes(spatial))
     with pytest.raises(ValueError):
@@ -560,14 +561,18 @@ def test_count_embeddings_rejects_index_of_other_sets():
             count_embeddings(wt, _A, index=index)
 
 
-def test_proof_graph_edges_rejects_index_of_other_sets():
-    edges = proof_graph_edges(_A, _B)
-    assert proof_graph_edges(_A, _B, index=DotProductIndex(_A, _B)) == edges
-    for args, index in [
-        ((_A,), DotProductIndex(_B)),
-        ((_A,), DotProductIndex(_A, _B)),
-        ((_A, _B), DotProductIndex(_A)),
-        ((_A, _B), DotProductIndex(_B, _A)),
+def test_proof_graph_edges_reads_and_checks_its_table():
+    for left, right in [(_A, None), (_A, _B), (_B, _A)]:
+        for include_zero in (False, True):
+            index = DotProductIndex(left, right, include_zero=include_zero)
+            edges = reference_proof_graph_edges(left, right, include_zero)
+            assert proof_graph_edges(index) == edges
+    spatial = PointSet(3, ((Q(1), Q(2), Q(3)),))
+    origin = PointSet(2, ((Q(0), Q(0)), (Q(1), Q(1))))
+    for index, message in [
+        (DotProductIndex(spatial), "planar"),
+        (DotProductIndex(_A, origin), "origin"),
+        (DotProductIndex(origin, _A), "origin"),
     ]:
-        with pytest.raises(ValueError, match="other point sets"):
-            proof_graph_edges(*args, index=index)
+        with pytest.raises(ValueError, match=message):
+            proof_graph_edges(index)

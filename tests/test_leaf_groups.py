@@ -93,7 +93,7 @@ def weighted(draw):
         image = draw(st.permutations(points.points))
         weights = tuple(dot(image[a - 1], image[b - 1]) for a, b in tree.edges)
     else:
-        values = sorted({dot(p, q) for p in points for q in points if p != q})
+        values = sorted({dot(p, q) for p in points.points for q in points.points if p != q})
         weights = tuple(draw(st.sampled_from(values)) for _ in tree.edges)
     return WeightedTree(tree, weights), points
 

@@ -46,9 +46,9 @@ PERP = build_perp_lines_3d(make_path(2), 12)
 
 def test_parsed_spelling_is_ints():
     ints, as_fractions, parsed = spellings(COLUMNS.points)
-    assert all(type(c) is int for p in ints for c in p)
-    assert all(type(c) is Q for p in as_fractions for c in p)
-    assert all(type(c) is int for p in parsed for c in p)
+    assert all(type(c) is int for p in ints.points for c in p)
+    assert all(type(c) is Q for p in as_fractions.points for c in p)
+    assert all(type(c) is int for p in parsed.points for c in p)
     assert ints == as_fractions == parsed
     assert format_point_set(ints) == format_point_set(as_fractions) == format_point_set(parsed)
 
