@@ -49,7 +49,6 @@ from .counting import (
 )
 from .geometry import (
     AlphaHyperplane,
-    Direction,
     ParseError,
     Point,
     PointSet,
@@ -66,7 +65,6 @@ from .geometry import (
 )
 from .reports import CountReport, digest_inputs, point_set_digest
 from .trees import (
-    Bipartition,
     Tree,
     WeightedTree,
     bipartition,

@@ -1,7 +1,9 @@
 """Exponent formulas, exact power-bound checks, and log-log fitting.
 
-The exponent formulas are exact rationals.  Fitting is the one place in the
-package where floating point is allowed, and it stays confined to reporting.
+The exponent formulas are exact rationals, and the checks take their inputs
+as coordinates are taken (``geometry._coerce``), so a float is a
+``ValueError``.  Fitting is the one place in the package where floating
+point is allowed, and it stays confined to reporting.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from .geometry import _coerce
 
 __all__ = [
     "distinct_tuples_exponent",
@@ -90,6 +94,7 @@ def main_exponents_consistent() -> bool:
 
 def meets_power_bound(value, n: int, exponent: Fraction, c: Fraction | int = 1) -> bool:
     """Exact check of ``value >= c * n**exponent`` for rational exponent and c."""
+    value, n, exponent, c = map(_coerce, (value, n, exponent, c))
     if n < 1:
         raise ValueError("n must be positive")
     c = Fraction(c)
@@ -144,8 +149,8 @@ def compare_report(
     """
     if not runs:
         raise ValueError("no runs to compare")
-    threshold_c = Fraction(threshold_c)
-    exponent = Fraction(exponent)
+    threshold_c = Fraction(_coerce(threshold_c))
+    exponent = Fraction(_coerce(exponent))
     checks = []
     for n, count, predicted in runs:
         n, count = int(n), int(count)

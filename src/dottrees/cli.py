@@ -20,8 +20,9 @@ the same either way.  A negative value may follow any of ``RATIONAL_FLAGS``.
 Every counting handler loads its inputs through ``_read_file``, starts the
 clock, computes, and hands its output lines and counts to ``_report``, which
 prints them and writes the ``CountReport``.  Exit status is 0 on success, 1
-when a check fails, and 2 on any malformed input, out-of-range parameter or
-unwritable output: ``cli_main`` turns every ``ValueError`` (``UsageError``
+when a check fails, and 2 on any malformed input, out-of-range parameter,
+unwritable output or output path that is one of the command's inputs
+(``_output_path``): ``cli_main`` turns every ``ValueError`` (``UsageError``
 and ``ParseError`` included) into an ``error:`` line on stderr.  All outputs
 are deterministic for a fixed configuration; timings appear only with --timings.
 """
@@ -111,13 +112,21 @@ class UsageError(ValueError):
     pass
 
 
-def _output_path(value: str | Path) -> Path:
-    """``value`` as a path a file can be written at, in a directory that exists."""
+def _output_path(value: str | Path, name: str, args) -> Path:
+    """``value`` as a path a file can be written at, in a directory that
+    exists, and that resolves to none of the files ``args`` reads (a --tree
+    may name a builtin instead); ``name`` is the output's flag, named by the
+    error."""
     path = Path(value)
     if not path.parent.exists():
         raise UsageError(f"directory {path.parent} does not exist")
     if path.is_dir() or not path.parent.is_dir():
         raise UsageError(f"{path}: {'Is' if path.is_dir() else 'Not'} a directory")
+    inputs = {Path(v).resolve() for flag in ("points", "second", "tree", "lines", "pins")
+              if (v := getattr(args, flag, None)) is not None
+              and not (flag == "tree" and v.startswith("builtin:"))}
+    if path.resolve() in inputs:
+        raise UsageError(f"{name} {path} is also an input of this command")
     return path
 
 
@@ -295,12 +304,12 @@ def _read_choice(args, kind: str) -> None:
 
 def _cmd_generate(args) -> int:
     _read_choice(args, "construction")
-    out = _output_path(args.output)
-    sidecar = _output_path(out.with_suffix(".json"))
+    out = _output_path(args.output, "-o", args)
+    sidecar = _output_path(out.with_suffix(".json"), "sidecar", args)
     if sidecar == out:
         raise UsageError(f"-o {out} is also the path of its JSON sidecar; use another suffix")
     if args.construction == "lattice":
-        f_out = _output_path(out.with_name(out.stem + "_F" + out.suffix))
+        f_out = _output_path(out.with_name(out.stem + "_F" + out.suffix), "dual set", args)
         result = build_unit_lattice(LatticeSpec(args.d, args.q, mode=args.mode))
         written = {out: result.e_points, f_out: result.f_points}
         payload = {"construction": "lattice", "parameters": result.metadata}
@@ -481,8 +490,8 @@ def _cmd_radial(args) -> int:
     start = time.perf_counter()
     hist = radial_histogram(points, allow_origin=args.allow_origin)
     ok = hist.within_cap(cap)
-    buckets = sorted(hist.buckets.items(), key=lambda kv: kv[0].primitive)
-    lines = [f"{direction}: {count}" for direction, count in buckets]
+    buckets = {",".join(map(str, d)): count for d, count in sorted(hist.buckets.items())}
+    lines = [f"{direction}: {count}" for direction, count in buckets.items()]
     lines += [
         f"max {hist.max_count} of {hist.total}",
         f"cap check (C={cap}): {'ok' if ok else 'FAIL'}",
@@ -490,7 +499,7 @@ def _cmd_radial(args) -> int:
     return _report(
         args, start, lines, "radial_histogram", {"cap_c": str(cap)}, [points],
         {"max": hist.max_count, "total": hist.total, "cap_ok": int(ok)},
-        histograms={str(direction): count for direction, count in buckets},
+        histograms=buckets,
         ok=ok,
     )
 
@@ -734,7 +743,7 @@ def cli_main(argv=None) -> int:
     args = build_parser(joined).parse_args(joined)
     try:
         if getattr(args, "json", None) is not None:
-            _output_path(args.json)
+            _output_path(args.json, "--json", args)
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, ne
 
-from .geometry import AlphaHyperplane, Point, PointSet, _dots, _exact
+from .geometry import Point, PointSet, _dots, _exact
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -179,20 +179,20 @@ def build_column_construction(t: Tree, n: int) -> ConstructionResult:
     k = t.num_edges
     if k < 1:
         raise ValueError("the construction needs at least one edge")
-    bip = bipartition(t)
-    k1, k2 = bip.k1, bip.k2
+    u, v = bipartition(t)
+    k1, k2 = len(u), len(v)
     if n < k1 + k2:
         raise ValueError(f"n too small: need at least {k1 + k2} points")
     m = (n - k2) // k1
-    u1 = min(bip.u)
-    sequential = {v: i for i, v in enumerate(t.bfs_order(u1), 1)}
+    u1 = min(u)
+    sequential = {x: i for i, x in enumerate(t.bfs_order(u1), 1)}
     abscissa, scheme = _choose_abscissas(t, sequential, u1)
     weights = _edge_weights(t, abscissa)
     free_start = math.isqrt(max(weights)) + 1
     column = range(free_start, free_start + m)
     lines = {
-        v: tuple((abscissa[v], y) for y in column) if v in bip.u else ((abscissa[v], 0),)
-        for v in t.vertices
+        x: tuple((abscissa[x], y) for y in column) if x in u else ((abscissa[x], 0),)
+        for x in t.vertices
     }
     points, fillers = _place(t, n, weights, lines)
     metadata = {
@@ -230,13 +230,13 @@ def build_perp_lines_3d(t: Tree, n: int) -> ConstructionResult:
     if n < 2 * (k + 1):
         raise ValueError(f"n too small: need at least {2 * (k + 1)} points")
     m = n // (k + 1)
-    bip = bipartition(t)
+    u, _ = bipartition(t)
     abscissa, scheme = _choose_abscissas(t, {v: v for v in t.vertices}, 1)
     weights = _edge_weights(t, abscissa)
     free_start = math.isqrt(max(weights)) + 1
     free = range(free_start, free_start + m)
     lines = {
-        v: tuple((abscissa[v], y, 0) if v in bip.u else (abscissa[v], 0, y) for y in free)
+        v: tuple((abscissa[v], y, 0) if v in u else (abscissa[v], 0, y) for y in free)
         for v in t.vertices
     }
     points, fillers = _place(t, n, weights, lines)
@@ -284,11 +284,11 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class LatticeResult:
-    """The lattice E, the dual set F, and one unit-product hyperplane per F point."""
+    """The lattice E and the dual set F; each f of F is the normal of its
+    unit hyperplane f . x = 1, so F is stored once, as points."""
 
     e_points: PointSet
     f_points: PointSet
-    hyperplanes: tuple[AlphaHyperplane, ...]
     metadata: dict
 
 
@@ -316,7 +316,7 @@ def _calibrated_window(
 
 
 def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
-    """Build the lattice E = A^(d-1) x B, the dual F, and their hyperplanes.
+    """Build the lattice E = A^(d-1) x B and the dual F.
 
     Every f = (-c_1/b, ..., -c_(d-1)/b, 1/b) is paired with the hyperplane of
     points x whose last coordinate is c . x' + b; the identity f . x = 1 is
@@ -324,8 +324,8 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     point per (f, x') choice at build time.  F's coordinates come from a
     table of its q^3 + q^2 values, -gamma dq/beta and d^2 q^2/beta, each a
     ``Fraction`` made once, so the build makes no ``Fraction`` per point and
-    hashes none.  Returned hyperplanes are expressed as the unit-value level
-    sets of the F points, which are the same point sets.
+    hashes none.  The hyperplane of f is its unit level set, built from F
+    where it is needed: ``AlphaHyperplane(f, 1)``.
     """
     d, q = spec.dim, spec.q
     denom_a = d * q
@@ -390,7 +390,6 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
         x = tuple(Fraction(v, denom_b) for v in x)
         raise ValueError(f"unit identity failed for f={f_pts[i]}, x={x}")
 
-    hyperplanes = tuple(AlphaHyperplane(f, 1) for f in f_pts)
     metadata = {
         "construction": "unit-lattice",
         "dim": d,
@@ -406,4 +405,4 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     }
     if covered is not None:
         metadata["expected_unit_pairs"] = covered
-    return LatticeResult(e_set, f_set, hyperplanes, metadata)
+    return LatticeResult(e_set, f_set, metadata)

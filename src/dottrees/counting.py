@@ -33,10 +33,10 @@ from typing import NamedTuple, Sequence
 
 from .geometry import (
     AlphaHyperplane,
-    Direction,
     Point,
     PointSet,
     Scalar,
+    _coerce,
     _direction,
     _dots,
     _IntPoint,
@@ -514,9 +514,10 @@ def incidences(points: PointSet, lines: Sequence[AlphaHyperplane]) -> int:
 
 @dataclass(frozen=True)
 class RadialHistogram:
-    """Point counts bucketed by the radial line through the origin."""
+    """Point counts bucketed by the radial line through the origin, each
+    line keyed by its primitive integer tuple (``geometry._direction``)."""
 
-    buckets: dict[Direction, int]
+    buckets: dict[_IntPoint, int]
     total: int
 
     @property
@@ -525,7 +526,7 @@ class RadialHistogram:
 
     def within_cap(self, c: Fraction | int = 1) -> bool:
         """Exact check of max bucket <= c * total^(2/3) for a positive ``c``."""
-        c = Fraction(c)
+        c = Fraction(_coerce(c))
         if c <= 0:
             raise ValueError("cap constant must be positive")
         lhs = self.max_count * c.denominator
@@ -712,9 +713,11 @@ def _affine_rank(ints: Sequence[_IntPoint]) -> int:
 
 @dataclass(frozen=True)
 class DescentLevel:
+    """One descent step: the kept points are those x with pin . x = value."""
+
     pin: Point
     distinct_count: int
-    hyperplane: AlphaHyperplane
+    value: Scalar
     points_remaining: int
 
 
@@ -723,10 +726,11 @@ class DescentTrace:
     """Record of the pigeonhole descent through dot-product level sets.
 
     Each level stores the pin, its distinct dot-product count within the
-    current flat, the chosen heaviest level-set hyperplane, and the points
-    surviving the restriction.  ``reported_count`` is the best pinned
-    lower bound the run witnesses: the maximum of the level counts and the
-    final planar pinned count.
+    current flat, the dot-product value of the chosen heaviest level set (its
+    hyperplane is pin . x = value), and the points surviving the
+    restriction.  ``reported_count`` is the best pinned lower bound the run
+    witnesses: the maximum of the level counts and the final planar pinned
+    count.
     """
 
     levels: tuple[DescentLevel, ...]
@@ -772,9 +776,7 @@ def hyperplane_descent(points: PointSet, *, include_zero: bool = False) -> Desce
                 buckets.setdefault(a, []).append(y)
         best, members = max(buckets.items(), key=lambda item: len(item[1]))
         pin = current.points[i]
-        levels.append(
-            DescentLevel(pin, t, AlphaHyperplane(pin, index.value(best)), len(members))
-        )
+        levels.append(DescentLevel(pin, t, index.value(best), len(members)))
         current = PointSet(d, tuple(members))
     if len(current) >= 2:
         final_pin, final_count = max_pinned(current, include_zero=include_zero)

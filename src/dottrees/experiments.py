@@ -14,6 +14,7 @@ from .constructions import (
     build_unit_lattice,
 )
 from .counting import count_embeddings, incidences
+from .geometry import AlphaHyperplane
 from .trees import Tree
 
 __all__ = [
@@ -94,7 +95,8 @@ def lattice_report(
     runs = []
     for q in qs:
         result = build_unit_lattice(LatticeSpec(d, q))
-        pairs = incidences(result.e_points, result.hyperplanes)
+        planes = [AlphaHyperplane(f, 1) for f in result.f_points.points]
+        pairs = incidences(result.e_points, planes)
         runs.append((len(result.e_points), pairs, None))
     return compare_report(
         "unit-lattice", {"d": d, "mode": "calibrated"}, runs, lattice_exponent(1, d),

@@ -1,4 +1,4 @@
-"""Exact rational geometry: scalars, points, alpha-hyperplanes, radial directions.
+"""Exact rational geometry: scalars, points, alpha-hyperplanes, radial lines.
 
 Every coordinate, dot product, and hyperplane membership test in this package
 is exact.  A scalar is a Python ``int`` when it is integral and a reduced
@@ -15,7 +15,8 @@ reach the engine as points, not as a set, are scaled where they are used:
 the sweep's segment endpoints and the normals of ``incidences``.  `_dots` is
 the one integer dot kernel: the table's rows, the builders' edge-weight
 checks and both lattice identity checks take their products from it, one
-point against columns of points.
+point against columns of points.  A radial line through the origin is a
+plain tuple too: the primitive integer point on it (`_direction`).
 Counts downstream hash and compare these values for equality, so floating
 point never enters a geometric computation.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "Point",
     "PointSet",
     "AlphaHyperplane",
-    "Direction",
     "ParseError",
     "parse_scalar",
     "format_scalar",
@@ -241,38 +241,14 @@ def alpha_hyperplane(p: Point, alpha) -> AlphaHyperplane:
     return AlphaHyperplane(point(*p), alpha)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Canonical primitive integer vector identifying a line through the origin.
-
-    Two points on one radial line map to the same Direction: coordinates are
-    cleared to integers, divided by their gcd, and signed so the first nonzero
-    entry is positive.
-    """
-
-    primitive: tuple[int, ...]
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.primitive):
-            raise ValueError("direction must be nonzero")
-        if math.gcd(*self.primitive) != 1:
-            raise ValueError("direction must be primitive")
-        for c in self.primitive:
-            if c:
-                if c < 0:
-                    raise ValueError("first nonzero coordinate must be positive")
-                break
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.primitive)
-
-
-def _direction(ints: _IntPoint) -> Direction:
-    """A nonzero integer point over the gcd of its coordinates, signed to a Direction."""
+def _direction(ints: _IntPoint) -> _IntPoint:
+    """The radial line of a nonzero integer point: the point over the gcd of
+    its coordinates, signed so its first nonzero coordinate is positive.  Two
+    points on one line through the origin give the same primitive tuple."""
     g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
-    return Direction(tuple(c // g for c in ints))
+    return tuple(c // g for c in ints)
 
 
 # ---------------------------------------------------------------------------

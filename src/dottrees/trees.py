@@ -14,7 +14,6 @@ __all__ = [
     "Tree",
     "WeightVector",
     "WeightedTree",
-    "Bipartition",
     "bipartition",
     "make_path",
     "make_star",
@@ -124,32 +123,11 @@ class WeightedTree:
         return self.weights
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """The two color classes of a tree's proper 2-coloring, larger class first."""
+def bipartition(t: Tree) -> tuple[frozenset[int], frozenset[int]]:
+    """The two color classes ``(u, v)`` of the proper 2-coloring by
+    breadth-first parity from vertex 1.
 
-    u: frozenset[int]
-    v: frozenset[int]
-
-    def __post_init__(self):
-        if self.u & self.v:
-            raise ValueError("classes must be disjoint")
-        if len(self.u) < len(self.v):
-            raise ValueError("u must be the larger class")
-
-    @property
-    def k1(self) -> int:
-        return len(self.u)
-
-    @property
-    def k2(self) -> int:
-        return len(self.v)
-
-
-def bipartition(t: Tree) -> Bipartition:
-    """Proper 2-coloring by breadth-first parity from vertex 1.
-
-    Classes are swapped if needed so the first is at least as large; on a tie
+    Classes are swapped if needed so ``u`` is at least as large; on a tie
     the class containing vertex 1 comes first.
     """
     level: dict[int, int] = {}
@@ -158,8 +136,8 @@ def bipartition(t: Tree) -> Bipartition:
     even = frozenset(v for v in t.vertices if level[v] % 2 == 0)
     odd = frozenset(t.vertices) - even
     if len(odd) > len(even):
-        return Bipartition(odd, even)
-    return Bipartition(even, odd)
+        return odd, even
+    return even, odd
 
 
 def make_path(k: int) -> Tree:

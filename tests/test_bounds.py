@@ -84,6 +84,15 @@ class TestMeetsPowerBound:
         assert not meets_power_bound(-1, 10, Q(1))
         assert not meets_power_bound(0, 10, Q(2))
 
+    @pytest.mark.parametrize("args", [
+        (10.0, 100, Q(1, 2), 1), (10, 100.0, Q(1, 2), 1), (10, 100, 0.5, 1),
+        (10, 100, Q(1, 2), 0.1),
+    ], ids=["value", "n", "exponent", "c"])
+    def test_float_is_not_exact(self, args):
+        # As for a coordinate: 0.1 would be the binary fraction nearest it.
+        with pytest.raises(ValueError, match="is not exact"):
+            meets_power_bound(*args)
+
 
 class TestLogLogFit:
     def test_square_law(self):
@@ -128,6 +137,12 @@ class TestCompareReport:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             compare_report("demo", {}, [], Q(2))
+
+    @pytest.mark.parametrize("exponent,threshold_c", [(Q(1, 2), 0.1), (0.5, Q(1, 8))],
+                             ids=["threshold_c", "exponent"])
+    def test_float_is_not_exact(self, exponent, threshold_c):
+        with pytest.raises(ValueError, match="is not exact"):
+            compare_report("demo", {}, [(4, 2, None)], exponent, threshold_c=threshold_c)
 
     def test_table_rendering(self):
         report = compare_report("demo", {"k": 2}, self._runs(), Q(2), threshold_c=Q(1, 2))

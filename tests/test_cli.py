@@ -755,6 +755,67 @@ class TestUsage:
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         assert run_cli(*argv) == run_cli(*joined) == expected
 
+    # Input files for the output-path checks below; t.json is a tree file.
+    INPUTS = {
+        "a.pts": "d 2\n1 2\n2 1\n3 1\n",
+        "b.pts": "d 2\n1 0\n0 1\n",
+        "t.tree": "k 2\n1 2\n2 3\n",
+        "t.json": "k 2\n1 2\n2 3\n",
+        "l.lines": "1 0 2\n",
+    }
+
+    def _run_on_inputs(self, tmp_path, monkeypatch, argv):
+        """``run_cli(*argv)`` in ``tmp_path`` holding ``INPUTS``; asserts that
+        no file was written or changed."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.INPUTS.items():
+            Path(name).write_text(text)
+        result = run_cli(*argv)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == self.INPUTS
+        return result
+
+    @pytest.mark.parametrize("argv", [
+        ["distinct", "--points", "a.pts", "--json", "a.pts"],
+        ["distinct", "--points", "./a.pts", "--tree", "t.tree", "--json", "../" + "{dir}/a.pts"],
+        ["count", "--tree", "t.tree", "--weights", "1,2", "--points", "a.pts", "--json", "t.tree"],
+        ["pinned", "--points", "a.pts", "--pin-index", "1", "--json", "a.pts"],
+        ["incidence", "--points", "a.pts", "--lines", "l.lines", "--json", "l.lines"],
+        ["incidence", "--points", "a.pts", "--pins", "b.pts", "--alpha", "1", "--json", "b.pts"],
+        ["radial", "--points", "a.pts", "--json", "a.pts"],
+        ["proofgraph", "--points", "a.pts", "--second", "b.pts", "--json", "b.pts"],
+        ["report", "--experiment", "columns", "--tree", "t.tree", "--n", "10", "--json", "t.tree"],
+    ], ids=["distinct", "distinct-spelled", "count", "pinned", "lines", "pins", "radial",
+            "proofgraph", "report"])
+    def test_json_that_is_an_input_is_one_error_line(self, tmp_path, monkeypatch, argv):
+        # Resolved paths are compared, so ../<dir>/a.pts is ./a.pts.
+        argv = [arg.format(dir=tmp_path.name) for arg in argv]
+        assert self._run_on_inputs(tmp_path, monkeypatch, argv) == (
+            2, "", f"error: --json {argv[-1]} is also an input of this command\n"
+        )
+
+    @pytest.mark.parametrize("construction", ["columns", "perplines"])
+    def test_output_that_is_an_input_is_one_error_line(self, tmp_path, monkeypatch, construction):
+        argv = ["generate", "--construction", construction, "--tree", "t.tree", "--n", "10",
+                "-o", "t.tree"]
+        assert self._run_on_inputs(tmp_path, monkeypatch, argv) == (
+            2, "", "error: -o t.tree is also an input of this command\n"
+        )
+
+    def test_sidecar_that_is_an_input_is_one_error_line(self, tmp_path, monkeypatch):
+        argv = ["generate", "--construction", "columns", "--tree", "t.json", "--n", "10",
+                "-o", "t.pts"]
+        assert self._run_on_inputs(tmp_path, monkeypatch, argv) == (
+            2, "", "error: sidecar t.json is also an input of this command\n"
+        )
+
+    def test_builtin_tree_is_no_input_path(self, tmp_path, monkeypatch):
+        # A builtin tree names no file, so an output of that name is written.
+        monkeypatch.chdir(tmp_path)
+        Path("a.pts").write_text(self.INPUTS["a.pts"])
+        argv = ["distinct", "--points", "a.pts", "--tree", "builtin:path:1"]
+        assert run_cli(*argv, "--json", "builtin:path:1") == run_cli(*argv)
+        assert json.loads(Path("builtin:path:1").read_text())["counts"] == {"distinct_tuples": 3}
+
     def test_directory_as_points_is_one_error_line(self, tmp_path):
         code, out, err = run_cli("distinct", "--points", str(tmp_path), "--tree", "builtin:path:2")
         assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")

@@ -25,6 +25,7 @@ from oracles import (
     reference_calibrated_window,
     reference_unit_identity,
     tree_from_edges,
+    unit_planes,
 )
 
 pt = point
@@ -96,14 +97,14 @@ class TestColumnConstruction:
 
     def test_scaling_ratio(self):
         tree = make_path(3)
-        bip = bipartition(tree)
+        u, v = bipartition(tree)
         n = 24
         small = build_column_construction(tree, n)
         large = build_column_construction(tree, 2 * n)
-        m_small = (n - bip.k2) // bip.k1
-        m_large = (2 * n - bip.k2) // bip.k1
-        assert large.predicted_count * m_small**bip.k1 == (
-            small.predicted_count * m_large**bip.k1
+        m_small = (n - len(v)) // len(u)
+        m_large = (2 * n - len(v)) // len(u)
+        assert large.predicted_count * m_small ** len(u) == (
+            small.predicted_count * m_large ** len(u)
         )
 
     def test_filler_never_collides(self):
@@ -362,16 +363,14 @@ class TestUnitLattice:
 
     def test_hyperplane_membership_matches_unit_product(self):
         result = build_unit_lattice(LatticeSpec(2, 3, mode="calibrated"))
-        for f, plane in zip(result.f_points.points, result.hyperplanes):
-            assert plane.normal == f and plane.value == 1
-            for e in result.e_points.points:
-                assert (dot(plane.normal, e) == plane.value) == (dot(e, f) == 1)
+        unit = sum(dot(e, f) == 1 for f in result.f_points.points for e in result.e_points.points)
+        assert incidences(result.e_points, unit_planes(result.f_points)) == unit > 0
 
     def test_paper_mode_misses_lattice(self):
         # With the ranges exactly as printed, no lattice point reaches any
         # hyperplane in the plane; calibrated mode exists for this reason.
         result = build_unit_lattice(LatticeSpec(2, 3, mode="paper"))
-        assert incidences(result.e_points, result.hyperplanes) == 0
+        assert incidences(result.e_points, unit_planes(result.f_points)) == 0
 
     @pytest.mark.parametrize("d,q,pairs", [
         (2, 2, 9), (2, 3, 43), (2, 4, 130), (2, 5, 320), (2, 6, 660), (2, 7, 1233),
@@ -381,14 +380,14 @@ class TestUnitLattice:
         # The prediction comes from the window search, not from any dot
         # product; the frozen counts pin this deterministic construction.
         result = build_unit_lattice(LatticeSpec(d, q, mode="calibrated"))
-        counted = incidences(result.e_points, result.hyperplanes)
+        counted = incidences(result.e_points, unit_planes(result.f_points))
         assert counted == result.metadata["expected_unit_pairs"] == pairs
 
     def test_calibrated_q4_rich_hyperplanes(self):
         result = build_unit_lattice(LatticeSpec(2, 4, mode="calibrated"))
         rich = 0
-        for plane in result.hyperplanes:
-            on_plane = sum(1 for e in result.e_points.points if dot(plane.normal, e) == plane.value)
+        for f in result.f_points.points:
+            on_plane = sum(1 for e in result.e_points.points if dot(f, e) == 1)
             if on_plane >= 2:
                 rich += 1
         assert 2 * rich >= len(result.f_points)

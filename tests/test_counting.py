@@ -460,8 +460,7 @@ class TestRadialHistogram:
     def test_buckets(self):
         ps = point_set([(1, 0), (2, 0), (3, 3)])
         hist = radial_histogram(ps)
-        as_tuples = {d.primitive: c for d, c in hist.buckets.items()}
-        assert as_tuples == {(1, 0): 2, (1, 1): 1}
+        assert hist.buckets == {(1, 0): 2, (1, 1): 1}
         assert hist.max_count == 2
 
     def test_counts_sum(self):
@@ -483,6 +482,11 @@ class TestRadialHistogram:
         with pytest.raises(ValueError, match="positive"):
             hist.within_cap(c)
 
+    def test_float_cap_is_not_exact(self):
+        hist = radial_histogram(point_set([(1, 0), (2, 0), (0, 1)]))
+        with pytest.raises(ValueError, match="float 0.1 is not exact"):
+            hist.within_cap(0.1)
+
     def test_origin_guard(self):
         ps = point_set([(0, 0), (1, 0)])
         with pytest.raises(ValueError):
@@ -493,8 +497,7 @@ class TestRadialHistogram:
     def test_column_construction_shares_x_axis_direction(self):
         result = build_column_construction(make_path(2), 9)
         hist = radial_histogram(result.points)
-        as_tuples = {d.primitive: c for d, c in hist.buckets.items()}
-        assert as_tuples[(1, 0)] == 1  # only the V point sits on the x-axis
+        assert hist.buckets[(1, 0)] == 1  # only the V point sits on the x-axis
 
 
 class TestProofMultigraph:
@@ -818,7 +821,6 @@ class TestHyperplaneDescent:
         best = max(len(pinned_set(p, grid)) for p in grid.points)
         assert level.distinct_count == best
         assert level.points_remaining * level.distinct_count >= len(grid)
-        assert level.hyperplane.normal == level.pin
         assert trace.reported_count >= max(
             [lvl.distinct_count for lvl in trace.levels] + [trace.final_pinned_count]
         )
@@ -850,7 +852,7 @@ class TestHyperplaneDescent:
             assert level.distinct_count == best
             assert sizes[level.pin] == best
             members = [
-                y for y in current if dot(level.pin, y) == level.hyperplane.value
+                y for y in current if dot(level.pin, y) == level.value
             ]
             assert len(members) == level.points_remaining
             heaviest = max(
@@ -896,7 +898,7 @@ class TestHyperplaneDescent:
             heaviest = max(map(len, buckets.values()))
             value = next(v for v, members in buckets.items() if len(members) == heaviest)
             assert (level.pin, level.distinct_count) == (pin, max(sizes))
-            assert level.hyperplane.value == value
+            assert level.value == value
             assert level.points_remaining == heaviest
             current = buckets[value]
         assert trace.final_points == len(current)

@@ -51,16 +51,16 @@ from dottrees.constructions import (
     build_perp_lines_3d,
     build_unit_lattice,
 )
-from dottrees.geometry import _dots, _scaled, format_point_set, is_origin, read_point_set
-from oracles import reference_incidences, reference_pair_counts, reference_proof_graph_edges
+from dottrees.geometry import _dots, _scaled, format_point_set, read_point_set
+from oracles import (
+    reference_incidences,
+    reference_pair_counts,
+    reference_proof_graph_edges,
+    unit_planes,
+)
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
 SCALARS = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
-
-
-def unit_planes(points):
-    """The hyperplane f.x = 1 of every f in ``points`` but the origin."""
-    return [alpha_hyperplane(f, 1) for f in points.points if not is_origin(f)]
 
 
 def _points(dim, min_size=1):
@@ -362,7 +362,7 @@ NO_TABLE_CALLS = {
     "count_homomorphisms": lambda: count_homomorphisms(
         _COLUMNS.weighted_tree, _COLUMNS.points
     ),
-    "incidences": lambda: incidences(_LATTICE.e_points, _LATTICE.hyperplanes),
+    "incidences": lambda: incidences(_LATTICE.e_points, unit_planes(_LATTICE.f_points)),
 }
 
 
@@ -510,7 +510,7 @@ def test_pair_counts_hash_no_fraction(fraction_hashes, left, right, include_zero
 def test_incidences_scale_only_the_normals(scalings, fraction_hashes):
     # Every hyperplane value is the int 1, so no Fraction is hashed: the
     # normals are grouped on their ints.
-    planes = _LATTICE.hyperplanes
+    planes = unit_planes(_LATTICE.f_points)
     fraction_hashes.clear()
     count = incidences(_LATTICE.e_points, planes)
     assert fraction_hashes == []

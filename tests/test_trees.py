@@ -110,19 +110,17 @@ class TestGenerators:
 
 class TestBipartition:
     def test_path_three(self):
-        b = bipartition(make_path(2))
-        assert b.u == frozenset({1, 3}) and b.v == frozenset({2})
+        assert bipartition(make_path(2)) == (frozenset({1, 3}), frozenset({2}))
 
     def test_star_center_is_small_class(self):
-        b = bipartition(make_star(3))
-        assert b.u == frozenset({2, 3, 4}) and b.v == frozenset({1})
+        assert bipartition(make_star(3)) == (frozenset({2, 3, 4}), frozenset({1}))
 
     def test_perfect_binary_level_parity(self):
         # Levels 0, 1, 2 hold 1, 2, 4 vertices; even levels form the larger
         # class {root, grandchildren}.
-        b = bipartition(make_perfect_binary(2))
-        assert (b.k1, b.k2) == (5, 2)
-        assert b.u == frozenset({1, 4, 5, 6, 7})
+        u, v = bipartition(make_perfect_binary(2))
+        assert (len(u), len(v)) == (5, 2)
+        assert u == frozenset({1, 4, 5, 6, 7})
 
     def test_proper_coloring_and_sizes(self):
         rng = random.Random(5)
@@ -130,11 +128,11 @@ class TestBipartition:
             n = rng.randint(2, 12)
             edges = [(rng.randint(1, i), i + 1) for i in range(1, n)]
             t = tree_from_edges(n, edges)
-            b = bipartition(t)
-            assert b.k1 + b.k2 == t.num_vertices
-            assert b.k1 >= -(-t.num_vertices // 2)
+            u, v = bipartition(t)
+            assert len(u) + len(v) == t.num_vertices
+            assert len(u) >= -(-t.num_vertices // 2)
             for a, c in t.edges:
-                assert (a in b.u) != (c in b.u)
+                assert (a in u) != (c in u)
 
 
 class TestTreeFormat:
