@@ -5,22 +5,22 @@ constant-threshold checks at desk scale, and reports a deterministic result
 line.  Each check body returns ``(passed, details)``; one decorator,
 ``_criterion``, times it, applies its time limit and builds the result.
 Criteria 2 and 4 read their counts from the report drivers
-``perplines_report`` and ``lattice_report``.  ``run_criteria`` drives them
-all; the CLI ``verify`` subcommand and the test suite both call into this
-module.
+``perplines_report`` and ``lattice_report``; criterion 3 counts the failures
+of the builder's own check, ``constructions._unit_identity_failures``.
+``run_criteria`` drives them all; the CLI ``verify`` subcommand and the test
+suite both call into this module.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, ne
+from operator import mul
 
 from .bounds import (
     distinct_tuples_exponent,
@@ -30,8 +30,8 @@ from .bounds import (
     pinned_exponent,
 )
 from .constructions import (
-    LatticeResult,
     LatticeSpec,
+    _unit_identity_failures,
     build_column_construction,
     build_perp_lines_3d,
     build_unit_lattice,
@@ -46,7 +46,7 @@ from .counting import (
     radial_histogram,
 )
 from .experiments import lattice_report, perplines_report
-from .geometry import PointSet, _dots, _scaled, integer_grid, point_set, random_point_set
+from .geometry import PointSet, _scaled, integer_grid, point_set, random_point_set
 from .trees import bipartition, make_path, make_perfect_binary, make_star
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
@@ -125,40 +125,16 @@ def criterion_2():
     return exact and flagged and report["pass"], details
 
 
-def _unit_identity_failures(result: LatticeResult) -> tuple[int, int]:
-    """(checks, failures) of f.x = 1, each f of F against the points x of its
-    unit hyperplane, with (c, b) from the recorded numerator ranges in the
-    builder's order, not from f.  Every x is X/L for integers X and
-    L = lcm(da^2, db).  One prefix x' at a time, every dual point is checked
-    at once over columns: the last coordinates c . x' + b, then F . X."""
-    meta = result.metadata
-    a_lo, a_hi = meta["a_numerators"]
-    b_lo, b_hi = meta["f_b_numerators"]
-    da, db = meta["a_denominator"], meta["b_denominator"]
-    scale = math.lcm(da * da, db)
-    prefixes = list(itertools.product(range(a_lo, a_hi + 1), repeat=meta["dim"] - 1))
-    params = itertools.product(prefixes, range(b_lo, b_hi + 1))
-    f_ints, f_scale = _scaled(result.f_points.points)
-    f_ints, params = zip(*zip(f_ints, params))
-    *f_cols, f_last = zip(*f_ints)
-    gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
-    kc, kb = scale // (da * da), scale // db
-    failures = 0
-    for xi in prefixes:
-        head = tuple(v * (scale // da) for v in xi)
-        lasts = _dots(tuple(v * kc for v in xi) + (kb,), gamma_beta)
-        fx = map(add, _dots(head, f_cols), map(mul, f_last, lasts))
-        failures += sum(map(ne, fx, itertools.repeat(f_scale * scale)))
-    return len(f_ints) * len(prefixes), failures
-
-
 @_criterion(3, "lattice-unit-identity")
 def criterion_3():
-    """Unit identity f.x = 1 exactly, for every hyperplane and lattice slice."""
-    checks, failures = map(sum, zip(*(
-        _unit_identity_failures(build_unit_lattice(LatticeSpec(d, q, mode="paper")))
-        for d in (2, 3) for q in (2, 3, 4)
-    )))
+    """Unit identity f.x = 1 exactly, for every hyperplane and lattice slice,
+    rechecked by the builder's own routine: len(F) q^(d-1) pairs a lattice."""
+    checks = failures = 0
+    for d in (2, 3):
+        for q in (2, 3, 4):
+            lattice = build_unit_lattice(LatticeSpec(d, q, mode="paper"))
+            checks += len(lattice.f_points) * q ** (d - 1)
+            failures += len(_unit_identity_failures(lattice.f_points, lattice.metadata))
     return failures == 0, f"{checks} exact identity checks, {failures} failures"
 
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .geometry import _coerce
+from .geometry import _check_ints, _coerce
 
 __all__ = [
     "distinct_tuples_exponent",
@@ -30,13 +30,9 @@ __all__ = [
 
 
 def _require_k(k: int) -> None:
+    _check_ints(k=k)
     if k < 1:
         raise ValueError("k must be at least 1")
-
-
-def _require_d(d: int) -> None:
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
 
 
 def distinct_tuples_exponent(k: int) -> Fraction:
@@ -47,7 +43,7 @@ def distinct_tuples_exponent(k: int) -> Fraction:
 
 def pinned_exponent(d: int) -> Fraction:
     """Pinned dot-product exponent 2/(2d-1) in dimension d."""
-    _require_d(d)
+    _check_ints(dimension=d)
     return Fraction(2, 2 * d - 1)
 
 
@@ -60,12 +56,13 @@ def column_exponent(k: int) -> Fraction:
 def lattice_exponent(k: int, d: int) -> Fraction:
     """Copy-count exponent 1 + k(d-1)/(d+1) realized by the unit lattice."""
     _require_k(k)
-    _require_d(d)
+    _check_ints(dimension=d)
     return 1 + Fraction(k * (d - 1), d + 1)
 
 
 def binary_tree_upper_exponent(h: int) -> Fraction:
     """Upper-bound exponent 2^h for copies of a perfect binary tree of height h."""
+    _check_ints(h=h)
     if h < 0:
         raise ValueError("height must be nonnegative")
     return Fraction(2**h)
@@ -114,14 +111,15 @@ def loglog_fit(series: Sequence[tuple[int, int]]) -> float:
 
     Needs at least three points with distinct n and positive counts.
     """
-    pts = [(int(n), int(c)) for n, c in series]
-    if len({n for n, _ in pts}) < 3:
+    for n, c in series:
+        _check_ints(n=n, count=c)
+    if len({n for n, _ in series}) < 3:
         raise ValueError("need at least three distinct n values")
-    for n, c in pts:
+    for n, c in series:
         if n <= 0 or c <= 0:
             raise ValueError("n and count must be positive")
-    xs = [math.log(n) for n, _ in pts]
-    ys = [math.log(c) for _, c in pts]
+    xs = [math.log(n) for n, _ in series]
+    ys = [math.log(c) for _, c in series]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     sxx = sum((x - mean_x) ** 2 for x in xs)
@@ -153,9 +151,11 @@ def compare_report(
     exponent = Fraction(_coerce(exponent))
     checks = []
     for n, count, predicted in runs:
-        n, count = int(n), int(count)
+        _check_ints(n=n, count=count)
+        if predicted is not None:
+            _check_ints(predicted=predicted)
         bound_ok = meets_power_bound(count, n, exponent, threshold_c)
-        equal_ok = None if predicted is None else count == int(predicted)
+        equal_ok = None if predicted is None else count == predicted
         checks.append({"n": n, "count": count, "bound_ok": bound_ok, "equal_ok": equal_ok})
     series = [(check["n"], check["count"]) for check in checks]
     fit_slope = None

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, ne
 
-from .geometry import Point, PointSet, _dots, _exact
+from .geometry import Point, PointSet, _check_ints, _dots, _exact
 from .trees import Tree, WeightedTree, bipartition
 
 __all__ = [
@@ -274,8 +274,7 @@ class LatticeSpec:
     mode: str = "calibrated"
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dimension must be at least 2")
+        _check_ints(dimension=self.dim, q=self.q)
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if self.mode not in ("paper", "calibrated"):
@@ -315,17 +314,45 @@ def _calibrated_window(
     return best_lo, best_lo + width - 1, covered(best_lo)
 
 
+def _unit_identity_failures(
+    f_points: PointSet, metadata: dict
+) -> list[tuple[int, tuple[Fraction, ...]]]:
+    """The pairs (i, x), f-major, where the i-th dual point f has f . x != 1
+    at a point x of its unit hyperplane; the builder and criterion 3 run it.
+
+    Each f's (c, b) = (gamma/(dq), beta/D) comes from the recorded ranges, in
+    the builder's order, not from f.  With D = d^2 q^2 = (dq)^2, x = X/D for
+    ints X = (xi dq, gamma . xi + beta): f . x = 1 is F . X = L_F D on F's
+    scaled ints, checked for every f at once per prefix xi, over columns."""
+    a_lo, a_hi = metadata["a_numerators"]
+    b_lo, b_hi = metadata["f_b_numerators"]
+    da, db = metadata["a_denominator"], metadata["b_denominator"]
+    prefixes = list(itertools.product(range(a_lo, a_hi + 1), repeat=metadata["dim"] - 1))
+    params = itertools.product(prefixes, range(b_lo, b_hi + 1))
+    gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
+    f_ints, f_scale = f_points.scaled
+    *f_cols, f_last = zip(*f_ints)
+    bad = []
+    for xi in prefixes:
+        head = tuple(v * da for v in xi)
+        lasts = list(_dots(xi + (1,), gamma_beta))
+        fx = map(add, _dots(head, f_cols), map(mul, f_last, lasts))
+        fails = itertools.compress(itertools.count(), map(ne, fx, itertools.repeat(f_scale * db)))
+        bad += ((i, head + (lasts[i],)) for i in fails)
+    return [(i, tuple(Fraction(v, db) for v in x)) for i, x in sorted(bad)]
+
+
 def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     """Build the lattice E = A^(d-1) x B and the dual F.
 
     Every f = (-c_1/b, ..., -c_(d-1)/b, 1/b) is paired with the hyperplane of
     points x whose last coordinate is c . x' + b; the identity f . x = 1 is
-    verified on F's scaled integers (``PointSet.scaled``) for one synthesized
-    point per (f, x') choice at build time.  F's coordinates come from a
-    table of its q^3 + q^2 values, -gamma dq/beta and d^2 q^2/beta, each a
-    ``Fraction`` made once, so the build makes no ``Fraction`` per point and
-    hashes none.  The hyperplane of f is its unit level set, built from F
-    where it is needed: ``AlphaHyperplane(f, 1)``.
+    checked by ``_unit_identity_failures`` for one synthesized point per
+    (f, x') choice at build time, its first failure a ``ValueError``.  F's
+    coordinates come from a table of its q^3 + q^2 values, -gamma dq/beta and
+    d^2 q^2/beta, each a ``Fraction`` made once, so the build makes no
+    ``Fraction`` per point and hashes none.  The hyperplane of f is its unit
+    level set, built from F where it is needed: ``AlphaHyperplane(f, 1)``.
     """
     d, q = spec.dim, spec.q
     denom_a = d * q
@@ -351,7 +378,6 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     # With c = gamma/(dq), b = beta/D and D = d^2 q^2, -c_j/b is
     # -gamma_j dq/beta and 1/b is D/beta: one value per (g, beta) and one
     # per beta, each made once and shared by every f that holds it.
-    params = list(itertools.product(prefixes, b_nums_f))
     f_coords = [
         (
             {g: _exact(Fraction(-g * denom_a, beta)) for g in a_nums},
@@ -366,29 +392,6 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     )
     e_set = PointSet(d, e_pts)
     f_set = PointSet(d, f_pts)
-
-    # The displayed identity: any x on h_f has f . x = 1, exactly.  Here
-    # x = X/D for the integers X = (xi dq, gamma . xi + beta); F scaled by
-    # L_F gives f . x = 1 exactly when F . X = L_F D.  One prefix xi at a
-    # time, every dual point is checked at once over columns: the last
-    # coordinates gamma . xi + beta, then F . X.  A failure names the first
-    # failing f, and the first failing xi for that f.
-    f_ints, f_scale = f_set.scaled
-    *f_cols, f_last = zip(*f_ints)
-    gamma_beta = list(zip(*(gamma + (beta,) for gamma, beta in params)))
-    bad = []
-    for k, xi in enumerate(prefixes):
-        lasts = _dots(xi + (1,), gamma_beta)
-        fx = map(add, _dots(tuple(v * denom_a for v in xi), f_cols), map(mul, f_last, lasts))
-        fails = list(map(ne, fx, itertools.repeat(f_scale * denom_b)))
-        if True in fails:
-            bad.append((fails.index(True), k))
-    if bad:
-        i, k = min(bad)
-        (gamma, beta), xi = params[i], prefixes[k]
-        x = tuple(v * denom_a for v in xi) + (sum(map(mul, gamma, xi)) + beta,)
-        x = tuple(Fraction(v, denom_b) for v in x)
-        raise ValueError(f"unit identity failed for f={f_pts[i]}, x={x}")
 
     metadata = {
         "construction": "unit-lattice",
@@ -405,4 +408,8 @@ def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:
     }
     if covered is not None:
         metadata["expected_unit_pairs"] = covered
+    failures = _unit_identity_failures(f_set, metadata)
+    if failures:
+        i, x = failures[0]
+        raise ValueError(f"unit identity failed for f={f_pts[i]}, x={x}")
     return LatticeResult(e_set, f_set, metadata)

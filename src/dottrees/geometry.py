@@ -190,8 +190,7 @@ class PointSet:
     scaled: tuple[tuple[_IntPoint, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        _check_ints(dimension=self.dim)
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(
@@ -316,8 +315,9 @@ def format_point_set(ps: PointSet) -> str:
 
 
 def _check_ints(**values) -> None:
-    """A generator's checks: each of ``values`` an int, a ``dimension``
-    among them at least 2; the error names the first value that fails."""
+    """The package's int arguments: each of ``values`` an int, a
+    ``dimension`` among them at least 2; the error names the first value
+    that fails."""
     for name, value in values.items():
         if not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")

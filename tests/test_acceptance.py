@@ -17,10 +17,10 @@ import pytest
 
 from dottrees import PointSet, dot, pinned_set, point_set, random_point_set
 from dottrees import acceptance, experiments
-from dottrees.acceptance import _recount_edges, _unit_identity_failures, run_criteria
+from dottrees.acceptance import _recount_edges, run_criteria
 from dottrees.bounds import meets_power_bound
 from dottrees.cli import cli_main
-from dottrees.constructions import LatticeSpec, build_unit_lattice
+from dottrees.constructions import LatticeSpec, _unit_identity_failures, build_unit_lattice
 from dottrees.counting import count_embeddings
 from dottrees.experiments import lattice_report
 from oracles import reference_unit_identity
@@ -84,12 +84,13 @@ def test_criterion_03_lattice_unit_identity():
     assert result.passed, result.details
 
 
-def _perturbed(result, at=0):
-    """The lattice with the last coordinate of the dual point at position
-    ``at`` moved, so that point is off its unit hyperplane."""
+def _perturbed(result, at=0, coordinate=-1):
+    """The lattice with one coordinate of the dual point at position ``at``
+    moved, the last by default, so that point is off its unit hyperplane."""
     points = list(result.f_points.points)
-    f = points[at]
-    points[at] = f[:-1] + (f[-1] + Fraction(1, 10**6),)
+    f = list(points[at])
+    f[coordinate] += Fraction(1, 10**6)
+    points[at] = tuple(f)
     return replace(result, f_points=PointSet(result.f_points.dim, tuple(points)))
 
 
@@ -105,17 +106,23 @@ def test_criterion_03_fails_on_a_perturbed_lattice(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("mode", ["paper", "calibrated"])
-@pytest.mark.parametrize("part", [None, "point"])
+@pytest.mark.parametrize("part", [None, "point", "head"])
 def test_unit_identity_integer_check_matches_fraction_reference(d, q, mode, part):
     lattice = build_unit_lattice(LatticeSpec(d, q, mode=mode))
     # The first, a middle and the last dual point, so every column position
-    # of the check is reached.
+    # of the check is reached; "point" moves the last coordinate, which every
+    # x of the hyperplane meets in the last column, and "head" the first,
+    # which it meets in the head columns.
     for at in (0, len(lattice.f_points) // 2, -1):
-        result = lattice if part is None else _perturbed(lattice, at)
-        checks, failures = _unit_identity_failures(result)
-        assert (checks, failures) == reference_unit_identity(result)
-        assert checks == len(result.f_points) * q ** (d - 1)
-        assert failures == (0 if part is None else q ** (d - 1))
+        result = lattice if part is None else _perturbed(lattice, at, {"point": -1, "head": 0}[part])
+        failed = _unit_identity_failures(result.f_points, result.metadata)
+        checks = len(result.f_points) * q ** (d - 1)
+        assert (checks, len(failed)) == reference_unit_identity(result)
+        assert len(failed) == (0 if part is None else q ** (d - 1))
+        # Each failing pair names its dual point, f-major, and a point of
+        # that dual point's hyperplane at which f . x is not 1.
+        assert [i for i, _ in failed] == [at % len(result.f_points)] * len(failed)
+        assert all(dot(result.f_points.points[i], x) != 1 for i, x in failed)
 
 
 def test_criterion_04_lattice_unit_richness():

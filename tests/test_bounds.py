@@ -61,6 +61,22 @@ class TestExponentFormulas:
         with pytest.raises(ValueError):
             binary_tree_upper_exponent(-1)
 
+    def test_height_is_an_int(self):
+        # 2**1.5 would make a float, turned into a long binary Fraction.
+        with pytest.raises(ValueError, match=r"^h must be an int, got 1\.5$"):
+            binary_tree_upper_exponent(1.5)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: lattice_exponent(1.5, 2), r"k must be an int, got 1\.5"),
+        (lambda: lattice_exponent(2, 2.0), r"dimension must be an int, got 2\.0"),
+        (lambda: pinned_exponent(3.0), r"dimension must be an int, got 3\.0"),
+        (lambda: distinct_tuples_exponent("2"), "k must be an int, got '2'"),
+        (lambda: pinned_exponent(1), "dimension must be at least 2, got 1"),
+    ], ids=["k", "lattice-dimension", "pinned-dimension", "k-string", "dimension-1"])
+    def test_k_and_dimension_are_ints(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestMeetsPowerBound:
     def test_integer_exponent(self):
@@ -111,6 +127,16 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             loglog_fit([(10, 0), (20, 400), (40, 1600)])
 
+    @pytest.mark.parametrize("first,message", [
+        ((2.5, 3), r"n must be an int, got 2\.5"),
+        (("2", 3), "n must be an int, got '2'"),
+        ((2, 3.0), r"count must be an int, got 3\.0"),
+    ], ids=["float-n", "string-n", "float-count"])
+    def test_series_takes_ints(self, first, message):
+        # int() used to truncate these into a fit of (2, 3), (4, 5), (8, 9).
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loglog_fit([first, (4, 5), (8, 9)])
+
 
 class TestCompareReport:
     def _runs(self):
@@ -143,6 +169,17 @@ class TestCompareReport:
     def test_float_is_not_exact(self, exponent, threshold_c):
         with pytest.raises(ValueError, match="is not exact"):
             compare_report("demo", {}, [(4, 2, None)], exponent, threshold_c=threshold_c)
+
+    @pytest.mark.parametrize("run,message", [
+        ((4, 3, Q(7, 2)), r"predicted must be an int, got Fraction\(7, 2\)"),
+        ((4, 3, 3.9), r"predicted must be an int, got 3\.9"),
+        ((4.5, 2.9, None), r"n must be an int, got 4\.5"),
+        ((4, 2.9, None), r"count must be an int, got 2\.9"),
+    ], ids=["fraction-predicted", "float-predicted", "float-n", "float-count"])
+    def test_runs_take_ints(self, run, message):
+        # int() used to truncate these, so a count of 3 equalled 7/2.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare_report("demo", {}, [run], Q(1, 2), threshold_c=1)
 
     def test_table_rendering(self):
         report = compare_report("demo", {"k": 2}, self._runs(), Q(2), threshold_c=Q(1, 2))

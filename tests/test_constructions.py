@@ -438,3 +438,12 @@ class TestUnitLattice:
             LatticeSpec(2, 1)
         with pytest.raises(ValueError):
             LatticeSpec(2, 4, mode="exotic")
+
+    def test_spec_takes_ints(self):
+        for args, message in (
+            ((2.0, 4), r"dimension must be an int, got 2\.0"),
+            ((2, 4.5), r"q must be an int, got 4\.5"),
+            ((1, 4), "dimension must be at least 2, got 1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                LatticeSpec(*args)

@@ -252,6 +252,11 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(1, ((Q(1),),))
 
+    def test_dimension_is_an_int(self):
+        # A float dimension was once written as "d 2.0", which no reader takes.
+        with pytest.raises(ValueError, match=r"^dimension must be an int, got 2\.0$"):
+            PointSet(2.0, ((1, 2), (3, 4)))
+
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             point_set([(1, 0), (1, 0, 0)])
