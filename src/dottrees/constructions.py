@@ -316,14 +316,16 @@ def _calibrated_window(
 
 def _unit_identity_failures(
     f_points: PointSet, metadata: dict
-) -> list[tuple[int, tuple[Fraction, ...]]]:
+) -> list[tuple[int, tuple[Fraction, ...] | None]]:
     """The pairs (i, x), f-major, where the i-th dual point f has f . x != 1
     at a point x of its unit hyperplane; the builder and criterion 3 run it.
 
     Each f's (c, b) = (gamma/(dq), beta/D) comes from the recorded ranges, in
     the builder's order, not from f.  With D = d^2 q^2 = (dq)^2, x = X/D for
     ints X = (xi dq, gamma . xi + beta): f . x = 1 is F . X = L_F D on F's
-    scaled ints, checked for every f at once per prefix xi, over columns."""
+    scaled ints, checked for every f at once per prefix xi, over columns.
+    An F longer or shorter than the ranges also fails once per index i that
+    only one of the two reaches, as (i, None), after the pairs."""
     a_lo, a_hi = metadata["a_numerators"]
     b_lo, b_hi = metadata["f_b_numerators"]
     da, db = metadata["a_denominator"], metadata["b_denominator"]
@@ -339,7 +341,10 @@ def _unit_identity_failures(
         fx = map(add, _dots(head, f_cols), map(mul, f_last, lasts))
         fails = itertools.compress(itertools.count(), map(ne, fx, itertools.repeat(f_scale * db)))
         bad += ((i, head + (lasts[i],)) for i in fails)
-    return [(i, tuple(Fraction(v, db) for v in x)) for i, x in sorted(bad)]
+    unpaired = range(*sorted((len(f_ints), len(gamma_beta[0]))))
+    return [(i, tuple(Fraction(v, db) for v in x)) for i, x in sorted(bad)] + [
+        (i, None) for i in unpaired
+    ]
 
 
 def build_unit_lattice(spec: LatticeSpec) -> LatticeResult:

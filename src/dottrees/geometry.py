@@ -5,7 +5,7 @@ is exact.  A scalar is a Python ``int`` when it is integral and a reduced
 ``fractions.Fraction`` otherwise (``_exact``), so integer point sets, the
 paper's extremal configurations among them, never build a ``Fraction``; both
 types hash and compare alike, so ``2`` and ``Fraction(2)`` are one value.
-The counters' all-pairs table and the lattice identity checks multiply
+The counters' all-pairs table and the lattice identity check multiply
 Python ints after scaling each set by the lcm of its denominators (`_scaled`),
 so each product converts back to its exact scalar.  A `PointSet` scales its
 points once, at construction (`PointSet.scaled`), and checks them for
@@ -14,7 +14,7 @@ duplicates on those ints, so building or parsing a set hashes no
 reach the engine as points, not as a set, are scaled where they are used:
 the sweep's segment endpoints and the normals of ``incidences``.  `_dots` is
 the one integer dot kernel: the table's rows, the builders' edge-weight
-checks and both lattice identity checks take their products from it, one
+checks and the lattice identity check take their products from it, one
 point against columns of points.  A radial line through the origin is a
 plain tuple too: the primitive integer point on it (`_direction`).
 Counts downstream hash and compare these values for equality, so floating

@@ -9,7 +9,7 @@ tuple set for the tests to compare with the oracles'.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 
 from dottrees import PointSet, WeightedTree, alpha_hyperplane, dot
 from dottrees.counting import DotProductIndex, _search_order, _weight_tuple_masks
@@ -310,7 +310,8 @@ def reference_unit_identity(result) -> tuple[int, int]:
 
     Each dual point's (c, b) comes from the recorded numerator ranges, in the
     builder's order (prefixes, then b); every x = (x', c . x' + b) must have
-    f . x = 1.
+    f . x = 1.  A dual point beyond the ranges, or a (c, b) with no dual
+    point, is one failure and no check.
     """
     meta = result.metadata
     a_lo, a_hi = meta["a_numerators"]
@@ -319,7 +320,11 @@ def reference_unit_identity(result) -> tuple[int, int]:
     b_vals = [Fraction(j, meta["b_denominator"]) for j in range(b_lo, b_hi + 1)]
     prefixes = list(product(a_vals, repeat=meta["dim"] - 1))
     checks = failures = 0
-    for f, (c, b) in zip(result.f_points.points, product(prefixes, b_vals)):
+    for f, params in zip_longest(result.f_points.points, product(prefixes, b_vals)):
+        if f is None or params is None:
+            failures += 1
+            continue
+        c, b = params
         for x_prefix in prefixes:
             x = x_prefix + (sum(ci * xi for ci, xi in zip(c, x_prefix)) + b,)
             checks += 1

@@ -91,7 +91,18 @@ def _perturbed(result, at=0, coordinate=-1):
     f = list(points[at])
     f[coordinate] += Fraction(1, 10**6)
     points[at] = tuple(f)
+    return _with_dual(result, points)
+
+
+def _with_dual(result, points):
+    """The lattice with its dual set replaced by ``points``."""
     return replace(result, f_points=PointSet(result.f_points.dim, tuple(points)))
+
+
+def _appended(result):
+    """The lattice with one dual point appended that has no recorded (c, b)."""
+    extra = tuple(range(7, 7 + 2 * result.f_points.dim, 2))
+    return _with_dual(result, result.f_points.points + (extra,))
 
 
 def test_criterion_03_fails_on_a_perturbed_lattice(monkeypatch):
@@ -101,6 +112,37 @@ def test_criterion_03_fails_on_a_perturbed_lattice(monkeypatch):
     result = acceptance.criterion_3()
     assert not result.passed
     assert result.details == "5242 exact identity checks, 38 failures"
+
+
+def test_criterion_03_fails_on_an_appended_dual_point(monkeypatch):
+    # Each of the six lattices fails once, by the appended point's index.
+    build = acceptance.build_unit_lattice
+    monkeypatch.setattr(acceptance, "build_unit_lattice", lambda spec: _appended(build(spec)))
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert result.details.endswith(" exact identity checks, 6 failures")
+
+
+def test_unit_identity_fails_an_appended_dual_point():
+    # (7, 9) has no (c, b) in the recorded ranges, so it fails by its index
+    # alone, with no x; the eight recorded dual points all pass.
+    lattice = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))
+    result = _appended(lattice)
+    assert result.f_points.points[-1] == (7, 9)
+    assert _unit_identity_failures(result.f_points, result.metadata) == [(8, None)]
+    assert reference_unit_identity(result) == (16, 1)
+
+
+def test_unit_identity_fails_a_dropped_dual_point():
+    # Without the first dual point each later f meets the (c, b) of the one
+    # before it: 13 of its 14 points fail, and the eighth (c, b), which no f
+    # is left to meet, fails once by its index.
+    lattice = build_unit_lattice(LatticeSpec(2, 2, mode="paper"))
+    result = _with_dual(lattice, lattice.f_points.points[1:])
+    failed = _unit_identity_failures(result.f_points, result.metadata)
+    assert (len(failed), failed[-1]) == (14, (7, None))
+    assert all(x is not None and dot(result.f_points.points[i], x) != 1 for i, x in failed[:-1])
+    assert reference_unit_identity(result) == (14, 14)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from dottrees import cli
+from dottrees import WeightedTree, cli, make_path, make_star, read_point_set
 from dottrees.cli import build_parser, cli_main
-from dottrees.trees import make_path
+from oracles import naive_count_homomorphisms, reference_count_embeddings
 
 
 def run_cli(*argv):
@@ -194,6 +194,19 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tree", ["star:5", "path:1"])
+    @pytest.mark.parametrize("construction", ["columns", "perplines"])
+    def test_count_meets_the_sidecar_prediction(self, tmp_path, construction, tree):
+        out = tmp_path / "c.pts"
+        argv = ["--tree", f"builtin:{tree}"]
+        assert run_cli("generate", "--construction", construction, *argv, "--n", "30",
+                       "-o", str(out))[0] == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        weights = ",".join(sidecar["weights"])
+        assert run_cli("count", *argv, "--weights", weights, "--points", str(out)) == (
+            0, f"{sidecar['predicted_count']}\n", ""
+        )
+
     @pytest.mark.parametrize("taken", ["out_F.pts", "out.json"])
     def test_every_output_path_checked_before_writing(self, tmp_path, taken):
         # The dual set and the sidecar are checked with -o, so a directory at
@@ -231,6 +244,22 @@ class TestCount:
             "--points", str(columns_pts), "--homomorphisms",
         )
         assert int(hom) >= int(emb)
+
+    def test_homomorphisms_of_a_star_match_naive(self, tmp_path):
+        # The star-3 columns construction at n=10: its sidecar weights,
+        # counted as homomorphisms, agree with the naive count over all maps
+        # and reach the predicted embedding count.
+        out = tmp_path / "s.pts"
+        assert run_cli("generate", "--construction", "columns", "--tree", "builtin:star:3",
+                       "--n", "10", "-o", str(out))[0] == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        code, homs, _ = run_cli("count", "--homomorphisms", "--tree", "builtin:star:3",
+                                "--weights", ",".join(sidecar["weights"]), "--points", str(out))
+        wt = WeightedTree(make_star(3), tuple(map(Fraction, sidecar["weights"])))
+        with out.open() as stream:
+            naive = naive_count_homomorphisms(wt, read_point_set(stream))
+        assert code == 0
+        assert int(homs) == naive >= sidecar["predicted_count"]
 
     def test_count_without_weights_usage_error(self, columns_pts):
         code, _, err = run_cli(
@@ -323,6 +352,20 @@ class TestDistinct:
         )
         assert code == 0
         assert int(out.strip()) > 0
+
+    @pytest.mark.parametrize("tree", ["path:13", "binary:14"])
+    def test_tree_larger_than_the_set_gives_0_at_once(self, tmp_path, tree):
+        # 14 and 32,767 vertices on 12 points: no map is injective, so no
+        # placement is searched, within a timeout the search would overrun.
+        pts = tmp_path / "r.pts"
+        assert run_cli("generate", "--construction", "random", "--n", "12", "--seed", "3",
+                       "-o", str(pts))[0] == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "dottrees", "distinct", "--points", str(pts),
+             "--tree", f"builtin:{tree}"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 class TestPinned:
@@ -540,6 +583,15 @@ class TestProofgraph:
         assert "max multiplicity 2" in out
         assert "t = max pinned cardinality (per proof usage): 2" in out
 
+    def test_second_set_equal_to_the_first(self, tmp_path):
+        # --second P draws the same graph as P alone.
+        pts = tmp_path / "r.pts"
+        assert run_cli("generate", "--construction", "random", "--n", "60", "--seed", "1",
+                       "-o", str(pts))[0] == 0
+        alone = run_cli("proofgraph", "--points", str(pts))
+        assert alone[0] == 0 and "drawing crossings" in alone[1]
+        assert run_cli("proofgraph", "--points", str(pts), "--second", str(pts)) == alone
+
 
 class TestReport:
     def test_columns_report(self, tmp_path):
@@ -567,6 +619,26 @@ class TestReport:
         )
         assert code == 0
         assert "4/3" in out
+
+    def test_lattice_report_in_three_dimensions(self):
+        code, out, err = run_cli("report", "--experiment", "lattice", "--d", "3", "--q", "2,3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "params:     d=3, mode=calibrated",
+            "predicted exponent 3/2, threshold c = 1/16",
+            "       n           count   bound   equal",
+            "      16              26      ok       -",
+            "      81             283      ok       -",
+            "PASS",
+        ]
+
+    @pytest.mark.parametrize("experiment", ["columns", "perplines"])
+    def test_single_edge_series(self, experiment):
+        code, out, err = run_cli(
+            "report", "--experiment", experiment, "--tree", "builtin:path:1", "--n", "4,8,16"
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("\nPASS\n")
 
     def test_report_needs_args(self):
         code, out, err = run_cli("report", "--experiment", "columns")
@@ -690,6 +762,17 @@ class TestUsage:
         argv[2] = str(columns_pts)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
+    def test_points_read_from_redirected_stdin(self, columns_pts):
+        # Redirected from a file, /dev/stdin reads that file.
+        argv = ["distinct", "--points", "/dev/stdin", "--tree", "builtin:star:3"]
+        with columns_pts.open() as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dottrees", *argv], stdin=stdin,
+                env=subprocess_env(), capture_output=True, text=True, timeout=60,
+            )
+        argv[2] = str(columns_pts)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
+
     def test_utf8_input_under_c_locale(self, tmp_path):
         # .pts is UTF-8 text whatever the locale's encoding: under the C
         # locale, with UTF-8 mode off, a non-ASCII comment still reads.
@@ -754,6 +837,27 @@ class TestUsage:
         Path("pin.pts").write_text("d 2\n1 0\n")
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         assert run_cli(*argv) == run_cli(*joined) == expected
+
+    def test_spelled_integers_give_identical_output(self, tmp_path, monkeypatch):
+        # One set, its integers written once plainly and once as unreduced
+        # fractions: every command prints and writes the same bytes.
+        monkeypatch.chdir(tmp_path)
+        Path("ints.pts").write_text("d 2\n1 2\n2 1\n3 1\n1 3\n2 4\n-1 2\n")
+        Path("spelled.pts").write_text(
+            "d 2\n3/3 4/2\n6/3 2/2\n9/3 5/5\n2/2 6/2\n8/4 12/3\n-2/2 10/5\n"
+        )
+
+        def outputs(name):
+            return [
+                (run_cli(*argv, "--points", name, "--json", "r.json"), Path("r.json").read_bytes())
+                for argv in (["count", "--tree", "builtin:path:2", "--weights", "4,5"],
+                             ["proofgraph"], ["radial"],
+                             ["incidence", "--pins", name, "--alpha", "5"])
+            ]
+
+        plain = outputs("ints.pts")
+        assert all(code == 0 for (code, _, _), _ in plain)
+        assert outputs("spelled.pts") == plain
 
     # Input files for the output-path checks below; t.json is a tree file.
     INPUTS = {
@@ -944,6 +1048,7 @@ REJECT_FILES = {
     "bad.lines": "1 1 3\n1 x 2\n",
     "origin.pts": "d 2\n1 2\n0 0\n",
     "short.lines": "1 1 3\n1 2\n",
+    "dup.pts": "d 2\n2 1\n4/2 1\n",
 }
 
 # Inputs that raise a ValueError (or ParseError) inside the engine, a
@@ -1013,6 +1118,9 @@ ENGINE_REJECTS = {
         ["distinct", "--points", "a.pts", "--tree", "duplicate.tree"],
         "duplicate.tree: line 3: duplicate edge (1, 2)",
     ),
+    "points_duplicate_spelled_apart": (
+        ["radial", "--points", "dup.pts"], "dup.pts: line 3: duplicate point '4/2 1'",
+    ),
     "points_bad_dimension": (
         ["distinct", "--points", "bad-dim.pts"], "bad-dim.pts: line 1: bad dimension 'x'",
     ),
@@ -1078,6 +1186,21 @@ def test_engine_value_errors_exit_2(tmp_path, argv, message):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_unit_path_count_on_the_generated_lattice_pair(tmp_path, monkeypatch):
+    # E u F of the d=2, q=4 lattice as generate writes it: the unit-weight
+    # 3-path fits 484 times, on one thread or two, as the reference counts.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--construction", "lattice", "--d", "2", "--q", "4",
+                   "-o", "L.pts")[0] == 0
+    dual = Path("L_F.pts").read_text().split("\n", 1)[1]
+    Path("EF.pts").write_text(Path("L.pts").read_text() + dual)
+    argv = ["count", "--tree", "builtin:path:3", "--weights", "1,1,1", "--points", "EF.pts"]
+    assert run_cli(*argv) == run_cli(*argv, "--threads", "2") == (0, "484\n", "")
+    with open("EF.pts") as stream:
+        points = read_point_set(stream)
+    assert reference_count_embeddings(WeightedTree(make_path(3), (1, 1, 1)), points) == 484
 
 
 @pytest.mark.parametrize("module", ["dottrees", "dottrees.cli"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dottrees
 from dottrees import (
     AlphaHyperplane,
     ParseError,
@@ -200,6 +201,10 @@ class TestDirection:
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="contains the origin"):
             direction_of(pt(0, 0))
+
+    def test_is_no_public_type(self):
+        # A radial line is its int tuple; the package exports no wrapper.
+        assert not hasattr(dottrees, "Direction")
 
     @given(st.tuples(rationals, rationals), rationals.filter(lambda a: a != 0))
     def test_scaling_invariant(self, p, lam):

@@ -5,6 +5,7 @@ from io import StringIO
 
 import pytest
 
+import dottrees
 from dottrees import (
     ParseError,
     Tree,
@@ -111,6 +112,10 @@ class TestGenerators:
 class TestBipartition:
     def test_path_three(self):
         assert bipartition(make_path(2)) == (frozenset({1, 3}), frozenset({2}))
+
+    def test_is_no_public_type(self):
+        # A bipartition is its pair of frozensets; the package exports no wrapper.
+        assert not hasattr(dottrees, "Bipartition")
 
     def test_star_center_is_small_class(self):
         assert bipartition(make_star(3)) == (frozenset({2, 3, 4}), frozenset({1}))
